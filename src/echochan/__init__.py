@@ -46,7 +46,7 @@ from .evaluation import (
     mape,
     run_sweep,
 )
-from .numerics import matmul, solve_spd, spectral_radius
+from .numerics import solve_spd, spectral_radius
 from .readout import (
     Accumulators,
     Lasso,
@@ -68,8 +68,6 @@ from .reservoir import (
     build,
     harvest,
     init_matrix,
-    rescale_to_radius,
-    update_state,
 )
 from .store import (
     ModelArtifact,
@@ -79,9 +77,6 @@ from .store import (
     save_model,
 )
 from .transfer import (
-    DirectTransfer,
-    FineTune,
-    TransferPlan,
     direct_transfer_eval,
     fine_tune,
     pretrain,

@@ -12,7 +12,7 @@ parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -296,15 +296,20 @@ def apply_channel(spec: ChannelSpec, tx, seed: int) -> np.ndarray:
 
 def generate_sequence(
     wave: WaveformSpec, chan: ChannelSpec, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One (tx, rx) pair from a dedicated seed substream."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (tx, clean, rx) triple from a dedicated seed substream.
+
+    ``clean`` is the complex channel output before noise, which ``rx``
+    (2 x T) adds the AWGN to; it is returned so the SNR can be measured.
+    """
     bit_rng = seeding.substream(seed, seeding.STREAM_BITS)
     bits = bit_rng.integers(0, 2, size=wave.bits_per_sequence)
     symbols = qpsk_modulate(bits)
     tx = _to_rows(_shape_symbols(symbols, wave))
     channel_seed = seeding.child_seed(seed, seeding.STREAM_CHANNEL)
-    rx = apply_channel(chan, tx, channel_seed)
-    return tx, rx
+    clean = _propagate(chan, tx, channel_seed)
+    rx = _to_rows(_add_noise(clean, chan.snr_db, channel_seed))
+    return tx, clean, rx
 
 
 def generate_dataset(
@@ -324,11 +329,9 @@ def generate_dataset(
     noise_power = 0.0
     for i in range(num_sequences):
         seq_seed = seeding.child_seed(wave.seed, seeding.STREAM_SEQUENCE, i)
-        tx, rx = generate_sequence(wave, chan, seq_seed)
+        tx, clean, rx = generate_sequence(wave, chan, seq_seed)
         inputs[i] = tx
         targets[i] = rx
-        channel_seed = seeding.child_seed(seq_seed, seeding.STREAM_CHANNEL)
-        clean = _propagate(chan, tx, channel_seed)
         clean_power += float(np.sum(np.abs(clean) ** 2))
         noise_power += float(np.sum((rx - _to_rows(clean)) ** 2))
     if num_sequences > 0 and noise_power > 0.0:
@@ -366,29 +369,3 @@ def channel_meta(chan: ChannelSpec) -> dict:
         "disturbance_period": chan.disturbance_period,
         "snr_db": chan.snr_db,
     }
-
-
-def channel_from_meta(meta: dict) -> ChannelSpec:
-    kind = meta.get("kind")
-    if kind == "awgn":
-        return Awgn(snr_db=float(meta["snr_db"]))
-    if kind == "multipath":
-        taps = tuple(Tap(int(d), float(gi), float(gq)) for d, gi, gq in meta["taps"])
-        return Multipath(
-            taps=taps,
-            disturbance=float(meta.get("disturbance", 0.0)),
-            disturbance_period=int(meta.get("disturbance_period", 200)),
-            snr_db=float(meta["snr_db"]),
-        )
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def waveform_from_meta(meta: dict, seed: Optional[int] = None) -> WaveformSpec:
-    return WaveformSpec(
-        bits_per_sequence=int(meta["bits_per_sequence"]),
-        samples_per_symbol=int(meta["samples_per_symbol"]),
-        rolloff=float(meta["rolloff"]),
-        filter_span=int(meta["filter_span"]),
-        sequence_length=int(meta["sequence_length"]),
-        seed=int(meta["seed"]) if seed is None else seed,
-    )

@@ -142,6 +142,12 @@ def _as_bool(value, key: str, context: str) -> bool:
     return value
 
 
+def _as_mapping(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def _parse_waveform(section: dict) -> WaveformSpec:
     _check_keys(section, _WAVEFORM_KEYS, "waveform")
     try:
@@ -188,7 +194,7 @@ def _parse_channel(name: str, section: dict) -> ChannelSpec:
                 disturbance_period=_as_int(section.get("disturbance_period", 200), "disturbance_period", context),
                 snr_db=snr_db,
             )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {context}: {exc}") from exc
     raise ConfigError(f"{context}.kind must be 'awgn' or 'multipath', got {kind!r}")
 
@@ -227,7 +233,7 @@ def _regression_from_name(name: str, section: dict) -> RegressionMethod:
                 max_iter=int(section.get("lasso_max_iter", 10_000)),
                 tol=float(section.get("lasso_tol", 1e-8)),
             )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid readout section: {exc}") from exc
     raise ConfigError(f"readout.method must be ridge, linear or lasso, got {name!r}")
 
@@ -240,7 +246,7 @@ def parse_config(raw: dict, source: str = "<memory>") -> RunConfig:
     if threads is not None and threads < 1:
         raise ConfigError(f"config.threads must be >= 1, got {threads}")
 
-    waveform = _parse_waveform(_require(raw, "waveform", "config"))
+    waveform = _parse_waveform(_as_mapping(_require(raw, "waveform", "config"), "waveform"))
 
     channels_raw = _require(raw, "channels", "config")
     if not isinstance(channels_raw, dict) or not channels_raw:
@@ -249,21 +255,23 @@ def parse_config(raw: dict, source: str = "<memory>") -> RunConfig:
         str(name): _parse_channel(str(name), section) for name, section in channels_raw.items()
     }
 
-    reservoir = _parse_reservoir(_require(raw, "reservoir", "config"), master_seed)
+    reservoir = _parse_reservoir(
+        _as_mapping(_require(raw, "reservoir", "config"), "reservoir"), master_seed
+    )
 
-    readout_section = dict(_require(raw, "readout", "config"))
+    readout_section = _as_mapping(_require(raw, "readout", "config"), "readout")
     _check_keys(readout_section, _READOUT_KEYS, "readout")
     method = _regression_from_name(
         str(_require(readout_section, "method", "readout")), readout_section
     )
 
-    split_section = dict(raw.get("split", {}))
+    split_section = _as_mapping(raw.get("split", {}), "split")
     _check_keys(split_section, _SPLIT_KEYS, "split")
     train_fraction = _as_number(split_section.get("train_fraction", 0.8), "train_fraction", "split")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"split.train_fraction must be in (0, 1), got {train_fraction}")
 
-    sweep_section = dict(raw.get("sweep", {}))
+    sweep_section = _as_mapping(raw.get("sweep", {}), "sweep")
     _check_keys(sweep_section, _SWEEP_KEYS, "sweep")
     try:
         sweep = SweepSettings(
@@ -286,7 +294,7 @@ def parse_config(raw: dict, source: str = "<memory>") -> RunConfig:
                 str(v) for v in sweep_section.get("regression_values", ["ridge", "linear", "lasso"])
             ),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid sweep section: {exc}") from exc
     if sweep.repeats < 1:
         raise ConfigError(f"sweep.repeats must be >= 1, got {sweep.repeats}")

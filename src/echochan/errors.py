@@ -34,9 +34,13 @@ class RankError(NumericError, ValueError):
 
 
 class ConvergenceError(NumericError, RuntimeError):
-    """Iterative method did not converge within its iteration budget."""
+    """Iterative method did not converge.
 
-    def __init__(self, message: str, iterations: int):
+    ``iterations`` is the budget that ran out, or None when the method
+    (such as a LAPACK eigenvalue routine) has no budget of its own.
+    """
+
+    def __init__(self, message: str, iterations: int | None):
         super().__init__(message)
         self.iterations = iterations
 

@@ -192,7 +192,8 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
 
     Harvesting starts from the zero state per sequence. When the
     reservoir has feedback enabled, the model's own previous prediction
-    is fed back (no teacher forcing at evaluation time).
+    is fed back (no teacher forcing at evaluation time). All predictions
+    are scored together by ``mape``.
     """
     started = time.perf_counter()
     config = r.config
@@ -208,64 +209,14 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
         )
     if dataset.num_sequences == 0:
         raise ShapeError("dataset contains no sequences")
-    if dataset.seq_len <= config.washout:
-        raise ShapeError(
-            f"sequence length {dataset.seq_len} leaves no samples after washout "
-            f"{config.washout}"
-        )
 
-    cut = config.washout
-    actual_max = float(np.abs(dataset.targets[:, :, cut:]).max())
-    if actual_max == 0.0:
-        raise DegenerateMetricError("actual values are identically zero")
-    epsilon = MAPE_EPSILON_REL * actual_max
-    ratio_sum = 0.0
-    sq_sum = 0.0
-    used = 0
-    total = 0
+    targets = dataset.targets[:, :, config.washout :]
+    predictions = np.empty(targets.shape)
     for i in range(dataset.num_sequences):
-        targets = dataset.targets[i][:, cut:]
-        if config.use_feedback:
-            predictions = _closed_loop_predict(r, model, dataset.inputs[i])
-        else:
-            traj = harvest(r, dataset.inputs[i])
-            predictions = readout_mod.predict(model, traj)
-        if not np.isfinite(predictions).all():
-            raise NonFiniteError(f"sequence {i} produced non-finite predictions")
-        err = targets - predictions
-        mask = np.abs(targets) >= epsilon
-        ratio_sum += float(np.abs(err[mask] / targets[mask]).sum())
-        sq_sum += float((err**2).sum())
-        used += int(mask.sum())
-        total += targets.size
-    if used == 0:
-        raise DegenerateMetricError(
-            f"all {total} samples fell under the exclusion floor {epsilon}"
-        )
-    return MetricReport(
-        mape_percent=100.0 * ratio_sum / used,
-        mse=sq_sum / total,
-        samples_used=used,
-        samples_excluded=total - used,
-        wall_time_seconds=time.perf_counter() - started,
-    )
-
-
-def _closed_loop_predict(r: Reservoir, model: ReadoutModel, inputs: np.ndarray) -> np.ndarray:
-    """Step the reservoir feeding back the model's own previous output."""
-    config = r.config
-    total = inputs.shape[1]
-    activation = config.activation.apply
-    driven = r.w_in @ inputs
-    x = np.zeros(config.reservoir_size)
-    y = np.zeros(config.output_dim)
-    out = np.empty((config.output_dim, total - config.washout))
-    for t in range(total):
-        x = activation(driven[:, t] + r.w @ x + r.w_fb @ y)
-        y = model.w_out @ x
-        if t >= config.washout:
-            out[:, t - config.washout] = y
-    return out
+        traj = harvest(r, dataset.inputs[i], w_out=model.w_out)
+        predictions[i] = readout_mod.predict(model, traj)
+    report = mape(targets, predictions)
+    return replace(report, wall_time_seconds=time.perf_counter() - started)
 
 
 def split_indices(

@@ -1,4 +1,4 @@
-"""Dense float64 matrix kernel: products, SPD solves, spectral radius.
+"""Dense float64 matrix kernel: SPD solves and spectral radius.
 
 Matrices are plain 2-D ``numpy`` arrays (row-major, float64); vectors are
 1-D arrays. The helpers here validate the contracts the rest of the
@@ -12,9 +12,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeError
-
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITERATIONS = 10_000
 
 # Relative asymmetry above which solve_spd rejects its input instead of
 # silently symmetrizing (a symmetrized solve would hide accumulator bugs).
@@ -39,20 +36,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with shape and finiteness checks."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise NonFiniteError(
-            f"product of shapes {a.shape} and {b.shape} overflowed to non-finite values"
-        )
-    return out
 
 
 def solve_spd(m, rhs) -> np.ndarray:
@@ -95,30 +78,22 @@ def solve_spd(m, rhs) -> np.ndarray:
     return sol[:, 0] if rhs_was_vector else sol
 
 
-def spectral_radius(
-    m, tol: float = DEFAULT_TOL, max_iterations: int = DEFAULT_MAX_ITERATIONS
-) -> float:
+def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude of a square real matrix.
 
     Uses QR iteration on the Hessenberg form (LAPACK), which handles
-    complex conjugate dominant pairs and converges to machine precision,
-    well inside any ``tol`` this package uses. A LAPACK convergence
-    failure is surfaced as ``ConvergenceError``.
+    complex conjugate dominant pairs and converges to machine precision.
+    A LAPACK convergence failure is surfaced as ``ConvergenceError``.
     """
     m = as_matrix(m, "matrix")
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {m.shape}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     if m.size == 0:
         raise ShapeError("matrix must be non-empty")
     try:
         eigenvalues = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigenvalue iteration did not converge within {max_iterations} iterations: {exc}",
-            iterations=max_iterations,
+            f"eigenvalue computation did not converge: {exc}", iterations=None
         ) from exc
     return float(np.abs(eigenvalues).max())

@@ -7,7 +7,8 @@ what makes the state dynamics forget initial conditions; the raw,
 unrescaled radii of the supported initializers can be inspected with
 ``allow_unstable``.
 
-State update, with f the configured activation:
+State update, with f the configured activation, stepped by ``harvest``
+both teacher-forced (training) and closed-loop (evaluation):
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 """
@@ -16,15 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
 from . import seeding
 from .errors import RescaleError, ShapeError
-from .numerics import as_matrix, as_vector, spectral_radius
-
-RADIUS_TOL = 1e-4
+from .numerics import as_vector, spectral_radius
 
 
 class InitMethod(Enum):
@@ -198,23 +196,14 @@ def init_matrix(method: InitMethod, rows: int, cols: int, sparsity: float, seed:
     return values
 
 
-def rescale_to_radius(w, target: float, tol: float = 1e-6) -> np.ndarray:
-    """Scale ``w`` linearly so its spectral radius equals ``target``."""
-    w = as_matrix(w, "recurrent matrix")
-    if target <= 0.0:
-        raise ValueError(f"target radius must be positive, got {target}")
-    rho = spectral_radius(w, tol=tol)
-    if rho == 0.0:
-        raise RescaleError("matrix has spectral radius 0 and cannot be rescaled")
-    return w * (target / rho)
-
-
 def build(config: ReservoirConfig) -> Reservoir:
     """Construct the frozen reservoir for ``config``.
 
     ``w_in`` and (when enabled) ``w_fb`` are drawn at full density; ``w``
-    honors ``config.sparsity`` and is rescaled to the target radius unless
-    ``allow_unstable`` is set. Bit-identical for identical configs.
+    honors ``config.sparsity`` and is scaled linearly to the target radius
+    unless ``allow_unstable`` is set. The raw radius is computed once and
+    ``achieved_radius`` is derived from it. Bit-identical for identical
+    configs.
     """
     n, k, l = config.reservoir_size, config.input_dim, config.output_dim
     w_in = init_matrix(
@@ -223,11 +212,13 @@ def build(config: ReservoirConfig) -> Reservoir:
     w = init_matrix(
         config.init, n, n, config.sparsity, seeding.child_seed(config.seed, seeding.STREAM_W)
     )
-    if config.allow_unstable:
-        achieved = spectral_radius(w) if np.any(w) else 0.0
-    else:
-        w = rescale_to_radius(w, config.target_spectral_radius)
-        achieved = spectral_radius(w)
+    achieved = spectral_radius(w)
+    if not config.allow_unstable:
+        if achieved == 0.0:
+            raise RescaleError("matrix has spectral radius 0 and cannot be rescaled")
+        scale = config.target_spectral_radius / achieved
+        w = w * scale
+        achieved *= scale
     if config.use_feedback:
         w_fb = init_matrix(
             config.init, n, l, 1.0, seeding.child_seed(config.seed, seeding.STREAM_W_FB)
@@ -237,47 +228,23 @@ def build(config: ReservoirConfig) -> Reservoir:
     return Reservoir(config=config, w_in=w_in, w=w, w_fb=w_fb, achieved_radius=achieved)
 
 
-def update_state(
-    r: Reservoir, x_prev, u, y_prev: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """One step of the state recurrence.
-
-    ``y_prev`` defaults to the zero vector; it only matters when the
-    reservoir was built with feedback weights.
-    """
-    config = r.config
-    x_prev = as_vector(x_prev, "previous state")
-    u = as_vector(u, "input")
-    if x_prev.shape[0] != config.reservoir_size:
-        raise ShapeError(
-            f"previous state has length {x_prev.shape[0]}, expected {config.reservoir_size}"
-        )
-    if u.shape[0] != config.input_dim:
-        raise ShapeError(f"input has length {u.shape[0]}, expected {config.input_dim}")
-    pre = r.w_in @ u + r.w @ x_prev
-    if y_prev is not None:
-        y_prev = as_vector(y_prev, "previous output")
-        if y_prev.shape[0] != config.output_dim:
-            raise ShapeError(
-                f"previous output has length {y_prev.shape[0]}, expected {config.output_dim}"
-            )
-        pre = pre + r.w_fb @ y_prev
-    return config.activation.apply(pre)
-
-
 def harvest(
     r: Reservoir,
     inputs,
     teacher=None,
     initial_state=None,
+    w_out=None,
 ) -> StateTrajectory:
     """Drive the reservoir with a K x T input sequence and collect states.
 
     Starts from the zero state (or ``initial_state`` when given, which
     exists so convergence from different starting points can be checked),
     steps t = 1..T, and returns the states with the first ``washout``
-    columns dropped. When the reservoir uses feedback, ``teacher`` (L x T)
-    supplies the forced outputs y(t-1), with y(0) = 0.
+    columns dropped. When the reservoir uses feedback, exactly one source
+    of the fed-back output y(t-1) must be given, with y(0) = 0 either way:
+    ``teacher`` (L x T) forces it during training, and a trained readout
+    ``w_out`` (L x N) closes the loop with y(t-1) = w_out @ x(t-1).
+    Without feedback both are ignored.
     """
     config = r.config
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -290,16 +257,25 @@ def harvest(
         raise ShapeError(
             f"sequence length {total} leaves no states after washout {config.washout}"
         )
-    if config.use_feedback:
-        if teacher is None:
-            raise ShapeError("reservoir uses feedback: a teacher sequence is required")
-        teacher = np.asarray(teacher, dtype=np.float64)
-        if teacher.shape != (config.output_dim, total):
-            raise ShapeError(
-                f"teacher must be {config.output_dim} x {total}, got shape {teacher.shape}"
-            )
-
     n = config.reservoir_size
+    if config.use_feedback:
+        if (teacher is None) == (w_out is None):
+            raise ShapeError(
+                "reservoir uses feedback: give either a teacher sequence or a readout w_out"
+            )
+        if teacher is not None:
+            teacher = np.asarray(teacher, dtype=np.float64)
+            if teacher.shape != (config.output_dim, total):
+                raise ShapeError(
+                    f"teacher must be {config.output_dim} x {total}, got shape {teacher.shape}"
+                )
+        else:
+            w_out = np.asarray(w_out, dtype=np.float64)
+            if w_out.shape != (config.output_dim, n):
+                raise ShapeError(
+                    f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
+                )
+
     if initial_state is None:
         x = np.zeros(n)
     else:
@@ -316,7 +292,12 @@ def harvest(
     for t in range(total):
         pre = driven[:, t] + w @ x
         if feedback:
-            y_prev = teacher[:, t - 1] if t > 0 else np.zeros(config.output_dim)
+            if t == 0:
+                y_prev = np.zeros(config.output_dim)
+            elif teacher is not None:
+                y_prev = teacher[:, t - 1]
+            else:
+                y_prev = w_out @ x
             pre += w_fb @ y_prev
         x = activation(pre)
         if t >= config.washout:

@@ -107,7 +107,7 @@ def _atomic_write(path, chunks) -> None:
         raise
 
 
-def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
+def _read_container(path, magic: bytes) -> tuple[dict, memoryview]:
     data = Path(path).read_bytes()
     if len(data) < 16:
         raise IntegrityError(f"file {path} has {len(data)} bytes, smaller than any header")
@@ -130,10 +130,10 @@ def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
         header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable header in {path}: {exc}") from exc
-    return header, data[16 + header_len :]
+    return header, memoryview(data)[16 + header_len :]
 
 
-def _expect_payload(path, payload: bytes, expected: int) -> None:
+def _expect_payload(path, payload: memoryview, expected: int) -> None:
     if len(payload) != expected:
         raise IntegrityError(
             f"payload of {path} has {len(payload)} bytes, expected {expected}"
@@ -309,15 +309,12 @@ def load_dataset(path) -> SequenceDataset:
     if num < 0 or t < 1:
         raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
     _expect_payload(path, payload, num * t * (k + l) * 8)
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    per_seq = t * (k + l)
-    inputs = np.empty((num, k, t))
-    targets = np.empty((num, l, t))
-    for i in range(num):
-        block = flat[i * per_seq : (i + 1) * per_seq]
-        inputs[i] = block[: k * t].reshape(k, t)
-        targets[i] = block[k * t :].reshape(l, t)
-    return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
+    blocks = np.frombuffer(payload, dtype="<f8").reshape(num, k + l, t)
+    return SequenceDataset(
+        inputs=blocks[:, :k].astype(np.float64),
+        targets=blocks[:, k:].astype(np.float64),
+        meta=meta,
+    )
 
 
 def export_dataset_csv(ds: SequenceDataset, directory) -> list[Path]:

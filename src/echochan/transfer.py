@@ -9,9 +9,6 @@ accumulators with a convex weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 from .channelsim import SequenceDataset
 from .errors import ShapeError
 from .evaluation import MetricReport, evaluate
@@ -23,46 +20,6 @@ from .readout import (
     solve,
 )
 from .reservoir import Reservoir
-
-
-@dataclass(frozen=True)
-class DirectTransfer:
-    """Evaluate the source-trained readout on the target domain as-is."""
-
-
-@dataclass(frozen=True)
-class FineTune:
-    """Re-solve the readout on target data.
-
-    ``blend_weight`` mixes source accumulators into the solve
-    (0 = pure target retraining, 1 = source only). Values above 0 are an
-    experimental extension beyond plain retraining.
-    """
-
-    blend_weight: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.blend_weight <= 1.0:
-            raise ValueError(f"blend_weight must be in [0, 1], got {self.blend_weight}")
-
-
-TransferMode = Union[DirectTransfer, FineTune]
-
-
-@dataclass(frozen=True)
-class TransferPlan:
-    source: SequenceDataset
-    target_train: SequenceDataset
-    target_test: SequenceDataset
-    mode: TransferMode
-
-    def __post_init__(self):
-        dims = {
-            (ds.input_dim, ds.output_dim)
-            for ds in (self.source, self.target_train, self.target_test)
-        }
-        if len(dims) != 1:
-            raise ShapeError(f"source/target datasets disagree on (K, L): {sorted(dims)}")
 
 
 def pretrain(
@@ -116,16 +73,3 @@ def fine_tune(
     """
     target_acc = accumulate_dataset(r, target_train, threads=threads)
     return solve(blend_accumulators(source_acc, target_acc, alpha), method)
-
-
-def run_plan(
-    r: Reservoir, plan: TransferPlan, method: RegressionMethod, threads: int = 1
-) -> tuple[MetricReport, ReadoutModel]:
-    """Execute a transfer plan end to end; returns the target-test report."""
-    model, source_acc = pretrain(r, plan.source, method, threads=threads)
-    if isinstance(plan.mode, FineTune):
-        model = fine_tune(
-            r, source_acc, plan.target_train, plan.mode.blend_weight, method, threads=threads
-        )
-    report = direct_transfer_eval(r, model, plan.target_test)
-    return report, model

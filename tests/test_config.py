@@ -103,6 +103,34 @@ class TestStrictParsing:
         with pytest.raises(ConfigError, match="glorot"):
             parse_config(raw)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("channels", "taps", [[None, 0.9, 0.1]]),
+            ("readout", "ridge_lambda", [1]),
+            ("sweep", "radius_values", [{}]),
+            (None, "readout", [1, 2]),
+            ("sweep", "size_values", 5),
+            (None, "waveform", 5),
+        ],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, capsys, section, key, value):
+        import yaml
+
+        from echochan.cli import main
+
+        raw = minimal_raw(sweep={})
+        target = raw if section is None else raw[section]
+        if section == "channels":
+            target = target["mp"]
+        target[key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        code = main(["--config", str(path), "generate", "--preset", "mp", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestParsedValues:
     def test_channel_kinds(self):

@@ -4,25 +4,12 @@ import numpy as np
 import pytest
 
 from echochan.errors import (
+    ConvergenceError,
     DefinitenessError,
     NonFiniteError,
     ShapeError,
 )
-from echochan.numerics import matmul, solve_spd, spectral_radius
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
+from echochan.numerics import solve_spd, spectral_radius
 
 
 def gaussian_elimination(m, rhs):
@@ -37,43 +24,6 @@ def gaussian_elimination(m, rhs):
             if row != col:
                 a[row] -= a[row, col] * a[col]
     return a[:, n:]
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((3, 4))
-        np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-    def test_hand_computed(self):
-        result = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        np.testing.assert_array_equal(result, [[2.0], [4.0]])
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((7, 5))
-        b = rng.standard_normal((5, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_associativity(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            a = rng.standard_normal((6, 4))
-            b = rng.standard_normal((4, 5))
-            c = rng.standard_normal((5, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = np.abs(left).max()
-            assert np.abs(left - right).max() < 1e-9 * max(scale, 1.0)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(NonFiniteError):
-            matmul(bad, np.eye(2))
 
 
 class TestSolveSpd:
@@ -113,6 +63,15 @@ class TestSolveSpd:
         with pytest.raises(DefinitenessError, match="asymmetric"):
             solve_spd(m, np.ones(2))
 
+    def test_rejects_non_finite(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        with pytest.raises(NonFiniteError):
+            solve_spd(bad, np.ones(2))
+        with pytest.raises(NonFiniteError):
+            solve_spd(np.eye(2), [1.0, np.inf])
+        with pytest.raises(NonFiniteError):
+            spectral_radius(bad)
+
     def test_indefinite_rejected(self):
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(DefinitenessError):
@@ -148,6 +107,12 @@ class TestSpectralRadius:
         with pytest.raises(ShapeError):
             spectral_radius(np.ones((2, 3)))
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_radius(np.eye(2), tol=0.0)
+    def test_lapack_failure_reports_no_iteration_budget(self, monkeypatch):
+        def failing(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(ConvergenceError, match="did not converge") as info:
+            spectral_radius(np.eye(2))
+        assert info.value.iterations is None
+        assert "iterations" not in str(info.value)

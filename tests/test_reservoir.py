@@ -13,8 +13,6 @@ from echochan.reservoir import (
     build,
     harvest,
     init_matrix,
-    rescale_to_radius,
-    update_state,
 )
 
 
@@ -66,30 +64,33 @@ class TestInitMatrix:
 
 
 class TestRescale:
+    """Linear rescaling of the recurrent matrix to the target radius in ``build``."""
+
     def test_scales_down_to_target(self):
-        rng = np.random.default_rng(8)
-        w = rng.standard_normal((40, 40))
-        w = w * (2.0 / spectral_radius(w))
-        out = rescale_to_radius(w, 0.5)
-        assert spectral_radius(out) == pytest.approx(0.5, abs=1e-10)
-        np.testing.assert_allclose(out, w / 4.0, atol=1e-12)
+        raw = build(small_config(init=InitMethod.RANDOM, reservoir_size=40, allow_unstable=True))
+        raw_radius = spectral_radius(raw.w)
+        assert raw_radius > 2.0
+        r = build(small_config(init=InitMethod.RANDOM, reservoir_size=40))
+        assert spectral_radius(r.w) == pytest.approx(0.5, abs=1e-10)
+        np.testing.assert_allclose(r.w, raw.w * (0.5 / raw_radius), atol=1e-12)
 
     def test_already_at_target_unchanged(self):
-        rng = np.random.default_rng(9)
-        w = rescale_to_radius(rng.standard_normal((30, 30)), 0.7)
-        again = rescale_to_radius(w, 0.7)
-        assert np.abs(again - w).max() < 1e-12
+        r = build(small_config(reservoir_size=30, target_spectral_radius=0.7))
+        again = r.w * (0.7 / spectral_radius(r.w))
+        assert np.abs(again - r.w).max() < 1e-12
 
     def test_he_raw_radius_then_rescale(self):
-        w = init_matrix(InitMethod.HE, 578, 578, 1.0, seed=10)
-        raw = spectral_radius(w)
-        assert 1.3 < raw < 1.6
-        out = rescale_to_radius(w, 0.5)
-        assert spectral_radius(out) == pytest.approx(0.5, abs=1e-4)
+        raw = build(small_config(init=InitMethod.HE, reservoir_size=578, allow_unstable=True))
+        assert 1.3 < spectral_radius(raw.w) < 1.6
+        r = build(small_config(init=InitMethod.HE, reservoir_size=578))
+        assert spectral_radius(r.w) == pytest.approx(0.5, abs=1e-4)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(RescaleError):
-            rescale_to_radius(np.zeros((5, 5)), 0.5)
+            build(small_config(reservoir_size=5, sparsity=0.0))
+        # without rescaling a zero matrix is a valid (if inert) reservoir
+        r = build(small_config(reservoir_size=5, sparsity=0.0, allow_unstable=True))
+        assert r.achieved_radius == 0.0
 
 
 class TestBuild:
@@ -109,6 +110,20 @@ class TestBuild:
         r = build(small_config(target_spectral_radius=0.3))
         assert r.achieved_radius == pytest.approx(0.3, abs=1e-4)
         assert spectral_radius(r.w) == pytest.approx(0.3, abs=1e-4)
+
+    def test_one_eigendecomposition_per_build(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(m):
+            calls.append(m.shape)
+            return eigvals(m)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        for allow_unstable in (False, True):
+            calls.clear()
+            build(small_config(allow_unstable=allow_unstable))
+            assert calls == [(50, 50)], f"allow_unstable={allow_unstable}"
 
     def test_allow_unstable_skips_rescale(self):
         r = build(small_config(init=InitMethod.HE, allow_unstable=True))
@@ -138,36 +153,59 @@ class TestBuild:
 
 
 class TestUpdateState:
+    """The state update rule as ``harvest`` steps it, open and closed loop."""
+
     def test_zero_inputs_zero_state_tanh(self):
-        r = build(small_config())
-        out = update_state(r, np.zeros(50), np.zeros(2), np.zeros(2))
-        assert not np.any(out)
+        r = build(small_config(use_feedback=True))
+        traj = harvest(r, np.zeros((2, 5)), w_out=np.ones((2, 50)))
+        assert not np.any(traj.states)
 
     def test_scalar_tanh_value(self):
         r = scalar_reservoir(Activation.TANH)
-        out = update_state(r, np.zeros(1), np.ones(1), np.zeros(1))
-        assert out[0] == pytest.approx(np.tanh(1.0), abs=1e-9)
+        traj = harvest(r, np.ones((1, 1)))
+        assert traj.states[0, 0] == pytest.approx(np.tanh(1.0), abs=1e-9)
 
     def test_scalar_sigmoid_value(self):
         r = scalar_reservoir(Activation.SIGMOID)
-        out = update_state(r, np.zeros(1), np.ones(1), np.zeros(1))
-        assert out[0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-9)
+        traj = harvest(r, np.ones((1, 1)))
+        assert traj.states[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), abs=1e-9)
 
     def test_dimension_mismatch(self):
         r = build(small_config())
         with pytest.raises(ShapeError):
-            update_state(r, np.zeros(49), np.zeros(2))
+            harvest(r, np.zeros((2, 5)), initial_state=np.zeros(49))
         with pytest.raises(ShapeError):
-            update_state(r, np.zeros(50), np.zeros(3))
+            harvest(r, np.zeros((3, 5)))
+        fb = build(small_config(use_feedback=True))
+        with pytest.raises(ShapeError):
+            harvest(fb, np.zeros((2, 5)), w_out=np.zeros((2, 49)))
+        with pytest.raises(ShapeError):
+            harvest(fb, np.zeros((2, 5)), teacher=np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_closed_loop_matches_hand_stepped_recurrence(self, activation):
+        # x(t) = f(u(t) + 0.5 x(t-1) + 0.3 y(t-1)), y(t-1) = 2 x(t-1), y(0) = 0
+        r = scalar_reservoir(activation, w=0.5, w_fb=0.3)
+        inputs = np.array([[0.4, -1.2, 0.7, 0.1, -0.3, 0.9]])
+        f = activation.apply
+        x = y = 0.0
+        expected = []
+        for u in inputs[0]:
+            x = float(f(np.float64(u + 0.5 * x + 0.3 * y)))
+            y = 2.0 * x
+            expected.append(x)
+        traj = harvest(r, inputs, w_out=np.array([[2.0]]))
+        np.testing.assert_allclose(traj.states[0], expected, rtol=1e-14, atol=0.0)
 
 
-def scalar_reservoir(activation):
-    """1x1 reservoir with w_in = [1], w = 0, w_fb = 0."""
+def scalar_reservoir(activation, w=0.0, w_fb=0.0):
+    """1x1 reservoir with w_in = [1]; feedback is enabled when ``w_fb`` != 0."""
     config = ReservoirConfig(
         input_dim=1,
         reservoir_size=1,
         output_dim=1,
         activation=activation,
+        use_feedback=w_fb != 0.0,
         seed=0,
         allow_unstable=True,
         target_spectral_radius=0.5,
@@ -175,9 +213,9 @@ def scalar_reservoir(activation):
     return Reservoir(
         config=config,
         w_in=np.array([[1.0]]),
-        w=np.array([[0.0]]),
-        w_fb=np.array([[0.0]]),
-        achieved_radius=0.0,
+        w=np.array([[w]]),
+        w_fb=np.array([[w_fb]]),
+        achieved_radius=abs(w),
     )
 
 
@@ -238,9 +276,12 @@ class TestHarvest:
         assert diff < 1e-6
 
     def test_feedback_requires_teacher(self):
+        # exactly one source of y(t-1): a teacher or a readout, not neither or both
         r = build(small_config(use_feedback=True))
         with pytest.raises(ShapeError):
             harvest(r, np.zeros((2, 10)))
+        with pytest.raises(ShapeError):
+            harvest(r, np.zeros((2, 10)), teacher=np.zeros((2, 10)), w_out=np.zeros((2, 50)))
 
     def test_teacher_forcing_changes_states(self):
         r = build(small_config(use_feedback=True))

@@ -8,14 +8,10 @@ from echochan.errors import ShapeError
 from echochan.readout import Ridge, accumulate_dataset, fit, solve
 from echochan.reservoir import ReservoirConfig, build
 from echochan.transfer import (
-    DirectTransfer,
-    FineTune,
-    TransferPlan,
     blend_accumulators,
     direct_transfer_eval,
     fine_tune,
     pretrain,
-    run_plan,
 )
 
 SOURCE_CHANNEL = Multipath(
@@ -137,21 +133,27 @@ class TestFineTune:
 
 
 class TestPlan:
+    """Direct transfer against fine-tuning, chained as ``echochan transfer`` runs them."""
+
     def test_fine_tune_beats_direct_on_shifted_domain(
         self, reservoir, source, target_train, target_test
     ):
-        direct_plan = TransferPlan(source, target_train, target_test, DirectTransfer())
-        tuned_plan = TransferPlan(source, target_train, target_test, FineTune(0.0))
-        direct_report, _ = run_plan(reservoir, direct_plan, Ridge())
-        tuned_report, _ = run_plan(reservoir, tuned_plan, Ridge())
+        model, source_acc = pretrain(reservoir, source, Ridge())
+        direct_report = direct_transfer_eval(reservoir, model, target_test)
+        tuned = fine_tune(reservoir, source_acc, target_train, 0.0, Ridge())
+        tuned_report = direct_transfer_eval(reservoir, tuned, target_test)
         assert tuned_report.mape_percent <= direct_report.mape_percent
 
-    def test_mismatched_dims_rejected(self, source, target_train):
+    def test_mismatched_dims_rejected(self, reservoir, source, target_train):
         bad = generate_dataset(wave(48), TARGET_CHANNEL, 4)
         bad = type(bad)(inputs=bad.inputs[:, :1, :], targets=bad.targets, meta=bad.meta)
+        model, source_acc = pretrain(reservoir, source, Ridge())
         with pytest.raises(ShapeError):
-            TransferPlan(source, target_train, bad, DirectTransfer())
+            direct_transfer_eval(reservoir, model, bad)
+        with pytest.raises(ShapeError):
+            fine_tune(reservoir, source_acc, bad, 0.0, Ridge())
 
-    def test_invalid_blend_weight(self):
+    def test_invalid_blend_weight(self, reservoir, source):
+        _, acc = pretrain(reservoir, source, Ridge())
         with pytest.raises(ValueError):
-            FineTune(blend_weight=-0.1)
+            blend_accumulators(acc, acc, -0.1)
