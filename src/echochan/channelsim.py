@@ -180,8 +180,8 @@ class SequenceDataset:
         """New dataset restricted to the given sequence indices."""
         idx = np.asarray(indices, dtype=np.intp)
         return SequenceDataset(
-            inputs=self.inputs[idx].copy(),
-            targets=self.targets[idx].copy(),
+            inputs=self.inputs[idx],
+            targets=self.targets[idx],
             meta=dict(self.meta, subset_size=int(idx.size)),
         )
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import __version__, seeding
 from .channelsim import generate_dataset
-from .config import RunConfig, load_config
+from .config import RunConfig, parse_config, read_raw_config
 from .errors import ConfigError, EchoChanError, NumericError, StoreError
 from .evaluation import (
     SWEEP_CSV_HEADER,
@@ -29,7 +29,7 @@ from .evaluation import (
     write_sweep_csv,
 )
 from .readout import fit
-from .reservoir import InitMethod, build, with_seed
+from .reservoir import build, with_seed
 from .store import (
     file_fingerprint,
     load_dataset,
@@ -106,19 +106,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Flags that override a config key, by argparse dest. Each value is
+# written into the raw config under its key before parse_config runs, so
+# a flag is checked exactly like the key it replaces.
+_OVERRIDES = {
+    "seed": "master_seed",
+    "threads": "threads",
+    "radius": "reservoir.spectral_radius",
+    "size": "reservoir.reservoir_size",
+    "init": "reservoir.init",
+    "regression": "readout.method",
+    "repeats": "sweep.repeats",
+}
+
+
 def _load_run_config(args) -> RunConfig:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(
-            config,
-            master_seed=args.seed,
-            reservoir=with_seed(config.reservoir, args.seed),
-        )
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        config = replace(config, threads=args.threads)
-    return config
+    raw = read_raw_config(args.config)
+    for dest, key in _OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        section, _, leaf = key.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if isinstance(target, dict):  # any other section is rejected by parse_config
+            target[leaf] = value
+    return parse_config(raw)
 
 
 def _threads(config: RunConfig) -> int:
@@ -148,34 +160,16 @@ def cmd_generate(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _apply_train_overrides(args, config: RunConfig):
-    reservoir_config = config.reservoir
-    method = config.readout
-    if args.radius is not None:
-        reservoir_config = replace(reservoir_config, target_spectral_radius=args.radius)
-    if args.size is not None:
-        reservoir_config = replace(reservoir_config, reservoir_size=args.size)
-    if args.init is not None:
-        reservoir_config = replace(reservoir_config, init=InitMethod.from_name(args.init))
-    if args.regression is not None:
-        method = config.regression(args.regression)
-    return reservoir_config, method
-
-
 def cmd_train(args, config: RunConfig) -> int:
     dataset = _load_dataset_file(args.data)
-    try:
-        reservoir_config, method = _apply_train_overrides(args, config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     train_idx, test_idx = split_indices(
         dataset.num_sequences, config.train_fraction, config.master_seed
     )
     train_ds = dataset.subset(train_idx)
     test_ds = dataset.subset(test_idx)
-    reservoir = build(reservoir_config)
+    reservoir = build(config.reservoir)
     started = time.perf_counter()
-    model = fit(reservoir, train_ds, method, threads=_threads(config))
+    model = fit(reservoir, train_ds, config.readout, threads=_threads(config))
     train_seconds = time.perf_counter() - started
     report = evaluate(reservoir, model, test_ds)
     artifact = make_artifact(
@@ -245,17 +239,14 @@ def cmd_sweep(args, config: RunConfig) -> int:
     elif axis is SweepAxis.ACTIVATION:
         values = settings.activation_values
     else:
-        values = tuple(config.regression(name) for name in settings.regression_names)
-    repeats = settings.repeats if args.repeats is None else args.repeats
-    if repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
+        values = tuple(config.regression(name) for name in settings.regression_values)
     spec = SweepSpec(
         axis=axis,
         values=tuple(values),
         base_config=config.reservoir,
         method=config.readout,
         datasets=datasets,
-        repeats=repeats,
+        repeats=settings.repeats,
         train_fraction=config.train_fraction,
     )
     result = run_sweep(spec, threads=_threads(config))

@@ -5,10 +5,18 @@ fatal) holding the waveform parameters, the named channel presets, the
 reservoir and readout settings, the train/test split, and the sweep
 value lists. ``default_config.yaml`` ships inside the package and is
 used when neither ``--config`` nor ``$ECHOCHAN_CONFIG`` names a file.
+
+Every key of every section is declared once below with its kind and
+its default (or ``_REQUIRED``). A kind is a function ``(value, name)``
+that returns the value if its type is right and otherwise raises
+``ConfigError`` naming the key; nothing is cast. An integer is an
+``int`` but not a ``bool``; a number is an ``int`` or ``float`` but not
+a ``bool``, returned as a float. The store reuses the kinds for headers.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -24,31 +32,160 @@ from .reservoir import Activation, InitMethod, ReservoirConfig
 
 ENV_CONFIG = "ECHOCHAN_CONFIG"
 
-_TOP_KEYS = {"master_seed", "threads", "waveform", "channels", "reservoir", "readout", "split", "sweep"}
-_WAVEFORM_KEYS = {"bits_per_sequence", "samples_per_symbol", "rolloff", "filter_span", "sequence_length"}
-_CHANNEL_KEYS = {"kind", "snr_db", "taps", "disturbance", "disturbance_period"}
-_RESERVOIR_KEYS = {
-    "input_dim",
-    "reservoir_size",
-    "output_dim",
-    "init",
-    "sparsity",
-    "spectral_radius",
-    "activation",
-    "use_feedback",
-    "washout",
-    "allow_unstable",
+
+def _kind(what: str, accepts, read=lambda value: value):
+    """A kind that returns ``read(value)`` for a value ``accepts`` allows."""
+
+    def check(value, name: str):
+        if not accepts(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return read(value)
+
+    return check
+
+
+integer = _kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+number = _kind(
+    "a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), float
+)
+boolean = _kind("a boolean", lambda v: isinstance(v, bool))
+string = _kind("a string", lambda v: isinstance(v, str))
+mapping = _kind("a mapping", lambda v: isinstance(v, dict))
+
+
+def _at_least(low: int):
+    def read(value, name):
+        if integer(value, name) < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return read
+
+
+def _optional(kind):
+    return lambda value, name: None if value is None else kind(value, name)
+
+
+def _list_of(kind):
+    def read(value, name):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(kind(item, f"{name}[{i}]") for i, item in enumerate(value))
+
+    return read
+
+
+def _named(enum):
+    """A string naming a member of ``enum`` (see its ``from_name``)."""
+
+    def read(value, name):
+        text = string(value, name)
+        try:
+            return enum.from_name(text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+
+    return read
+
+
+def _fraction(value, name: str) -> float:
+    fraction = number(value, name)
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1), got {fraction}")
+    return fraction
+
+
+def _snr(value, name: str) -> float:
+    """A number, or the string ``inf`` for a noiseless channel."""
+    if value in ("inf", ".inf"):
+        return math.inf
+    return number(value, name)
+
+
+def _tap(value, name: str) -> tuple[int, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{name} must be [delay, gain_i, gain_q], got {value!r}")
+    return (
+        integer(value[0], f"{name}[0]"),
+        number(value[1], f"{name}[1]"),
+        number(value[2], f"{name}[2]"),
+    )
+
+
+_REQUIRED = object()
+
+_TOP = {
+    "master_seed": (_at_least(0), 0),
+    "threads": (_optional(_at_least(1)), None),
+    "waveform": (mapping, _REQUIRED),
+    "channels": (mapping, _REQUIRED),
+    "reservoir": (mapping, _REQUIRED),
+    "readout": (mapping, _REQUIRED),
+    "split": (mapping, {}),
+    "sweep": (mapping, {}),
 }
-_READOUT_KEYS = {"method", "ridge_lambda", "lasso_lambda", "lasso_max_iter", "lasso_tol"}
-_SPLIT_KEYS = {"train_fraction"}
-_SWEEP_KEYS = {
-    "repeats",
-    "radius_values",
-    "size_values",
-    "init_values",
-    "activation_values",
-    "regression_values",
+_WAVEFORM = {
+    "bits_per_sequence": (integer, _REQUIRED),
+    "samples_per_symbol": (integer, _REQUIRED),
+    "rolloff": (number, _REQUIRED),
+    "filter_span": (integer, _REQUIRED),
+    "sequence_length": (integer, _REQUIRED),
 }
+_AWGN = {
+    "kind": (string, _REQUIRED),
+    "snr_db": (_snr, _REQUIRED),
+}
+_MULTIPATH = {
+    **_AWGN,
+    "taps": (_list_of(_tap), _REQUIRED),
+    "disturbance": (number, 0.0),
+    "disturbance_period": (integer, 200),
+}
+_RESERVOIR = {
+    "input_dim": (integer, 2),
+    "reservoir_size": (integer, _REQUIRED),
+    "output_dim": (integer, 2),
+    "init": (_named(InitMethod), _REQUIRED),
+    "sparsity": (number, 1.0),
+    "spectral_radius": (number, _REQUIRED),
+    "activation": (_named(Activation), _REQUIRED),
+    "use_feedback": (boolean, False),
+    "washout": (integer, 0),
+    "allow_unstable": (boolean, False),
+}
+_READOUT = {
+    "method": (string, _REQUIRED),
+    "ridge_lambda": (number, 1e-6),
+    "lasso_lambda": (number, 1e-4),
+    "lasso_max_iter": (integer, 10_000),
+    "lasso_tol": (number, 1e-8),
+}
+_SPLIT = {
+    "train_fraction": (_fraction, 0.8),
+}
+_SWEEP = {
+    "repeats": (_at_least(1), 5),
+    "radius_values": (_list_of(number), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    "size_values": (_list_of(integer), [50, 100, 150, 300, 578, 600, 1200, 2400]),
+    "init_values": (_list_of(_named(InitMethod)), ["random", "xavier", "normalized_xavier", "he"]),
+    "activation_values": (_list_of(_named(Activation)), ["tanh", "relu", "sigmoid"]),
+    "regression_values": (_list_of(string), ["ridge", "linear", "lasso"]),
+}
+
+
+def _read(section: dict, keys: dict, context: str) -> dict:
+    """Check ``section`` against ``keys`` ({key: (kind, default)}) and
+    return every declared key with its checked value or default."""
+    unknown = set(section) - set(keys)
+    if unknown:
+        names = ", ".join(sorted(str(k) for k in unknown))
+        raise ConfigError(f"unknown key(s) in {context}: {names}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        if key not in section and default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {context}")
+        values[key] = kind(section.get(key, default), f"{context}.{key}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -58,7 +195,7 @@ class SweepSettings:
     size_values: tuple[int, ...]
     init_values: tuple[InitMethod, ...]
     activation_values: tuple[Activation, ...]
-    regression_names: tuple[str, ...]
+    regression_values: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -72,7 +209,6 @@ class RunConfig:
     readout_section: dict
     train_fraction: float
     sweep: SweepSettings
-    source_path: str
 
     def channel(self, name: str) -> ChannelSpec:
         if name not in self.channels:
@@ -97,8 +233,9 @@ def resolve_config_path(path: Optional[str]) -> Path:
     return default_config_path()
 
 
-def load_config(path: Optional[str] = None) -> RunConfig:
-    """Parse and validate the config file at ``path`` (or the fallback)."""
+def read_raw_config(path: Optional[str] = None) -> dict:
+    """The top-level mapping of the config file at ``path`` (or the
+    fallback), before any key is checked."""
     resolved = resolve_config_path(path)
     if not resolved.is_file():
         raise ConfigError(f"config file not found: {resolved}")
@@ -108,206 +245,76 @@ def load_config(path: Optional[str] = None) -> RunConfig:
         raise ConfigError(f"config file {resolved} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {resolved} must hold a mapping at the top level")
-    return parse_config(raw, source=str(resolved))
+    return raw
 
 
-def _check_keys(section: dict, allowed: set, context: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        names = ", ".join(sorted(str(k) for k in unknown))
-        raise ConfigError(f"unknown key(s) in {context}: {names}")
+def load_config(path: Optional[str] = None) -> RunConfig:
+    """Parse and validate the config file at ``path`` (or the fallback)."""
+    return parse_config(read_raw_config(path))
 
 
-def _require(section: dict, key: str, context: str):
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {context}")
-    return section[key]
-
-
-def _as_number(value, key: str, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, key: str, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, key: str, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{context}.{key} must be a boolean, got {value!r}")
-    return value
-
-
-def _as_mapping(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context} must be a mapping, got {value!r}")
-    return dict(value)
-
-
-def _parse_waveform(section: dict) -> WaveformSpec:
-    _check_keys(section, _WAVEFORM_KEYS, "waveform")
-    try:
-        return WaveformSpec(
-            bits_per_sequence=_as_int(_require(section, "bits_per_sequence", "waveform"), "bits_per_sequence", "waveform"),
-            samples_per_symbol=_as_int(_require(section, "samples_per_symbol", "waveform"), "samples_per_symbol", "waveform"),
-            rolloff=_as_number(_require(section, "rolloff", "waveform"), "rolloff", "waveform"),
-            filter_span=_as_int(_require(section, "filter_span", "waveform"), "filter_span", "waveform"),
-            sequence_length=_as_int(_require(section, "sequence_length", "waveform"), "sequence_length", "waveform"),
-            seed=0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid waveform section: {exc}") from exc
-
-
-def _parse_channel(name: str, section: dict) -> ChannelSpec:
-    context = f"channels.{name}"
-    if not isinstance(section, dict):
-        raise ConfigError(f"{context} must be a mapping")
-    _check_keys(section, _CHANNEL_KEYS, context)
-    kind = _require(section, "kind", context)
-    snr_raw = _require(section, "snr_db", context)
-    snr_db = float("inf") if snr_raw in ("inf", ".inf") else _as_number(snr_raw, "snr_db", context)
+def _parse_channel(section, context: str) -> ChannelSpec:
+    kind = mapping(section, context).get("kind")
+    if kind not in ("awgn", "multipath"):
+        raise ConfigError(f"{context}.kind must be 'awgn' or 'multipath', got {kind!r}")
+    values = _read(section, _AWGN if kind == "awgn" else _MULTIPATH, context)
+    del values["kind"]
     try:
         if kind == "awgn":
-            for key in ("taps", "disturbance", "disturbance_period"):
-                if key in section:
-                    raise ConfigError(f"{context}.{key} is only valid for multipath channels")
-            return Awgn(snr_db=snr_db)
-        if kind == "multipath":
-            taps_raw = _require(section, "taps", context)
-            if not isinstance(taps_raw, list) or not taps_raw:
-                raise ConfigError(f"{context}.taps must be a non-empty list")
-            taps = []
-            for entry in taps_raw:
-                if not isinstance(entry, list) or len(entry) != 3:
-                    raise ConfigError(
-                        f"{context}.taps entries must be [delay, gain_i, gain_q], got {entry!r}"
-                    )
-                taps.append(Tap(int(entry[0]), float(entry[1]), float(entry[2])))
-            return Multipath(
-                taps=tuple(taps),
-                disturbance=_as_number(section.get("disturbance", 0.0), "disturbance", context),
-                disturbance_period=_as_int(section.get("disturbance_period", 200), "disturbance_period", context),
-                snr_db=snr_db,
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-    raise ConfigError(f"{context}.kind must be 'awgn' or 'multipath', got {kind!r}")
-
-
-def _parse_reservoir(section: dict, master_seed: int) -> ReservoirConfig:
-    _check_keys(section, _RESERVOIR_KEYS, "reservoir")
-    try:
-        return ReservoirConfig(
-            input_dim=_as_int(section.get("input_dim", 2), "input_dim", "reservoir"),
-            reservoir_size=_as_int(_require(section, "reservoir_size", "reservoir"), "reservoir_size", "reservoir"),
-            output_dim=_as_int(section.get("output_dim", 2), "output_dim", "reservoir"),
-            init=InitMethod.from_name(str(_require(section, "init", "reservoir"))),
-            sparsity=_as_number(section.get("sparsity", 1.0), "sparsity", "reservoir"),
-            target_spectral_radius=_as_number(
-                _require(section, "spectral_radius", "reservoir"), "spectral_radius", "reservoir"
-            ),
-            activation=Activation.from_name(str(_require(section, "activation", "reservoir"))),
-            use_feedback=_as_bool(section.get("use_feedback", False), "use_feedback", "reservoir"),
-            washout=_as_int(section.get("washout", 0), "washout", "reservoir"),
-            seed=master_seed,
-            allow_unstable=_as_bool(section.get("allow_unstable", False), "allow_unstable", "reservoir"),
-        )
+            return Awgn(**values)
+        return Multipath(**dict(values, taps=tuple(Tap(*tap) for tap in values["taps"])))
     except ValueError as exc:
-        raise ConfigError(f"invalid reservoir section: {exc}") from exc
+        raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
-def _regression_from_name(name: str, section: dict) -> RegressionMethod:
+def _regression_from_name(name: str, readout: dict) -> RegressionMethod:
     try:
         if name == "ridge":
-            return Ridge(lam=float(section.get("ridge_lambda", 1e-6)))
+            return Ridge(lam=readout["ridge_lambda"])
         if name == "linear":
             return Linear()
         if name == "lasso":
             return Lasso(
-                lam=float(section.get("lasso_lambda", 1e-4)),
-                max_iter=int(section.get("lasso_max_iter", 10_000)),
-                tol=float(section.get("lasso_tol", 1e-8)),
+                lam=readout["lasso_lambda"],
+                max_iter=readout["lasso_max_iter"],
+                tol=readout["lasso_tol"],
             )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid readout section: {exc}") from exc
     raise ConfigError(f"readout.method must be ridge, linear or lasso, got {name!r}")
 
 
-def parse_config(raw: dict, source: str = "<memory>") -> RunConfig:
-    _check_keys(raw, _TOP_KEYS, "config")
-    master_seed = _as_int(raw.get("master_seed", 0), "master_seed", "config")
-    threads_raw = raw.get("threads")
-    threads = None if threads_raw is None else _as_int(threads_raw, "threads", "config")
-    if threads is not None and threads < 1:
-        raise ConfigError(f"config.threads must be >= 1, got {threads}")
+def parse_config(raw: dict) -> RunConfig:
+    top = _read(raw, _TOP, "config")
 
-    waveform = _parse_waveform(_as_mapping(_require(raw, "waveform", "config"), "waveform"))
+    try:
+        waveform = WaveformSpec(**_read(top["waveform"], _WAVEFORM, "waveform"), seed=0)
+    except ValueError as exc:
+        raise ConfigError(f"invalid waveform section: {exc}") from exc
 
-    channels_raw = _require(raw, "channels", "config")
-    if not isinstance(channels_raw, dict) or not channels_raw:
+    if not top["channels"]:
         raise ConfigError("config.channels must be a non-empty mapping of presets")
     channels = {
-        str(name): _parse_channel(str(name), section) for name, section in channels_raw.items()
+        str(name): _parse_channel(section, f"channels.{name}")
+        for name, section in top["channels"].items()
     }
 
-    reservoir = _parse_reservoir(
-        _as_mapping(_require(raw, "reservoir", "config"), "reservoir"), master_seed
-    )
-
-    readout_section = _as_mapping(_require(raw, "readout", "config"), "readout")
-    _check_keys(readout_section, _READOUT_KEYS, "readout")
-    method = _regression_from_name(
-        str(_require(readout_section, "method", "readout")), readout_section
-    )
-
-    split_section = _as_mapping(raw.get("split", {}), "split")
-    _check_keys(split_section, _SPLIT_KEYS, "split")
-    train_fraction = _as_number(split_section.get("train_fraction", 0.8), "train_fraction", "split")
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"split.train_fraction must be in (0, 1), got {train_fraction}")
-
-    sweep_section = _as_mapping(raw.get("sweep", {}), "sweep")
-    _check_keys(sweep_section, _SWEEP_KEYS, "sweep")
+    reservoir = _read(top["reservoir"], _RESERVOIR, "reservoir")
+    reservoir["target_spectral_radius"] = reservoir.pop("spectral_radius")
     try:
-        sweep = SweepSettings(
-            repeats=_as_int(sweep_section.get("repeats", 5), "repeats", "sweep"),
-            radius_values=tuple(
-                float(v) for v in sweep_section.get("radius_values", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
-            ),
-            size_values=tuple(
-                int(v) for v in sweep_section.get("size_values", [50, 100, 150, 300, 578, 600, 1200, 2400])
-            ),
-            init_values=tuple(
-                InitMethod.from_name(str(v))
-                for v in sweep_section.get("init_values", ["random", "xavier", "normalized_xavier", "he"])
-            ),
-            activation_values=tuple(
-                Activation.from_name(str(v))
-                for v in sweep_section.get("activation_values", ["tanh", "relu", "sigmoid"])
-            ),
-            regression_names=tuple(
-                str(v) for v in sweep_section.get("regression_values", ["ridge", "linear", "lasso"])
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep section: {exc}") from exc
-    if sweep.repeats < 1:
-        raise ConfigError(f"sweep.repeats must be >= 1, got {sweep.repeats}")
+        reservoir_config = ReservoirConfig(**reservoir, seed=top["master_seed"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid reservoir section: {exc}") from exc
 
+    readout = _read(top["readout"], _READOUT, "readout")
     return RunConfig(
-        master_seed=master_seed,
-        threads=threads,
+        master_seed=top["master_seed"],
+        threads=top["threads"],
         waveform=waveform,
         channels=channels,
-        reservoir=reservoir,
-        readout=method,
-        readout_section=readout_section,
-        train_fraction=train_fraction,
-        sweep=sweep,
-        source_path=source,
+        reservoir=reservoir_config,
+        readout=_regression_from_name(readout["method"], readout),
+        readout_section=readout,
+        train_fraction=_read(top["split"], _SPLIT, "split")["train_fraction"],
+        sweep=SweepSettings(**_read(top["sweep"], _SWEEP, "sweep")),
     )

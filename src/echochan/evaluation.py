@@ -246,7 +246,7 @@ def _apply_axis(
     return config, value
 
 
-def _value_label(axis: SweepAxis, value) -> str:
+def _value_label(value) -> str:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float):
@@ -282,7 +282,7 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
                 cell_seed = seeding.child_seed(
                     master, seeding.STREAM_SWEEP, v_idx, d_idx, rep
                 )
-                label = _value_label(spec.axis, value)
+                label = _value_label(value)
                 try:
                     config, method = _apply_axis(
                         spec.axis, value, with_seed(spec.base_config, cell_seed), spec.method

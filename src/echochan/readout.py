@@ -211,9 +211,9 @@ def predict(model: ReadoutModel, states: StateTrajectory) -> np.ndarray:
 def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     """Harvest every sequence of ``dataset`` and fold it into accumulators.
 
-    Per-sequence contributions are independent; with ``threads > 1`` they
-    are computed concurrently and merged in sequence order, so the result
-    does not depend on the thread count.
+    Per-sequence contributions are independent; they are computed on a
+    pool of ``threads`` workers and merged in sequence order, so the
+    result does not depend on the thread count.
     """
     config = r.config
     if dataset.input_dim != config.input_dim or dataset.output_dim != config.output_dim:
@@ -233,13 +233,9 @@ def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
         return accumulate(base, traj, targets[:, traj.t_offset :])
 
     acc = empty_accumulators(config.reservoir_size, config.output_dim)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(contribution, range(dataset.num_sequences)):
-                acc = merge(acc, part)
-    else:
-        for i in range(dataset.num_sequences):
-            acc = merge(acc, contribution(i))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        for part in pool.map(contribution, range(dataset.num_sequences)):
+            acc = merge(acc, part)
     return acc
 
 

@@ -153,14 +153,6 @@ class StateTrajectory:
         if self.states.ndim != 2:
             raise ShapeError(f"states must be 2-D, got shape {self.states.shape}")
 
-    @property
-    def size(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def columns(self) -> int:
-        return self.states.shape[1]
-
 
 def init_matrix(method: InitMethod, rows: int, cols: int, sparsity: float, seed: int) -> np.ndarray:
     """Draw a rows x cols weight matrix under the given scheme.

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .channelsim import SequenceDataset
+from .config import boolean, integer, mapping, number
 from .errors import FormatError, IntegrityError, ShapeError, VersionError
 from .readout import Lasso, Linear, ReadoutModel, RegressionMethod, Ridge
 from .reservoir import Activation, InitMethod, Reservoir, ReservoirConfig
@@ -162,14 +163,14 @@ def _method_to_header(method: RegressionMethod) -> dict:
 def _method_from_header(header: dict) -> RegressionMethod:
     kind = header.get("kind")
     if kind == "ridge":
-        return Ridge(lam=float(header["lambda"]))
+        return Ridge(lam=number(header["lambda"], "method.lambda"))
     if kind == "linear":
         return Linear()
     if kind == "lasso":
         return Lasso(
-            lam=float(header["lambda"]),
-            max_iter=int(header["max_iter"]),
-            tol=float(header["tol"]),
+            lam=number(header["lambda"], "method.lambda"),
+            max_iter=integer(header["max_iter"], "method.max_iter"),
+            tol=number(header["tol"], "method.tol"),
         )
     raise FormatError(f"unknown regression method kind {kind!r} in model header")
 
@@ -224,22 +225,22 @@ def load_model(path) -> ModelArtifact:
     try:
         cfg = header["config"]
         config = ReservoirConfig(
-            input_dim=int(cfg["input_dim"]),
-            reservoir_size=int(cfg["reservoir_size"]),
-            output_dim=int(cfg["output_dim"]),
+            input_dim=integer(cfg["input_dim"], "config.input_dim"),
+            reservoir_size=integer(cfg["reservoir_size"], "config.reservoir_size"),
+            output_dim=integer(cfg["output_dim"], "config.output_dim"),
             init=InitMethod(cfg["init"]),
-            sparsity=float(cfg["sparsity"]),
-            target_spectral_radius=float(cfg["target_spectral_radius"]),
+            sparsity=number(cfg["sparsity"], "config.sparsity"),
+            target_spectral_radius=number(cfg["target_spectral_radius"], "config.target_spectral_radius"),
             activation=Activation(cfg["activation"]),
-            use_feedback=bool(cfg["use_feedback"]),
-            washout=int(cfg["washout"]),
-            seed=int(cfg["seed"]),
-            allow_unstable=bool(cfg["allow_unstable"]),
+            use_feedback=boolean(cfg["use_feedback"], "config.use_feedback"),
+            washout=integer(cfg["washout"], "config.washout"),
+            seed=integer(cfg["seed"], "config.seed"),
+            allow_unstable=boolean(cfg["allow_unstable"], "config.allow_unstable"),
         )
         shapes = {name: tuple(dims) for name, dims in header["shapes"].items()}
-        method = _method_from_header(header["method"])
-        achieved = float(header["achieved_radius"])
-        provenance = dict(header["provenance"])
+        method = _method_from_header(mapping(header["method"], "method"))
+        achieved = number(header["achieved_radius"], "achieved_radius")
+        provenance = mapping(header["provenance"], "provenance")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
@@ -295,11 +296,11 @@ def save_dataset(ds: SequenceDataset, path) -> None:
 def load_dataset(path) -> SequenceDataset:
     header, payload = _read_container(path, DATASET_MAGIC)
     try:
-        num = int(header["num_sequences"])
-        t = int(header["seq_len"])
-        k = int(header["input_dim"])
-        l = int(header["output_dim"])
-        meta = dict(header["meta"])
+        num = integer(header["num_sequences"], "num_sequences")
+        t = integer(header["seq_len"], "seq_len")
+        k = integer(header["input_dim"], "input_dim")
+        l = integer(header["output_dim"], "output_dim")
+        meta = mapping(header["meta"], "meta")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"dataset header of {path} is malformed: {exc}") from exc
     if k != 2 or l != 2:

@@ -1,12 +1,15 @@
 """End-to-end CLI tests (in-process via main(), one subprocess check)."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import echochan
 from echochan.cli import main
 from echochan.store import load_dataset, load_model
 
@@ -101,6 +104,11 @@ class TestGenerate:
         assert run("--config", config_path, "generate", "--preset", "echo", "-n", "5", "-o", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_exits_2(self, config_path, tmp_path, capsys):
+        code = run("--config", config_path, "--seed", "-1", "generate", "--preset", "echo", "-n", "1", "-o", str(tmp_path / "x.esd"))
+        assert code == 2
+        assert "master_seed" in capsys.readouterr().err
+
     def test_seed_flag_changes_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.esd", tmp_path / "b.esd"
         run("--config", config_path, "generate", "--preset", "echo", "-n", "5", "-o", str(a))
@@ -150,6 +158,23 @@ class TestTrain:
         assert artifact.config.target_spectral_radius == 0.3
         assert artifact.config.reservoir_size == 24
         assert artifact.config.init.value == "he"
+
+    def test_flags_match_config_keys(self, dataset_path, tmp_path):
+        by_flags, by_config = tmp_path / "flags.esn", tmp_path / "config.esn"
+        flags_path = tmp_path / "flags.yaml"
+        flags_path.write_text(yaml.safe_dump(SMALL_CONFIG))
+        edited = dict(SMALL_CONFIG)
+        edited["reservoir"] = dict(SMALL_CONFIG["reservoir"], reservoir_size=24, spectral_radius=0.3, init="he")
+        edited["readout"] = dict(SMALL_CONFIG["readout"], method="linear")
+        config_file = tmp_path / "edited.yaml"
+        config_file.write_text(yaml.safe_dump(edited))
+        assert run(
+            "--config", str(flags_path),
+            "train", dataset_path, "-o", str(by_flags),
+            "--size", "24", "--radius", "0.3", "--init", "he", "--regression", "linear",
+        ) == 0
+        assert run("--config", str(config_file), "train", dataset_path, "-o", str(by_config)) == 0
+        assert by_flags.read_bytes() == by_config.read_bytes()
 
     def test_bad_init_flag_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "train", dataset_path, "-o", str(tmp_path / "m.esn"), "--init", "glorot")
@@ -273,23 +298,27 @@ class TestTransfer:
         assert code == 2
 
 
+def run_module(*argv):
+    """Run ``python -m echochan`` on the package these tests import."""
+    src = str(Path(echochan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "echochan", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "echochan", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("--help")
         assert result.returncode == 0
         for sub in ("generate", "train", "evaluate", "sweep", "transfer"):
             assert sub in result.stdout
 
     def test_subcommand_help_documents_flags(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "echochan", "train", "--help"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module("train", "--help")
         assert result.returncode == 0
         for flag in ("--radius", "--size", "--init", "--regression", "-o"):
             assert flag in result.stdout

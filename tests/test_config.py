@@ -112,6 +112,14 @@ class TestStrictParsing:
             (None, "readout", [1, 2]),
             ("sweep", "size_values", 5),
             (None, "waveform", 5),
+            ("channels", "taps", [[1.9, 0.9, 0.1]]),
+            ("channels", "taps", [[True, 0.9, 0.1]]),
+            ("sweep", "size_values", [50.7]),
+            ("readout", "lasso_max_iter", 2.5),
+            ("sweep", "radius_values", ["0.3"]),
+            ("readout", "ridge_lambda", True),
+            ("readout", "ridge_lambda", "1e-3"),
+            (None, "master_seed", -5),
         ],
     )
     def test_malformed_value_exits_2(self, tmp_path, capsys, section, key, value):

@@ -1,5 +1,7 @@
 """On-disk format tests: round trips, corruption, versioning."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,59 @@ class TestModelCorruption:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(IntegrityError):
             load_model(path)
+
+
+def rewrite_header(path, keys, value):
+    """Set the header field at ``keys`` to ``value``, keeping the payload."""
+    data = path.read_bytes()
+    header_len = int.from_bytes(data[8:16], "little")
+    header = json.loads(data[16 : 16 + header_len])
+    target = header
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(data[:8] + len(text).to_bytes(8, "little") + text + data[16 + header_len :])
+
+
+class TestHeaderTypes:
+    """Header fields are type-checked on load, never cast."""
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("config", "use_feedback"), "false"),
+            (("config", "allow_unstable"), "no"),
+            (("config", "washout"), 0.9),
+            (("config", "reservoir_size"), "25"),
+            (("method", "lambda"), "1e-5"),
+            (("method",), {"kind": "lasso", "lambda": 1e-3, "max_iter": 2.5, "tol": 1e-8}),
+            (("achieved_radius",), "0.7"),
+            (("provenance",), [["seed", 50], ["dataset_fingerprint", "0" * 64]]),
+        ],
+    )
+    def test_mistyped_model_field(self, tmp_path, keys, value):
+        path = tmp_path / "model.esn"
+        save_model(trained_artifact(seed=66), path)
+        rewrite_header(path, keys, value)
+        with pytest.raises(FormatError, match="malformed"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "keys, value",
+        [
+            (("num_sequences",), 2.0),
+            (("seq_len",), "60"),
+            (("input_dim",), True),
+            (("meta",), [["preset", "echo"]]),
+        ],
+    )
+    def test_mistyped_dataset_field(self, tmp_path, keys, value):
+        path = tmp_path / "data.esd"
+        save_dataset(generate_dataset(wave(67), CHANNEL, 2), path)
+        rewrite_header(path, keys, value)
+        with pytest.raises(FormatError, match="malformed"):
+            load_dataset(path)
 
 
 class TestDatasetRoundTrip:
