@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="max worker threads for training (default: config value, else all cores)",
+        help="accepted for compatibility; training does not depend on it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

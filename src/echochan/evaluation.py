@@ -27,7 +27,7 @@ from . import seeding
 from .channelsim import SequenceDataset
 from .errors import DegenerateMetricError, NonFiniteError, ShapeError
 from .readout import ReadoutModel, RegressionMethod
-from .reservoir import Reservoir, ReservoirConfig, build, harvest, with_seed
+from .reservoir import Reservoir, ReservoirConfig, build, state_blocks, with_seed
 
 # Relative floor under which an actual sample is excluded from MAPE.
 MAPE_EPSILON_REL = 1e-9
@@ -212,9 +212,12 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
 
     targets = dataset.targets[:, :, config.washout :]
     predictions = np.empty(targets.shape)
-    for i in range(dataset.num_sequences):
-        traj = harvest(r, dataset.inputs[i], w_out=model.w_out)
-        predictions[i] = readout_mod.predict(model, traj)
+    for first, t0, states in state_blocks(r, dataset.inputs, w_out=model.w_out):
+        count, steps, _ = states.shape
+        start = t0 - config.washout
+        predictions[first : first + count, :, start : start + steps] = (
+            model.w_out @ states.transpose(0, 2, 1)
+        )
     report = mape(targets, predictions)
     return replace(report, wall_time_seconds=time.perf_counter() - started)
 

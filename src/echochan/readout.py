@@ -7,12 +7,11 @@ Training folds harvested states and targets into two accumulators,
 
 and solves ``w_out @ (b + lam*I) = a`` once at the end. The fold is
 associative and commutative, so sequences can be accumulated in any
-partition (and in parallel) without changing the result.
+partition and merged; the result changes only by rounding.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Union
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
 from .numerics import as_matrix, solve_spd
-from .reservoir import Reservoir, StateTrajectory, harvest
+from .reservoir import Reservoir, StateTrajectory, state_blocks
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
 
@@ -211,9 +210,10 @@ def predict(model: ReadoutModel, states: StateTrajectory) -> np.ndarray:
 def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     """Harvest every sequence of ``dataset`` and fold it into accumulators.
 
-    Per-sequence contributions are independent; they are computed on a
-    pool of ``threads`` workers and merged in sequence order, so the
-    result does not depend on the thread count.
+    States come from ``state_blocks`` a time block at a time and are
+    folded per sequence, in sequence order within each block, so memory
+    stays O(CHUNK * BLOCK * N). ``threads`` is accepted for compatibility
+    and changes nothing: the stepping runs on BLAS, not on a worker pool.
     """
     config = r.config
     if dataset.input_dim != config.input_dim or dataset.output_dim != config.output_dim:
@@ -224,19 +224,17 @@ def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     if dataset.num_sequences == 0:
         raise ShapeError("dataset contains no sequences")
 
-    def contribution(i: int) -> Accumulators:
-        inputs = dataset.inputs[i]
-        targets = dataset.targets[i]
-        teacher = targets if config.use_feedback else None
-        traj = harvest(r, inputs, teacher=teacher)
-        base = empty_accumulators(config.reservoir_size, config.output_dim)
-        return accumulate(base, traj, targets[:, traj.t_offset :])
-
-    acc = empty_accumulators(config.reservoir_size, config.output_dim)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(contribution, range(dataset.num_sequences)):
-            acc = merge(acc, part)
-    return acc
+    n = config.reservoir_size
+    a, b, samples = np.zeros((config.output_dim, n)), np.zeros((n, n)), 0
+    teacher = dataset.targets if config.use_feedback else None
+    for first, t0, states in state_blocks(r, dataset.inputs, teacher=teacher):
+        count, steps, _ = states.shape
+        targets = dataset.targets[first : first + count, :, t0 : t0 + steps]
+        for x, y in zip(states, targets):
+            b += x.T @ x
+            a += y @ x
+        samples += count * steps
+    return Accumulators(a=a, b=b, samples_seen=samples)
 
 
 def fit(

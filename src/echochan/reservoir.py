@@ -7,8 +7,9 @@ what makes the state dynamics forget initial conditions; the raw,
 unrescaled radii of the supported initializers can be inspected with
 ``allow_unstable``.
 
-State update, with f the configured activation, stepped by ``harvest``
-both teacher-forced (training) and closed-loop (evaluation):
+State update, with f the configured activation, stepped by
+``state_blocks`` both teacher-forced (training) and closed-loop
+(evaluation), for a chunk of sequences at once:
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 """
@@ -23,6 +24,12 @@ import numpy as np
 from . import seeding
 from .errors import RescaleError, ShapeError
 from .numerics import as_vector, spectral_radius
+
+# Sequences stepped together by ``state_blocks``: one CHUNK x N by N x N
+# product per time step. Fixed, so results do not depend on the caller.
+CHUNK = 16
+# Time steps of a chunk's states held at once before they are handed out.
+BLOCK = 128
 
 
 class InitMethod(Enum):
@@ -236,7 +243,8 @@ def harvest(
     of the fed-back output y(t-1) must be given, with y(0) = 0 either way:
     ``teacher`` (L x T) forces it during training, and a trained readout
     ``w_out`` (L x N) closes the loop with y(t-1) = w_out @ x(t-1).
-    Without feedback both are ignored.
+    Without feedback both are ignored. This is ``state_blocks`` for one
+    sequence.
     """
     config = r.config
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -245,21 +253,56 @@ def harvest(
             f"inputs must be {config.input_dim} x T, got shape {inputs.shape}"
         )
     total = inputs.shape[1]
-    if total <= config.washout:
+    if config.use_feedback and teacher is not None:
+        teacher = np.asarray(teacher, dtype=np.float64)
+        if teacher.shape != (config.output_dim, total):
+            raise ShapeError(
+                f"teacher must be {config.output_dim} x {total}, got shape {teacher.shape}"
+            )
+        teacher = teacher[None]
+    blocks = state_blocks(r, inputs[None], teacher, initial_state, w_out)
+    states = np.empty((config.reservoir_size, total - config.washout))
+    for _, t0, block in blocks:
+        start = t0 - config.washout
+        states[:, start : start + block.shape[1]] = block[0].T
+    return StateTrajectory(states=states, t_offset=config.washout)
+
+
+def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None):
+    """Step S sequences (``inputs`` S x K x T) and yield their states block by block.
+
+    The one copy of the state recurrence. Sequences are stepped ``CHUNK``
+    at a time, so each step is one C x N by N x N product; ``teacher``
+    (S x L x T), ``w_out`` and ``initial_state`` (shared by every
+    sequence) mean what they mean for ``harvest``. Yields
+    ``(first, t0, states)`` in sequence-then-time order: ``states`` is a
+    C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
+    for t0 + j >= washout only. It is a buffer the next block overwrites,
+    so fold or copy it before asking for the next one; memory is
+    O(CHUNK * BLOCK * N) whatever S and T are.
+    """
+    config = r.config
+    n, washout = config.reservoir_size, config.washout
+    inputs = np.asarray(inputs, dtype=np.float64)
+    if inputs.ndim != 3 or inputs.shape[1] != config.input_dim:
         raise ShapeError(
-            f"sequence length {total} leaves no states after washout {config.washout}"
+            f"inputs must be S x {config.input_dim} x T, got shape {inputs.shape}"
         )
-    n = config.reservoir_size
-    if config.use_feedback:
+    count, _, total = inputs.shape
+    if total <= washout:
+        raise ShapeError(f"sequence length {total} leaves no states after washout {washout}")
+    feedback = config.use_feedback
+    if feedback:
         if (teacher is None) == (w_out is None):
             raise ShapeError(
                 "reservoir uses feedback: give either a teacher sequence or a readout w_out"
             )
         if teacher is not None:
             teacher = np.asarray(teacher, dtype=np.float64)
-            if teacher.shape != (config.output_dim, total):
+            if teacher.shape != (count, config.output_dim, total):
                 raise ShapeError(
-                    f"teacher must be {config.output_dim} x {total}, got shape {teacher.shape}"
+                    f"teacher must be {count} x {config.output_dim} x {total}, "
+                    f"got shape {teacher.shape}"
                 )
         else:
             w_out = np.asarray(w_out, dtype=np.float64)
@@ -267,34 +310,49 @@ def harvest(
                 raise ShapeError(
                     f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
                 )
-
     if initial_state is None:
-        x = np.zeros(n)
+        x0 = np.zeros(n)
     else:
-        x = as_vector(initial_state, "initial state").copy()
-        if x.shape[0] != n:
-            raise ShapeError(f"initial state has length {x.shape[0]}, expected {n}")
+        x0 = as_vector(initial_state, "initial state")
+        if x0.shape[0] != n:
+            raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
+    return _step_blocks(r, inputs, teacher, x0, w_out)
 
+
+def _step_blocks(r, inputs, teacher, x0, w_out):
+    """The generator behind ``state_blocks``, which checks its arguments first."""
+    config = r.config
     activation = config.activation.apply
-    w_in, w, w_fb = r.w_in, r.w, r.w_fb
-    # Input contributions for the whole sequence in one product.
-    driven = w_in @ inputs
-    states = np.empty((n, total - config.washout))
     feedback = config.use_feedback
-    for t in range(total):
-        pre = driven[:, t] + w @ x
-        if feedback:
-            if t == 0:
-                y_prev = np.zeros(config.output_dim)
-            elif teacher is not None:
-                y_prev = teacher[:, t - 1]
-            else:
-                y_prev = w_out @ x
-            pre += w_fb @ y_prev
-        x = activation(pre)
-        if t >= config.washout:
-            states[:, t - config.washout] = x
-    return StateTrajectory(states=states, t_offset=config.washout)
+    count, _, total = inputs.shape
+    # Row-major states: x(t) of a chunk is C x N, stepped as x @ w.T with
+    # w.T made contiguous once; w @ X on column-major states made BLAS
+    # repack w on every step, which is slower for small chunks.
+    w_in_t, w_t, w_fb_t = r.w_in.T, np.ascontiguousarray(r.w.T), r.w_fb.T
+    buffer = np.empty((min(CHUNK, count), min(BLOCK, total), config.reservoir_size))
+    for first in range(0, count, CHUNK):
+        u = inputs[first : first + CHUNK]
+        x = np.tile(x0, (u.shape[0], 1))
+        for t0 in range(0, total, BLOCK):
+            block = buffer[: u.shape[0], : min(BLOCK, total - t0)]
+            # The input drive w_in u(t) of the whole block in one product;
+            # each step then overwrites its row with the state.
+            np.matmul(u[:, :, t0 : t0 + block.shape[1]].transpose(0, 2, 1), w_in_t, out=block)
+            for j in range(block.shape[1]):
+                t = t0 + j
+                pre = block[:, j]
+                pre += x @ w_t
+                if feedback and t > 0:
+                    if teacher is not None:
+                        y_prev = teacher[first : first + CHUNK, :, t - 1]
+                    else:
+                        y_prev = x @ w_out.T
+                    pre += y_prev @ w_fb_t
+                x = activation(pre)
+                block[:, j] = x
+            skip = max(config.washout - t0, 0)
+            if skip < block.shape[1]:
+                yield first, t0 + skip, block[:, skip:]
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

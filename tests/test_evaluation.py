@@ -1,5 +1,7 @@
 """Metric and sweep harness tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from echochan.evaluation import (
     split_indices,
     write_sweep_csv,
 )
-from echochan.readout import ReadoutModel, Ridge, fit
-from echochan.reservoir import Activation, ReservoirConfig, build
+from echochan.readout import ReadoutModel, Ridge, accumulate_dataset, fit
+from echochan.reservoir import BLOCK, CHUNK, Activation, ReservoirConfig, build
 
 
 def small_wave(seed=0, bits=80):
@@ -150,6 +152,60 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
                 evaluate(r, model, dataset)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """States are folded or scored block by block, never held whole."""
+
+    N, STEPS, SEQUENCES = 100, 2000, 3 * CHUNK
+    # one chunk's block of states plus a few N x N accumulators and products
+    BUDGET = CHUNK * BLOCK * N * 8 + 8 * N * N * 8
+    # one chunk's whole-sequence states (25.6 MB), which must not fit
+    WHOLE = CHUNK * STEPS * N * 8
+
+    def test_budget_excludes_whole_sequences(self):
+        assert self.BUDGET < self.WHOLE / 4
+
+    @pytest.fixture(params=[False, True], ids=["open-loop", "feedback"])
+    def setting(self, request):
+        r = build(
+            ReservoirConfig(
+                input_dim=2,
+                reservoir_size=self.N,
+                output_dim=2,
+                use_feedback=request.param,
+                seed=40,
+            )
+        )
+        rng = np.random.default_rng(41)
+        shape = (self.SEQUENCES, 2, self.STEPS)
+        dataset = SequenceDataset(
+            inputs=rng.uniform(-1, 1, shape), targets=rng.uniform(-1, 1, shape)
+        )
+        return r, dataset
+
+    def test_accumulate_dataset(self, setting):
+        r, dataset = setting
+        peak = traced_peak(lambda: accumulate_dataset(r, dataset))
+        assert peak < self.BUDGET, f"peak {peak} bytes, budget {self.BUDGET}"
+
+    def test_evaluate(self, setting):
+        r, dataset = setting
+        model = ReadoutModel(w_out=np.full((2, self.N), 0.01), method=Ridge())
+        # plus the stacked predictions that mape scores at once, and its temporaries
+        budget = self.BUDGET + 6 * dataset.targets.nbytes
+        peak = traced_peak(lambda: evaluate(r, model, dataset))
+        assert peak < budget, f"peak {peak} bytes, budget {budget}"
 
 
 class TestSplitIndices:

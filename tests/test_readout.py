@@ -19,7 +19,7 @@ from echochan.readout import (
     predict,
     solve,
 )
-from echochan.reservoir import ReservoirConfig, StateTrajectory, build, harvest
+from echochan.reservoir import CHUNK, ReservoirConfig, StateTrajectory, build, harvest
 
 
 def ridge_gradient_descent(x, y, lam, tol=1e-10, max_iter=200_000):
@@ -218,6 +218,34 @@ class TestFit:
         serial = fit(self.reservoir, dataset, Ridge(), threads=1)
         threaded = fit(self.reservoir, dataset, Ridge(), threads=4)
         np.testing.assert_array_equal(serial.w_out, threaded.w_out)
+
+    @pytest.mark.parametrize("sequences", [CHUNK - 1, CHUNK, CHUNK + 1])
+    @pytest.mark.parametrize("use_feedback", [False, True])
+    def test_fit_matches_per_sequence_fold(self, sequences, use_feedback):
+        # 200 steps cross a time block; CHUNK + 1 sequences cross a chunk
+        r = build(
+            ReservoirConfig(
+                input_dim=2,
+                reservoir_size=40,
+                output_dim=2,
+                use_feedback=use_feedback,
+                washout=5,
+                seed=11,
+            )
+        )
+        dataset = make_dataset(sequences, 200, seed=18)
+        by_hand = empty_accumulators(40, 2)
+        for inputs, targets in zip(dataset.inputs, dataset.targets):
+            traj = harvest(r, inputs, teacher=targets if use_feedback else None)
+            part = accumulate(empty_accumulators(40, 2), traj, targets[:, traj.t_offset :])
+            by_hand = merge(by_hand, part)
+        acc = accumulate_dataset(r, dataset)
+        assert acc.samples_seen == by_hand.samples_seen == sequences * 195
+        assert np.abs(acc.a - by_hand.a).max() < 1e-12
+        assert np.abs(acc.b - by_hand.b).max() < 1e-12
+        w_fit = fit(r, dataset, Ridge()).w_out
+        w_hand = solve(by_hand, Ridge()).w_out
+        assert np.abs(w_fit - w_hand).max() < 1e-10
 
     def test_heavy_regularization_shrinks_to_zero(self):
         dataset = make_dataset(6, 40, seed=15)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from echochan import reservoir as reservoir_mod
 from echochan.errors import RescaleError, ShapeError
 from echochan.numerics import spectral_radius
 from echochan.reservoir import (
@@ -13,6 +14,7 @@ from echochan.reservoir import (
     build,
     harvest,
     init_matrix,
+    state_blocks,
 )
 
 
@@ -304,3 +306,98 @@ class TestHarvest:
         a = harvest(r, inputs, teacher=teacher_a)
         b = harvest(r, inputs, teacher=teacher_b)
         np.testing.assert_array_equal(a.states[:, 0], b.states[:, 0])
+
+
+def stepped(r, inputs, teacher=None, initial_state=None, w_out=None):
+    """The recurrence for one K x T sequence, one matrix-vector step at a time."""
+    config = r.config
+    n = config.reservoir_size
+    x = np.zeros(n) if initial_state is None else np.array(initial_state, dtype=float)
+    y = np.zeros(config.output_dim)  # y(0) = 0
+    states = []
+    for t in range(inputs.shape[1]):
+        pre = r.w_in @ inputs[:, t] + r.w @ x
+        if config.use_feedback:
+            pre += r.w_fb @ y
+        x = config.activation.apply(pre)
+        if teacher is not None:
+            y = teacher[:, t]
+        elif w_out is not None:
+            y = w_out @ x
+        states.append(x)
+    return np.array(states[config.washout :]).T
+
+
+def all_states(r, inputs, **kwargs):
+    """Every state ``state_blocks`` yields, as S x N x (T - washout)."""
+    washout = r.config.washout
+    out = np.full((inputs.shape[0], r.config.reservoir_size, inputs.shape[2] - washout), np.nan)
+    for first, t0, block in state_blocks(r, inputs, **kwargs):
+        rows, start = slice(first, first + block.shape[0]), t0 - washout
+        out[rows, :, start : start + block.shape[1]] = block.transpose(0, 2, 1)
+    assert not np.isnan(out).any(), "some state was never yielded"
+    return out
+
+
+class TestStateBlocks:
+    """One batched call equals one call per sequence, on every path."""
+
+    SEQUENCES, STEPS = 5, 300  # more steps than one BLOCK
+
+    @pytest.fixture(params=["shipped", "small"])
+    def chunking(self, request, monkeypatch):
+        # small: 3 chunks of (2, 2, 1) sequences and 19 blocks of 16 steps
+        if request.param == "small":
+            monkeypatch.setattr(reservoir_mod, "CHUNK", 2)
+            monkeypatch.setattr(reservoir_mod, "BLOCK", 16)
+
+    def check(self, r, inputs, teacher=None, initial_state=None, w_out=None):
+        batched = all_states(r, inputs, teacher=teacher, initial_state=initial_state, w_out=w_out)
+        assert np.isfinite(batched).all()
+        for i in range(inputs.shape[0]):
+            y = None if teacher is None else teacher[i]
+            single = harvest(r, inputs[i], teacher=y, initial_state=initial_state, w_out=w_out)
+            assert single.t_offset == r.config.washout
+            np.testing.assert_allclose(batched[i], single.states, rtol=0, atol=1e-12)
+            expected = stepped(r, inputs[i], teacher=y, initial_state=initial_state, w_out=w_out)
+            np.testing.assert_allclose(batched[i], expected, rtol=0, atol=1e-12)
+
+    def inputs(self, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1, 1, size=(self.SEQUENCES, 2, self.STEPS))
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_open_loop(self, chunking, activation):
+        r = build(small_config(activation=activation))
+        self.check(r, self.inputs(30))
+
+    def test_teacher_forced_feedback(self, chunking):
+        r = build(small_config(use_feedback=True, washout=7))
+        rng = np.random.default_rng(31)
+        teacher = rng.uniform(-1, 1, size=(self.SEQUENCES, 2, self.STEPS))
+        self.check(r, self.inputs(32), teacher=teacher)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_closed_loop(self, chunking, activation):
+        r = build(small_config(use_feedback=True, activation=activation))
+        w_out = np.random.default_rng(33).uniform(-0.02, 0.02, size=(2, 50))
+        self.check(r, self.inputs(34), w_out=w_out)
+
+    def test_washout_longer_than_a_block(self, chunking):
+        r = build(small_config(washout=reservoir_mod.BLOCK + 3))
+        self.check(r, self.inputs(35))
+
+    def test_initial_state(self, chunking):
+        r = build(small_config(washout=4))
+        x0 = np.random.default_rng(36).uniform(-1, 1, size=50)
+        self.check(r, self.inputs(37), initial_state=x0)
+
+    def test_checks_before_stepping(self):
+        r = build(small_config(washout=20))
+        with pytest.raises(ShapeError, match="length 20 leaves no states after washout 20"):
+            state_blocks(r, np.zeros((3, 2, 20)))
+        with pytest.raises(ShapeError, match="S x 2 x T"):
+            state_blocks(r, np.zeros((2, 30)))
+        fb = build(small_config(use_feedback=True))
+        with pytest.raises(ShapeError, match="teacher must be 3 x 2 x 30"):
+            state_blocks(fb, np.zeros((3, 2, 30)), teacher=np.zeros((2, 2, 30)))

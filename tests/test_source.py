@@ -31,3 +31,21 @@ def test_no_unused_imports():
             if name not in used:
                 unused.append(f"{path.name}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_one_state_stepping_function():
+    # the activation is applied where the state recurrence is stepped, and
+    # only there: a second `.apply` means a second copy of the recurrence
+    users = set()
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "apply":
+            users.add(f"{path.name}:{owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "<module>")
+    assert len(users) == 1, f"the activation is applied in {sorted(users) or 'no function'}"
