@@ -8,8 +8,6 @@ error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
-import os
 import sys
 import time
 from dataclasses import replace
@@ -26,6 +24,7 @@ from .evaluation import (
     evaluate,
     run_sweep,
     split_indices,
+    write_csv,
     write_sweep_csv,
 )
 from .readout import fit
@@ -133,10 +132,6 @@ def _load_run_config(args) -> RunConfig:
     return parse_config(raw)
 
 
-def _threads(config: RunConfig) -> int:
-    return config.threads or os.cpu_count() or 1
-
-
 def _load_dataset_file(path):
     try:
         return load_dataset(path)
@@ -169,7 +164,7 @@ def cmd_train(args, config: RunConfig) -> int:
     test_ds = dataset.subset(test_idx)
     reservoir = build(config.reservoir)
     started = time.perf_counter()
-    model = fit(reservoir, train_ds, config.readout, threads=_threads(config))
+    model = fit(reservoir, train_ds, config.readout)
     train_seconds = time.perf_counter() - started
     report = evaluate(reservoir, model, test_ds)
     artifact = make_artifact(
@@ -205,21 +200,9 @@ def cmd_evaluate(args, config: RunConfig) -> int:
         f"samples={report.samples_used} excluded={report.samples_excluded}"
     )
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(SWEEP_CSV_HEADER.split(","))
-            writer.writerow(
-                [
-                    "evaluate",
-                    str(args.model),
-                    str(args.data),
-                    0,
-                    repr(report.mape_percent),
-                    repr(report.mse),
-                    repr(report.wall_time_seconds),
-                    artifact.provenance.get("seed", ""),
-                ]
-            )
+        row = ("evaluate", args.model, args.data, 0, report.mape_percent, report.mse,
+               report.wall_time_seconds, artifact.provenance.get("seed", ""))
+        write_csv(args.csv, SWEEP_CSV_HEADER, [row])
     return EXIT_OK
 
 
@@ -229,27 +212,19 @@ def cmd_sweep(args, config: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     datasets = tuple((path, _load_dataset_file(path)) for path in args.data)
-    settings = config.sweep
-    if axis is SweepAxis.INIT:
-        values = settings.init_values
-    elif axis is SweepAxis.RADIUS:
-        values = settings.radius_values
-    elif axis is SweepAxis.SIZE:
-        values = settings.size_values
-    elif axis is SweepAxis.ACTIVATION:
-        values = settings.activation_values
-    else:
-        values = tuple(config.regression(name) for name in settings.regression_values)
+    values = getattr(config.sweep, f"{axis.value}_values")
+    if axis is SweepAxis.REGRESSION:  # names of methods set in the readout section
+        values = tuple(map(config.regression, values))
     spec = SweepSpec(
         axis=axis,
-        values=tuple(values),
+        values=values,
         base_config=config.reservoir,
         method=config.readout,
         datasets=datasets,
-        repeats=settings.repeats,
+        repeats=config.sweep.repeats,
         train_fraction=config.train_fraction,
     )
-    result = run_sweep(spec, threads=_threads(config))
+    result = run_sweep(spec)
     write_sweep_csv(result, args.out)
     for line in result.summarize():
         print(
@@ -269,32 +244,17 @@ def cmd_transfer(args, config: RunConfig) -> int:
     target_test = _load_dataset_file(args.target_test)
     seed = seeding.child_seed(config.master_seed, seeding.STREAM_TRANSFER)
     reservoir = build(with_seed(config.reservoir, seed))
-    threads = _threads(config)
 
     started = time.perf_counter()
-    model, source_acc = pretrain(reservoir, source, config.readout, threads=threads)
+    model, source_acc = pretrain(reservoir, source, config.readout)
     if args.mode == "finetune":
-        model = fine_tune(
-            reservoir, source_acc, target_train, args.alpha, config.readout, threads=threads
-        )
+        model = fine_tune(reservoir, source_acc, target_train, args.alpha, config.readout)
     train_seconds = time.perf_counter() - started
     report = direct_transfer_eval(reservoir, model, target_test)
 
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(TRANSFER_CSV_HEADER.split(","))
-        writer.writerow(
-            [
-                args.mode,
-                repr(float(args.alpha)),
-                str(args.source),
-                str(args.target_test),
-                repr(report.mape_percent),
-                repr(report.mse),
-                repr(train_seconds),
-                seed,
-            ]
-        )
+    row = (args.mode, args.alpha, args.source, args.target_test, report.mape_percent,
+           report.mse, train_seconds, seed)
+    write_csv(args.out, TRANSFER_CSV_HEADER, [row])
     print(
         f"{args.mode} (alpha={args.alpha}): target-test MAPE={report.mape_percent:.4f}% "
         f"mse={report.mse:.6e}"

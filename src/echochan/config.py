@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -220,6 +221,19 @@ class RunConfig:
         return _regression_from_name(name, self.readout_section)
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, also reading as floats the YAML 1.2 exponent forms
+    that YAML 1.1 leaves strings: no decimal point or no exponent sign
+    (``1e-3``, ``1E+4``, ``2.5e7``). Quoted scalars stay strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def default_config_path() -> Path:
     return Path(resources.files("echochan") / "default_config.yaml")
 
@@ -240,7 +254,7 @@ def read_raw_config(path: Optional[str] = None) -> dict:
     if not resolved.is_file():
         raise ConfigError(f"config file not found: {resolved}")
     try:
-        raw = yaml.safe_load(resolved.read_text())
+        raw = yaml.load(resolved.read_text(), Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {resolved} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -66,6 +66,17 @@ class SweepAxis(Enum):
             raise ValueError(f"unknown sweep axis {name!r}; expected one of: {options}") from None
 
 
+# The ReservoirConfig field each axis replaces; the regression axis
+# replaces the readout method instead. A sweep's values for an axis are
+# the config list ``sweep.<axis>_values``.
+_AXIS_FIELDS = {
+    SweepAxis.INIT: "init",
+    SweepAxis.RADIUS: "target_spectral_radius",
+    SweepAxis.SIZE: "reservoir_size",
+    SweepAxis.ACTIVATION: "activation",
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: vary ``axis`` over ``values`` on every named dataset.
@@ -113,17 +124,12 @@ class SweepResult:
 
     def summarize(self) -> list[dict]:
         """Mean/std MAPE and mean train time per (value, dataset)."""
-        keys: list[tuple[str, str]] = []
+        groups: dict[tuple[str, str], list[SweepRow]] = {}
         for row in self.rows:
-            if (row.value, row.dataset) not in keys:
-                keys.append((row.value, row.dataset))
+            groups.setdefault((row.value, row.dataset), []).append(row)
         summary = []
-        for value, dataset in keys:
-            cells = [
-                r
-                for r in self.rows
-                if r.value == value and r.dataset == dataset and r.error is None
-            ]
+        for (value, dataset), rows in groups.items():
+            cells = [r for r in rows if r.error is None]
             mapes = np.array([c.mape_percent for c in cells])
             summary.append(
                 {
@@ -134,11 +140,7 @@ class SweepResult:
                     "mean_train_seconds": (
                         float(np.mean([c.train_seconds for c in cells])) if cells else float("nan")
                     ),
-                    "errors": sum(
-                        1
-                        for r in self.rows
-                        if r.value == value and r.dataset == dataset and r.error is not None
-                    ),
+                    "errors": len(rows) - len(cells),
                 }
             )
         return summary
@@ -197,19 +199,12 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
     """
     started = time.perf_counter()
     config = r.config
-    if dataset.input_dim != config.input_dim or dataset.output_dim != config.output_dim:
-        raise ShapeError(
-            f"dataset dims (K={dataset.input_dim}, L={dataset.output_dim}) do not match "
-            f"reservoir (K={config.input_dim}, L={config.output_dim})"
-        )
+    readout_mod.check_dataset(config, dataset)
     if model.w_out.shape != (config.output_dim, config.reservoir_size):
         raise ShapeError(
             f"readout shape {model.w_out.shape} does not match reservoir "
             f"({config.output_dim}, {config.reservoir_size})"
         )
-    if dataset.num_sequences == 0:
-        raise ShapeError("dataset contains no sequences")
-
     targets = dataset.targets[:, :, config.washout :]
     predictions = np.empty(targets.shape)
     for first, t0, states in state_blocks(r, dataset.inputs, w_out=model.w_out):
@@ -238,15 +233,9 @@ def split_indices(
 def _apply_axis(
     axis: SweepAxis, value, config: ReservoirConfig, method: RegressionMethod
 ) -> tuple[ReservoirConfig, RegressionMethod]:
-    if axis is SweepAxis.INIT:
-        return replace(config, init=value), method
-    if axis is SweepAxis.RADIUS:
-        return replace(config, target_spectral_radius=float(value)), method
-    if axis is SweepAxis.SIZE:
-        return replace(config, reservoir_size=int(value)), method
-    if axis is SweepAxis.ACTIVATION:
-        return replace(config, activation=value), method
-    return config, value
+    if axis is SweepAxis.REGRESSION:
+        return config, value
+    return replace(config, **{_AXIS_FIELDS[axis]: value}), method
 
 
 def _value_label(value) -> str:
@@ -254,7 +243,7 @@ def _value_label(value) -> str:
         return value.value
     if isinstance(value, float):
         return format(value, "g")
-    if hasattr(value, "__dataclass_fields__"):
+    if isinstance(value, RegressionMethod):
         return type(value).__name__.lower()
     return str(value)
 
@@ -265,7 +254,8 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
     Each cell builds a fresh reservoir from a seed derived from
     ``base_config.seed`` and the cell coordinates, trains on the
     dataset's train split, and evaluates on its test split. Failures are
-    captured as error rows; the sweep keeps going.
+    captured as error rows; the sweep keeps going. ``threads`` changes
+    nothing.
     """
     master = spec.base_config.seed
     splits = {}
@@ -279,66 +269,39 @@ def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
 
     rows = []
     for v_idx, value in enumerate(spec.values):
+        label = _value_label(value)
         for d_idx, (name, _) in enumerate(spec.datasets):
             train_ds, test_ds = splits[name]
             for rep in range(spec.repeats):
                 cell_seed = seeding.child_seed(
                     master, seeding.STREAM_SWEEP, v_idx, d_idx, rep
                 )
-                label = _value_label(value)
                 try:
                     config, method = _apply_axis(
                         spec.axis, value, with_seed(spec.base_config, cell_seed), spec.method
                     )
                     started = time.perf_counter()
                     r = build(config)
-                    model = readout_mod.fit(r, train_ds, method, threads=threads)
+                    model = readout_mod.fit(r, train_ds, method)
                     train_seconds = time.perf_counter() - started
                     report = evaluate(r, model, test_ds)
-                    rows.append(
-                        SweepRow(
-                            axis=spec.axis.value,
-                            value=label,
-                            dataset=name,
-                            repeat=rep,
-                            mape_percent=report.mape_percent,
-                            mse=report.mse,
-                            train_seconds=train_seconds,
-                            seed=cell_seed,
-                        )
-                    )
+                    metrics, error = (report.mape_percent, report.mse, train_seconds), None
                 except Exception as exc:  # error rows keep the sweep alive
-                    rows.append(
-                        SweepRow(
-                            axis=spec.axis.value,
-                            value=label,
-                            dataset=name,
-                            repeat=rep,
-                            mape_percent=float("nan"),
-                            mse=float("nan"),
-                            train_seconds=float("nan"),
-                            seed=cell_seed,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                    metrics, error = (float("nan"),) * 3, f"{type(exc).__name__}: {exc}"
+                rows.append(SweepRow(spec.axis.value, label, name, rep, *metrics, cell_seed, error))
     return SweepResult(rows=tuple(rows))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write ``rows`` under the comma-separated ``header``; floats are
+    written as ``repr`` writes them, so they read back exactly."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """Serialize sweep rows to CSV under the fixed schema."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_HEADER.split(","))
-        for row in result.rows:
-            writer.writerow(
-                [
-                    row.axis,
-                    row.value,
-                    row.dataset,
-                    row.repeat,
-                    repr(row.mape_percent),
-                    repr(row.mse),
-                    repr(row.train_seconds),
-                    row.seed,
-                ]
-            )
+    columns = SWEEP_CSV_HEADER.split(",")
+    write_csv(path, SWEEP_CSV_HEADER, ([getattr(row, c) for c in columns] for row in result.rows))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
 from .numerics import as_matrix, solve_spd
-from .reservoir import Reservoir, StateTrajectory, state_blocks
+from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
 
@@ -207,6 +207,18 @@ def predict(model: ReadoutModel, states: StateTrajectory) -> np.ndarray:
     return model.w_out @ x
 
 
+def check_dataset(config: ReservoirConfig, dataset) -> None:
+    """Raise ``ShapeError`` unless ``dataset`` holds at least one sequence
+    with the input and output dimensions of ``config``."""
+    if dataset.input_dim != config.input_dim or dataset.output_dim != config.output_dim:
+        raise ShapeError(
+            f"dataset dims (K={dataset.input_dim}, L={dataset.output_dim}) do not match "
+            f"reservoir (K={config.input_dim}, L={config.output_dim})"
+        )
+    if dataset.num_sequences == 0:
+        raise ShapeError("dataset contains no sequences")
+
+
 def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     """Harvest every sequence of ``dataset`` and fold it into accumulators.
 
@@ -216,14 +228,7 @@ def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     and changes nothing: the stepping runs on BLAS, not on a worker pool.
     """
     config = r.config
-    if dataset.input_dim != config.input_dim or dataset.output_dim != config.output_dim:
-        raise ShapeError(
-            f"dataset dims (K={dataset.input_dim}, L={dataset.output_dim}) do not match "
-            f"reservoir (K={config.input_dim}, L={config.output_dim})"
-        )
-    if dataset.num_sequences == 0:
-        raise ShapeError("dataset contains no sequences")
-
+    check_dataset(config, dataset)
     n = config.reservoir_size
     a, b, samples = np.zeros((config.output_dim, n)), np.zeros((n, n)), 0
     teacher = dataset.targets if config.use_feedback else None

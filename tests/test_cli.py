@@ -244,6 +244,14 @@ class TestSweep:
         assert len(lines) == 3  # two radius values x one repeat
         assert {line.split(",")[1] for line in lines[1:]} == {"0.3", "0.7"}
 
+    @pytest.mark.parametrize("axis", ["init", "size", "activation"])
+    def test_value_column_follows_config_list(self, config_path, dataset_path, tmp_path, axis):
+        out = tmp_path / "sweep.csv"
+        code = run("--config", config_path, "sweep", "--axis", axis, "--data", dataset_path, "-o", str(out))
+        assert code == 0
+        values = [line.split(",")[1] for line in out.read_text().strip().splitlines()[1:]]
+        assert values == [str(v) for v in SMALL_CONFIG["sweep"][f"{axis}_values"]]
+
     def test_unknown_axis_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
         assert code == 2

@@ -118,7 +118,6 @@ class TestStrictParsing:
             ("readout", "lasso_max_iter", 2.5),
             ("sweep", "radius_values", ["0.3"]),
             ("readout", "ridge_lambda", True),
-            ("readout", "ridge_lambda", "1e-3"),
             (None, "master_seed", -5),
         ],
     )
@@ -138,6 +137,30 @@ class TestStrictParsing:
                      "-o", str(tmp_path / "out.esd")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_exponent_without_point_is_a_number(self, tmp_path):
+        import yaml
+
+        raw = minimal_raw()
+        raw["readout"]["ridge_lambda"] = "1e-3"
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert "ridge_lambda: 1e-3\n" in path.read_text()  # written unquoted
+        assert load_config(str(path)).readout.lam == 0.001
+
+    def test_quoted_exponent_exits_2(self, tmp_path, capsys):
+        import yaml
+
+        from echochan.cli import main
+
+        raw = minimal_raw()
+        raw["readout"]["ridge_lambda"] = 0.5
+        path = tmp_path / "quoted.yaml"
+        path.write_text(yaml.safe_dump(raw).replace("ridge_lambda: 0.5", "ridge_lambda: '1e-3'"))
+        code = main(["--config", str(path), "generate", "--preset", "mp", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        assert "readout.ridge_lambda must be a number, got '1e-3'" in capsys.readouterr().err
 
 
 class TestParsedValues:

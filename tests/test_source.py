@@ -33,19 +33,40 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_one_state_stepping_function():
-    # the activation is applied where the state recurrence is stepped, and
-    # only there: a second `.apply` means a second copy of the recurrence
-    users = set()
+def _owners(matches) -> set[str]:
+    """``module:function`` of every node under the package that ``matches``."""
+    owners = set()
 
     def visit(node, path, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "apply":
-            users.add(f"{path.name}:{owner}")
+        if matches(node):
+            owners.add(f"{path.name}:{owner}")
         for child in ast.iter_child_nodes(node):
             visit(child, path, owner)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, "<module>")
+    return owners
+
+
+def test_one_state_stepping_function():
+    # the activation is applied where the state recurrence is stepped, and
+    # only there: a second `.apply` means a second copy of the recurrence
+    users = _owners(lambda node: isinstance(node, ast.Attribute) and node.attr == "apply")
     assert len(users) == 1, f"the activation is applied in {sorted(users) or 'no function'}"
+
+
+def test_one_csv_writer():
+    # every CSV report is written through one function
+    def is_csv_writer(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "writer"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "csv"
+        )
+
+    writers = _owners(is_csv_writer)
+    assert len(writers) == 1, f"csv.writer is called in {sorted(writers) or 'no function'}"
