@@ -56,7 +56,6 @@ from .readout import (
     Ridge,
     accumulate,
     fit,
-    predict,
     solve,
 )
 from .reservoir import (

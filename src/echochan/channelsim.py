@@ -11,7 +11,7 @@ parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -339,24 +339,13 @@ def generate_dataset(
     else:
         empirical_snr_db = np.inf
     meta = {
-        "waveform": _waveform_meta(wave),
+        "waveform": asdict(wave),
         "channel": channel_meta(chan),
         "seed": wave.seed,
         "num_sequences": num_sequences,
         "empirical_snr_db": float(empirical_snr_db),
     }
     return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
-
-
-def _waveform_meta(wave: WaveformSpec) -> dict:
-    return {
-        "bits_per_sequence": wave.bits_per_sequence,
-        "samples_per_symbol": wave.samples_per_symbol,
-        "rolloff": wave.rolloff,
-        "filter_span": wave.filter_span,
-        "sequence_length": wave.sequence_length,
-        "seed": wave.seed,
-    }
 
 
 def channel_meta(chan: ChannelSpec) -> dict:

@@ -8,6 +8,7 @@ error, 4 numeric error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -15,7 +16,7 @@ from typing import Optional
 
 from . import __version__, seeding
 from .channelsim import generate_dataset
-from .config import RunConfig, parse_config, read_raw_config
+from .config import RunConfig, one_of, parse_config, read_raw_config
 from .errors import ConfigError, EchoChanError, NumericError, StoreError
 from .evaluation import (
     SWEEP_CSV_HEADER,
@@ -207,17 +208,11 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 
 def cmd_sweep(args, config: RunConfig) -> int:
-    try:
-        axis = SweepAxis.from_name(args.axis)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    axis = one_of(SweepAxis)(args.axis, "--axis")
     datasets = tuple((path, _load_dataset_file(path)) for path in args.data)
-    values = getattr(config.sweep, f"{axis.value}_values")
-    if axis is SweepAxis.REGRESSION:  # names of methods set in the readout section
-        values = tuple(map(config.regression, values))
     spec = SweepSpec(
         axis=axis,
-        values=values,
+        values=getattr(config.sweep, f"{axis.value}_values"),
         base_config=config.reservoir,
         method=config.readout,
         datasets=datasets,
@@ -227,11 +222,14 @@ def cmd_sweep(args, config: RunConfig) -> int:
     result = run_sweep(spec)
     write_sweep_csv(result, args.out)
     for line in result.summarize():
-        print(
-            f"{axis.value}={line['value']} dataset={line['dataset']}: "
-            f"MAPE {line['mean_mape_percent']:.4f}% +- {line['std_mape_percent']:.4f} "
-            f"(train {line['mean_train_seconds']:.2f}s, errors {line['errors']})"
-        )
+        if math.isnan(line["mean_mape_percent"]):  # every cell of the group failed
+            scores = f"MAPE n/a (errors {line['errors']})"
+        else:
+            scores = (
+                f"MAPE {line['mean_mape_percent']:.4f}% +- {line['std_mape_percent']:.4f} "
+                f"(train {line['mean_train_seconds']:.2f}s, errors {line['errors']})"
+            )
+        print(f"{axis.value}={line['value']} dataset={line['dataset']}: {scores}")
     print(f"wrote {args.out}: {len(result.rows)} cells")
     return EXIT_OK
 

@@ -76,15 +76,37 @@ def _list_of(kind):
     return read
 
 
-def _named(enum):
-    """A string naming a member of ``enum`` (see its ``from_name``)."""
+def one_of(enum):
+    """A kind reading the member of ``enum`` whose value is the given
+    name, stripped and lower-cased."""
+    names = [member.value for member in enum]
+    return _kind(
+        f"one of {', '.join(names)}",
+        lambda v: isinstance(v, str) and v.strip().lower() in names,
+        lambda v: enum(v.strip().lower()),
+    )
+
+
+def _regression(readout: dict):
+    """A kind reading a regression method from its name, with the
+    settings of the checked ``readout`` section."""
 
     def read(value, name):
         text = string(value, name)
         try:
-            return enum.from_name(text)
+            if text == "ridge":
+                return Ridge(lam=readout["ridge_lambda"])
+            if text == "linear":
+                return Linear()
+            if text == "lasso":
+                return Lasso(
+                    lam=readout["lasso_lambda"],
+                    max_iter=readout["lasso_max_iter"],
+                    tol=readout["lasso_tol"],
+                )
         except ValueError as exc:
-            raise ConfigError(f"{name}: {exc}") from None
+            raise ConfigError(f"invalid readout section: {exc}") from exc
+        raise ConfigError(f"{name} must be ridge, linear or lasso, got {value!r}")
 
     return read
 
@@ -146,10 +168,10 @@ _RESERVOIR = {
     "input_dim": (integer, 2),
     "reservoir_size": (integer, _REQUIRED),
     "output_dim": (integer, 2),
-    "init": (_named(InitMethod), _REQUIRED),
+    "init": (one_of(InitMethod), _REQUIRED),
     "sparsity": (number, 1.0),
     "spectral_radius": (number, _REQUIRED),
-    "activation": (_named(Activation), _REQUIRED),
+    "activation": (one_of(Activation), _REQUIRED),
     "use_feedback": (boolean, False),
     "washout": (integer, 0),
     "allow_unstable": (boolean, False),
@@ -168,8 +190,8 @@ _SWEEP = {
     "repeats": (_at_least(1), 5),
     "radius_values": (_list_of(number), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
     "size_values": (_list_of(integer), [50, 100, 150, 300, 578, 600, 1200, 2400]),
-    "init_values": (_list_of(_named(InitMethod)), ["random", "xavier", "normalized_xavier", "he"]),
-    "activation_values": (_list_of(_named(Activation)), ["tanh", "relu", "sigmoid"]),
+    "init_values": (_list_of(one_of(InitMethod)), ["random", "xavier", "normalized_xavier", "he"]),
+    "activation_values": (_list_of(one_of(Activation)), ["tanh", "relu", "sigmoid"]),
     "regression_values": (_list_of(string), ["ridge", "linear", "lasso"]),
 }
 
@@ -196,7 +218,7 @@ class SweepSettings:
     size_values: tuple[int, ...]
     init_values: tuple[InitMethod, ...]
     activation_values: tuple[Activation, ...]
-    regression_values: tuple[str, ...]
+    regression_values: tuple[RegressionMethod, ...]
 
 
 @dataclass(frozen=True)
@@ -207,7 +229,6 @@ class RunConfig:
     channels: dict[str, ChannelSpec]
     reservoir: ReservoirConfig
     readout: RegressionMethod
-    readout_section: dict
     train_fraction: float
     sweep: SweepSettings
 
@@ -216,9 +237,6 @@ class RunConfig:
             available = ", ".join(sorted(self.channels))
             raise ConfigError(f"unknown channel preset {name!r}; available presets: {available}")
         return self.channels[name]
-
-    def regression(self, name: str) -> RegressionMethod:
-        return _regression_from_name(name, self.readout_section)
 
 
 class _Loader(yaml.SafeLoader):
@@ -281,23 +299,6 @@ def _parse_channel(section, context: str) -> ChannelSpec:
         raise ConfigError(f"invalid {context}: {exc}") from exc
 
 
-def _regression_from_name(name: str, readout: dict) -> RegressionMethod:
-    try:
-        if name == "ridge":
-            return Ridge(lam=readout["ridge_lambda"])
-        if name == "linear":
-            return Linear()
-        if name == "lasso":
-            return Lasso(
-                lam=readout["lasso_lambda"],
-                max_iter=readout["lasso_max_iter"],
-                tol=readout["lasso_tol"],
-            )
-    except ValueError as exc:
-        raise ConfigError(f"invalid readout section: {exc}") from exc
-    raise ConfigError(f"readout.method must be ridge, linear or lasso, got {name!r}")
-
-
 def parse_config(raw: dict) -> RunConfig:
     top = _read(raw, _TOP, "config")
 
@@ -309,7 +310,7 @@ def parse_config(raw: dict) -> RunConfig:
     if not top["channels"]:
         raise ConfigError("config.channels must be a non-empty mapping of presets")
     channels = {
-        str(name): _parse_channel(section, f"channels.{name}")
+        string(name, "channel preset name"): _parse_channel(section, f"channels.{name}")
         for name, section in top["channels"].items()
     }
 
@@ -321,14 +322,21 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid reservoir section: {exc}") from exc
 
     readout = _read(top["readout"], _READOUT, "readout")
+    method = _regression(readout)
+    readout_method = method(readout["method"], "readout.method")
+    train_fraction = _read(top["split"], _SPLIT, "split")["train_fraction"]
+    sweep = _read(top["sweep"], _SWEEP, "sweep")
+    sweep["regression_values"] = tuple(
+        method(name, f"sweep.regression_values[{i}]")
+        for i, name in enumerate(sweep["regression_values"])
+    )
     return RunConfig(
         master_seed=top["master_seed"],
         threads=top["threads"],
         waveform=waveform,
         channels=channels,
         reservoir=reservoir_config,
-        readout=_regression_from_name(readout["method"], readout),
-        readout_section=readout,
-        train_fraction=_read(top["split"], _SPLIT, "split")["train_fraction"],
-        sweep=SweepSettings(**_read(top["sweep"], _SWEEP, "sweep")),
+        readout=readout_method,
+        train_fraction=train_fraction,
+        sweep=SweepSettings(**sweep),
     )

@@ -57,14 +57,6 @@ class SweepAxis(Enum):
     ACTIVATION = "activation"
     REGRESSION = "regression"
 
-    @classmethod
-    def from_name(cls, name: str) -> "SweepAxis":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            options = ", ".join(a.value for a in cls)
-            raise ValueError(f"unknown sweep axis {name!r}; expected one of: {options}") from None
-
 
 # The ReservoirConfig field each axis replaces; the regression axis
 # replaces the readout method instead. A sweep's values for an axis are

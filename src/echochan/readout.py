@@ -197,16 +197,6 @@ def _lasso_coordinate_descent(acc: Accumulators, method: Lasso) -> np.ndarray:
     return w
 
 
-def predict(model: ReadoutModel, states: StateTrajectory) -> np.ndarray:
-    """Apply the readout to every state column."""
-    x = states.states
-    if x.shape[0] != model.w_out.shape[1]:
-        raise ShapeError(
-            f"states have size {x.shape[0]} but w_out expects {model.w_out.shape[1]}"
-        )
-    return model.w_out @ x
-
-
 def check_dataset(config: ReservoirConfig, dataset) -> None:
     """Raise ``ShapeError`` unless ``dataset`` holds at least one sequence
     with the input and output dimensions of ``config``."""

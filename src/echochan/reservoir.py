@@ -40,14 +40,6 @@ class InitMethod(Enum):
     NORMALIZED_XAVIER = "normalized_xavier"
     HE = "he"
 
-    @classmethod
-    def from_name(cls, name: str) -> "InitMethod":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            options = ", ".join(m.value for m in cls)
-            raise ValueError(f"unknown init method {name!r}; expected one of: {options}") from None
-
 
 class Activation(Enum):
     """Elementwise nonlinearity applied in the state update."""
@@ -55,14 +47,6 @@ class Activation(Enum):
     TANH = "tanh"
     RELU = "relu"
     SIGMOID = "sigmoid"
-
-    @classmethod
-    def from_name(cls, name: str) -> "Activation":
-        try:
-            return cls(name.strip().lower())
-        except ValueError:
-            options = ", ".join(a.value for a in cls)
-            raise ValueError(f"unknown activation {name!r}; expected one of: {options}") from None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self is Activation.TANH:

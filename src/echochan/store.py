@@ -18,7 +18,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,6 @@ MODEL_MAGIC = b"ESN1"
 DATASET_MAGIC = b"ESD1"
 FORMAT_VERSION = 1
 
-DATASET_CSV_HEADER = "t,i_tx,q_tx,i_rx,q_rx"
-
 
 @dataclass(frozen=True)
 class ModelArtifact:
@@ -49,7 +48,6 @@ class ModelArtifact:
     w_out: np.ndarray
     method: RegressionMethod
     provenance: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         for key in ("seed", "dataset_fingerprint"):
@@ -181,17 +179,8 @@ def save_model(artifact: ModelArtifact, path) -> None:
     n, k, l = config.reservoir_size, config.input_dim, config.output_dim
     header = {
         "config": {
-            "input_dim": k,
-            "reservoir_size": n,
-            "output_dim": l,
-            "init": config.init.value,
-            "sparsity": config.sparsity,
-            "target_spectral_radius": config.target_spectral_radius,
-            "activation": config.activation.value,
-            "use_feedback": config.use_feedback,
-            "washout": config.washout,
-            "seed": config.seed,
-            "allow_unstable": config.allow_unstable,
+            key: value.value if isinstance(value, Enum) else value
+            for key, value in asdict(config).items()
         },
         "achieved_radius": artifact.achieved_radius,
         "method": _method_to_header(artifact.method),
@@ -318,40 +307,10 @@ def load_dataset(path) -> SequenceDataset:
     )
 
 
-def export_dataset_csv(ds: SequenceDataset, directory) -> list[Path]:
-    """Write one CSV per sequence (columns: t,i_tx,q_tx,i_rx,q_rx)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for i in range(ds.num_sequences):
-        lines = [DATASET_CSV_HEADER]
-        tx, rx = ds.inputs[i], ds.targets[i]
-        for t in range(ds.seq_len):
-            lines.append(
-                f"{t},{tx[0, t]:.17g},{tx[1, t]:.17g},{rx[0, t]:.17g},{rx[1, t]:.17g}"
-            )
-        path = directory / f"seq_{i:05d}.csv"
-        path.write_text("\n".join(lines) + "\n")
-        paths.append(path)
-    return paths
-
-
 def file_fingerprint(path) -> str:
     """SHA-256 of a file's bytes, as lowercase hex."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
-    return digest.hexdigest()
-
-
-def dataset_fingerprint(ds: SequenceDataset) -> str:
-    """SHA-256 over a dataset's shape line and payload bytes."""
-    digest = hashlib.sha256()
-    digest.update(
-        f"{ds.num_sequences},{ds.input_dim},{ds.output_dim},{ds.seq_len}".encode("ascii")
-    )
-    for i in range(ds.num_sequences):
-        digest.update(_floats_to_bytes(ds.inputs[i]))
-        digest.update(_floats_to_bytes(ds.targets[i]))
     return digest.hexdigest()

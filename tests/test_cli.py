@@ -256,6 +256,16 @@ class TestSweep:
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
         assert code == 2
 
+    def test_failed_group_prints_no_mape(self, dataset_path, tmp_path, capsys):
+        path = tmp_path / "bad_size.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], size_values=[-5, 20]))))
+        code = run("--config", str(path), "sweep", "--axis", "size", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "nans" not in out
+        assert f"size=-5 dataset={dataset_path}: MAPE n/a (errors 1)\n" in out
+        assert f"size=20 dataset={dataset_path}: MAPE " in out
+
     def test_regression_axis(self, config_path, dataset_path, tmp_path):
         out = tmp_path / "sweep.csv"
         code = run("--config", config_path, "sweep", "--axis", "regression", "--data", dataset_path, "-o", str(out))

@@ -100,8 +100,32 @@ class TestStrictParsing:
     def test_bad_enum_value(self):
         raw = minimal_raw()
         raw["reservoir"]["init"] = "glorot"
-        with pytest.raises(ConfigError, match="glorot"):
+        with pytest.raises(
+            ConfigError,
+            match="reservoir.init must be one of random, xavier, normalized_xavier, he, got 'glorot'",
+        ):
             parse_config(raw)
+
+    def test_enum_names_ignore_case_and_spaces(self):
+        raw = minimal_raw(sweep={"activation_values": ["ReLU", "tanh "]})
+        raw["reservoir"]["init"] = " Xavier "
+        config = parse_config(raw)
+        assert config.reservoir.init is InitMethod.XAVIER
+        assert config.sweep.activation_values == (Activation.RELU, Activation.TANH)
+
+    @pytest.mark.parametrize("name", ["yes", "1e3"])
+    def test_preset_name_must_be_a_string(self, tmp_path, capsys, name):
+        import yaml
+
+        from echochan.cli import main
+
+        path = tmp_path / "presets.yaml"
+        path.write_text(yaml.safe_dump(minimal_raw()).replace("  awgn:\n", f"  {name}:\n"))
+        assert f"  {name}:\n" in path.read_text()
+        code = main(["--config", str(path), "generate", "--preset", "mp", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        assert "channel preset name must be a string" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -174,13 +198,21 @@ class TestParsedValues:
         with pytest.raises(ConfigError, match="awgn, mp"):
             config.channel("data9")
 
-    def test_regression_selector(self):
-        config = parse_config(minimal_raw())
-        assert config.regression("ridge") == Ridge(lam=1e-6)
-        assert config.regression("linear") == Linear()
-        assert isinstance(config.regression("lasso"), Lasso)
-        with pytest.raises(ConfigError):
-            config.regression("ols")
+    def test_regression_selector(self, tmp_path, capsys):
+        import yaml
+
+        from echochan.cli import main
+
+        config = parse_config(minimal_raw(sweep={"regression_values": ["ridge", "linear", "lasso"]}))
+        assert config.sweep.regression_values == (
+            Ridge(lam=1e-6), Linear(), Lasso(lam=1e-4, max_iter=10_000, tol=1e-8)
+        )
+        path = tmp_path / "ols.yaml"
+        path.write_text(yaml.safe_dump(minimal_raw(sweep={"regression_values": ["ols"]})))
+        code = main(["--config", str(path), "generate", "--preset", "mp", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        assert "sweep.regression_values[0]" in capsys.readouterr().err
 
     def test_reservoir_seed_follows_master_seed(self):
         config = parse_config(minimal_raw(master_seed=99))

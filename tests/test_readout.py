@@ -9,14 +9,12 @@ from echochan.readout import (
     Accumulators,
     Lasso,
     Linear,
-    ReadoutModel,
     Ridge,
     accumulate,
     accumulate_dataset,
     empty_accumulators,
     fit,
     merge,
-    predict,
     solve,
 )
 from echochan.reservoir import CHUNK, ReservoirConfig, StateTrajectory, build, harvest
@@ -146,27 +144,6 @@ class TestSolve:
         assert large < small
 
 
-class TestPredict:
-    def test_identity_readout(self):
-        model = ReadoutModel(w_out=np.eye(3), method=Linear())
-        x = np.arange(12.0).reshape(3, 4)
-        np.testing.assert_array_equal(predict(model, traj(x)), x)
-
-    def test_zero_readout(self):
-        model = ReadoutModel(w_out=np.zeros((2, 3)), method=Linear())
-        assert not np.any(predict(model, traj(np.ones((3, 5)))))
-
-    def test_hand_computed(self):
-        model = ReadoutModel(w_out=np.array([[1.0, -1.0]]), method=Linear())
-        out = predict(model, traj([[0.3], [0.1]]))
-        assert out[0, 0] == pytest.approx(0.2)
-
-    def test_dimension_mismatch(self):
-        model = ReadoutModel(w_out=np.ones((1, 4)), method=Linear())
-        with pytest.raises(ShapeError):
-            predict(model, traj(np.ones((3, 5))))
-
-
 def make_dataset(num_sequences, t, seed, k=2):
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(-1, 1, size=(num_sequences, k, t))
@@ -198,7 +175,7 @@ class TestFit:
         model = fit(self.reservoir, dataset, Ridge(lam=1e-10))
         assert np.abs(model.w_out - w_true).max() < 1e-4
         traj0 = harvest(self.reservoir, dataset.inputs[0])
-        report = mape(dataset.targets[0], predict(model, traj0))
+        report = mape(dataset.targets[0], model.w_out @ traj0.states)
         assert report.mape_percent < 0.1
 
     def test_partition_invariance(self):

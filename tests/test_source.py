@@ -70,3 +70,41 @@ def test_one_csv_writer():
 
     writers = _owners(is_csv_writer)
     assert len(writers) == 1, f"csv.writer is called in {sorted(writers) or 'no function'}"
+
+
+
+# Public functions that stay with no caller in the package: the
+# `[project.scripts]` console script, and the one-sequence channel entry
+# point that `test_channelsim` checks against a convolution oracle.
+_ENTRY_POINTS = {"entrypoint", "apply_channel"}
+
+
+def test_every_public_function_has_a_caller():
+    # a caller references the function by a name or an attribute (not a
+    # string) outside the function's own body, in the package (whose
+    # __init__.py only re-exports), the acceptance tests or the benchmark
+    root = PACKAGE.parent.parent
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    others = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
+    statements = [
+        (path, stmt)
+        for path in modules + others
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    references = [
+        {n.id if isinstance(n, ast.Name) else n.attr
+         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
+        for _, stmt in statements
+    ]
+    uncalled = [
+        f"{path.name}:{stmt.name}"
+        for path, stmt in statements
+        if path in modules
+        and isinstance(stmt, ast.FunctionDef)
+        and not stmt.name.startswith("_")
+        and stmt.name not in _ENTRY_POINTS
+        and not any(
+            stmt.name in refs for (_, other), refs in zip(statements, references) if other is not stmt
+        )
+    ]
+    assert not uncalled, f"public functions with no caller: {uncalled}"
