@@ -63,13 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=None, metavar="U64", help="override the config master seed"
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="accepted for compatibility; training does not depend on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a synthetic dataset file")
@@ -111,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 # a flag is checked exactly like the key it replaces.
 _OVERRIDES = {
     "seed": "master_seed",
-    "threads": "threads",
     "radius": "reservoir.spectral_radius",
     "size": "reservoir.reservoir_size",
     "init": "reservoir.init",

@@ -11,7 +11,8 @@ its default (or ``_REQUIRED``). A kind is a function ``(value, name)``
 that returns the value if its type is right and otherwise raises
 ``ConfigError`` naming the key; nothing is cast. An integer is an
 ``int`` but not a ``bool``; a number is an ``int`` or ``float`` but not
-a ``bool``, returned as a float. The store reuses the kinds for headers.
+a ``bool``, returned as a float. The store reads the ``.esn`` header's
+``config`` and ``method`` blocks through these tables too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -28,7 +29,7 @@ import yaml
 
 from .channelsim import Awgn, ChannelSpec, Multipath, Tap, WaveformSpec
 from .errors import ConfigError
-from .readout import Lasso, Linear, RegressionMethod, Ridge
+from .readout import METHODS, RegressionMethod
 from .reservoir import Activation, InitMethod, ReservoirConfig
 
 ENV_CONFIG = "ECHOCHAN_CONFIG"
@@ -87,28 +88,9 @@ def one_of(enum):
     )
 
 
-def _regression(readout: dict):
-    """A kind reading a regression method from its name, with the
-    settings of the checked ``readout`` section."""
-
-    def read(value, name):
-        text = string(value, name)
-        try:
-            if text == "ridge":
-                return Ridge(lam=readout["ridge_lambda"])
-            if text == "linear":
-                return Linear()
-            if text == "lasso":
-                return Lasso(
-                    lam=readout["lasso_lambda"],
-                    max_iter=readout["lasso_max_iter"],
-                    tol=readout["lasso_tol"],
-                )
-        except ValueError as exc:
-            raise ConfigError(f"invalid readout section: {exc}") from exc
-        raise ConfigError(f"{name} must be ridge, linear or lasso, got {value!r}")
-
-    return read
+_method_name = _kind(
+    f"one of {', '.join(METHODS)}", lambda v: isinstance(v, str) and v in METHODS
+)
 
 
 def _fraction(value, name: str) -> float:
@@ -177,7 +159,7 @@ _RESERVOIR = {
     "allow_unstable": (boolean, False),
 }
 _READOUT = {
-    "method": (string, _REQUIRED),
+    "method": (_method_name, _REQUIRED),
     "ridge_lambda": (number, 1e-6),
     "lasso_lambda": (number, 1e-4),
     "lasso_max_iter": (integer, 10_000),
@@ -192,8 +174,17 @@ _SWEEP = {
     "size_values": (_list_of(integer), [50, 100, 150, 300, 578, 600, 1200, 2400]),
     "init_values": (_list_of(one_of(InitMethod)), ["random", "xavier", "normalized_xavier", "he"]),
     "activation_values": (_list_of(one_of(Activation)), ["tanh", "relu", "sigmoid"]),
-    "regression_values": (_list_of(string), ["ridge", "linear", "lasso"]),
+    "regression_values": (_list_of(_method_name), list(METHODS)),
 }
+# The .esn header's config block: every ReservoirConfig field, typed like
+# the key it is read from. The radius is the reservoir section's
+# spectral_radius, and the seed is master_seed.
+_FIELD_KINDS = {
+    **_RESERVOIR,
+    "target_spectral_radius": _RESERVOIR["spectral_radius"],
+    "seed": _TOP["master_seed"],
+}
+MODEL_CONFIG_KEYS = {f.name: (_FIELD_KINDS[f.name][0], _REQUIRED) for f in fields(ReservoirConfig)}
 
 
 def _read(section: dict, keys: dict, context: str) -> dict:
@@ -209,6 +200,31 @@ def _read(section: dict, keys: dict, context: str) -> dict:
             raise ConfigError(f"missing required key {key!r} in {context}")
         values[key] = kind(section.get(key, default), f"{context}.{key}")
     return values
+
+
+def _settings(method) -> dict[str, str]:
+    """Setting -> field of a regression method (class or instance): each
+    field as its readout key ``<name>_<setting>`` spells it, ``lam`` as
+    ``lambda``."""
+    return {("lambda" if f.name == "lam" else f.name): f.name for f in fields(method)}
+
+
+def method_block(method: RegressionMethod) -> dict:
+    """A method's name as ``kind``, and its settings."""
+    return {"kind": method.name, **{s: getattr(method, f) for s, f in _settings(method).items()}}
+
+
+def regression_method(name, settings: dict, context: str) -> RegressionMethod:
+    """The method called ``name`` in ``readout.METHODS``, with each of its
+    settings read from ``settings`` by the kind of the readout key
+    ``<name>_<setting>``; a missing or unknown setting is an error."""
+    method = METHODS[_method_name(name, f"{context}.kind")]
+    kinds = {s: (_READOUT[f"{method.name}_{s}"][0], _REQUIRED) for s in _settings(method)}
+    values = _read(settings, kinds, context)
+    try:
+        return method(**{f: values[s] for s, f in _settings(method).items()})
+    except ValueError as exc:
+        raise ConfigError(f"invalid {context} section: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -322,14 +338,16 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"invalid reservoir section: {exc}") from exc
 
     readout = _read(top["readout"], _READOUT, "readout")
-    method = _regression(readout)
-    readout_method = method(readout["method"], "readout.method")
+
+    def method(name):
+        prefix = f"{name}_"
+        settings = {k[len(prefix) :]: v for k, v in readout.items() if k.startswith(prefix)}
+        return regression_method(name, settings, "readout")
+
+    readout_method = method(readout["method"])
     train_fraction = _read(top["split"], _SPLIT, "split")["train_fraction"]
     sweep = _read(top["sweep"], _SWEEP, "sweep")
-    sweep["regression_values"] = tuple(
-        method(name, f"sweep.regression_values[{i}]")
-        for i, name in enumerate(sweep["regression_values"])
-    )
+    sweep["regression_values"] = tuple(map(method, sweep["regression_values"]))
     return RunConfig(
         master_seed=top["master_seed"],
         threads=top["threads"],

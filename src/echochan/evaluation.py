@@ -231,23 +231,22 @@ def _apply_axis(
 
 
 def _value_label(value) -> str:
+    """The name of an enum member or regression method; ``str`` of a
+    number, which is ``repr`` for a float, so no two values share one."""
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, float):
-        return format(value, "g")
     if isinstance(value, RegressionMethod):
-        return type(value).__name__.lower()
+        return value.name
     return str(value)
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run every (axis value, dataset, repeat) cell of a sweep.
 
     Each cell builds a fresh reservoir from a seed derived from
     ``base_config.seed`` and the cell coordinates, trains on the
     dataset's train split, and evaluates on its test split. Failures are
-    captured as error rows; the sweep keeps going. ``threads`` changes
-    nothing.
+    captured as error rows; the sweep keeps going.
     """
     master = spec.base_config.seed
     splits = {}

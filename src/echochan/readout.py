@@ -13,7 +13,7 @@ partition and merged; the result changes only by rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ DEFAULT_RIDGE_LAMBDA = 1e-6
 class Ridge:
     """Tikhonov-regularized least squares with penalty ``lam``."""
 
+    name: ClassVar[str] = "ridge"
     lam: float = DEFAULT_RIDGE_LAMBDA
 
     def __post_init__(self):
@@ -39,11 +40,14 @@ class Ridge:
 class Linear:
     """Unregularized least squares; requires full-rank state covariance."""
 
+    name: ClassVar[str] = "linear"
+
 
 @dataclass(frozen=True)
 class Lasso:
     """L1-penalized least squares solved by cyclic coordinate descent."""
 
+    name: ClassVar[str] = "lasso"
     lam: float
     max_iter: int = 10_000
     tol: float = 1e-8
@@ -58,6 +62,10 @@ class Lasso:
 
 
 RegressionMethod = Union[Ridge, Linear, Lasso]
+
+# Every regression method by its name, the one spelling of it in the
+# config, the .esn header and the sweep reports.
+METHODS = {method.name: method for method in (Ridge, Linear, Lasso)}
 
 
 @dataclass(frozen=True)
@@ -209,13 +217,12 @@ def check_dataset(config: ReservoirConfig, dataset) -> None:
         raise ShapeError("dataset contains no sequences")
 
 
-def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
+def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     """Harvest every sequence of ``dataset`` and fold it into accumulators.
 
     States come from ``state_blocks`` a time block at a time and are
     folded per sequence, in sequence order within each block, so memory
-    stays O(CHUNK * BLOCK * N). ``threads`` is accepted for compatibility
-    and changes nothing: the stepping runs on BLAS, not on a worker pool.
+    stays O(CHUNK * BLOCK * N).
     """
     config = r.config
     check_dataset(config, dataset)
@@ -232,8 +239,6 @@ def accumulate_dataset(r: Reservoir, dataset, threads: int = 1) -> Accumulators:
     return Accumulators(a=a, b=b, samples_seen=samples)
 
 
-def fit(
-    r: Reservoir, dataset, method: RegressionMethod = Ridge(), threads: int = 1
-) -> ReadoutModel:
+def fit(r: Reservoir, dataset, method: RegressionMethod = Ridge()) -> ReadoutModel:
     """Train the readout on a dataset: accumulate everything, solve once."""
-    return solve(accumulate_dataset(r, dataset, threads=threads), method)
+    return solve(accumulate_dataset(r, dataset), method)

@@ -26,10 +26,18 @@ import numpy as np
 
 from . import __version__
 from .channelsim import SequenceDataset
-from .config import boolean, integer, mapping, number
+from .config import (
+    MODEL_CONFIG_KEYS,
+    _read,
+    integer,
+    mapping,
+    method_block,
+    number,
+    regression_method,
+)
 from .errors import FormatError, IntegrityError, ShapeError, VersionError
-from .readout import Lasso, Linear, ReadoutModel, RegressionMethod, Ridge
-from .reservoir import Activation, InitMethod, Reservoir, ReservoirConfig
+from .readout import ReadoutModel, RegressionMethod
+from .reservoir import Reservoir, ReservoirConfig
 
 MODEL_MAGIC = b"ESN1"
 DATASET_MAGIC = b"ESD1"
@@ -143,36 +151,6 @@ def _floats_to_bytes(arr: np.ndarray) -> bytes:
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _method_to_header(method: RegressionMethod) -> dict:
-    if isinstance(method, Ridge):
-        return {"kind": "ridge", "lambda": method.lam}
-    if isinstance(method, Linear):
-        return {"kind": "linear"}
-    if isinstance(method, Lasso):
-        return {
-            "kind": "lasso",
-            "lambda": method.lam,
-            "max_iter": method.max_iter,
-            "tol": method.tol,
-        }
-    raise TypeError(f"unknown regression method {method!r}")
-
-
-def _method_from_header(header: dict) -> RegressionMethod:
-    kind = header.get("kind")
-    if kind == "ridge":
-        return Ridge(lam=number(header["lambda"], "method.lambda"))
-    if kind == "linear":
-        return Linear()
-    if kind == "lasso":
-        return Lasso(
-            lam=number(header["lambda"], "method.lambda"),
-            max_iter=integer(header["max_iter"], "method.max_iter"),
-            tol=number(header["tol"], "method.tol"),
-        )
-    raise FormatError(f"unknown regression method kind {kind!r} in model header")
-
-
 def save_model(artifact: ModelArtifact, path) -> None:
     """Write a model container; see docs/FORMATS.md for the byte layout."""
     config = artifact.config
@@ -183,7 +161,7 @@ def save_model(artifact: ModelArtifact, path) -> None:
             for key, value in asdict(config).items()
         },
         "achieved_radius": artifact.achieved_radius,
-        "method": _method_to_header(artifact.method),
+        "method": method_block(artifact.method),
         "matrices": ["w_in", "w", "w_fb", "w_out"],
         "shapes": {
             "w_in": [n, k],
@@ -212,22 +190,11 @@ def save_model(artifact: ModelArtifact, path) -> None:
 def load_model(path) -> ModelArtifact:
     header, payload = _read_container(path, MODEL_MAGIC)
     try:
-        cfg = header["config"]
-        config = ReservoirConfig(
-            input_dim=integer(cfg["input_dim"], "config.input_dim"),
-            reservoir_size=integer(cfg["reservoir_size"], "config.reservoir_size"),
-            output_dim=integer(cfg["output_dim"], "config.output_dim"),
-            init=InitMethod(cfg["init"]),
-            sparsity=number(cfg["sparsity"], "config.sparsity"),
-            target_spectral_radius=number(cfg["target_spectral_radius"], "config.target_spectral_radius"),
-            activation=Activation(cfg["activation"]),
-            use_feedback=boolean(cfg["use_feedback"], "config.use_feedback"),
-            washout=integer(cfg["washout"], "config.washout"),
-            seed=integer(cfg["seed"], "config.seed"),
-            allow_unstable=boolean(cfg["allow_unstable"], "config.allow_unstable"),
-        )
+        cfg = mapping(header["config"], "config")
+        config = ReservoirConfig(**_read(cfg, MODEL_CONFIG_KEYS, "config"))
         shapes = {name: tuple(dims) for name, dims in header["shapes"].items()}
-        method = _method_from_header(mapping(header["method"], "method"))
+        settings = dict(mapping(header["method"], "method"))
+        method = regression_method(settings.pop("kind", None), settings, "method")
         achieved = number(header["achieved_radius"], "achieved_radius")
         provenance = mapping(header["provenance"], "provenance")
     except (KeyError, TypeError, ValueError) as exc:

@@ -23,10 +23,10 @@ from .reservoir import Reservoir
 
 
 def pretrain(
-    r: Reservoir, source: SequenceDataset, method: RegressionMethod, threads: int = 1
+    r: Reservoir, source: SequenceDataset, method: RegressionMethod
 ) -> tuple[ReadoutModel, Accumulators]:
     """Fit on the source domain, keeping the accumulators for blending."""
-    acc = accumulate_dataset(r, source, threads=threads)
+    acc = accumulate_dataset(r, source)
     return solve(acc, method), acc
 
 
@@ -65,11 +65,10 @@ def fine_tune(
     target_train: SequenceDataset,
     alpha: float,
     method: RegressionMethod,
-    threads: int = 1,
 ) -> ReadoutModel:
     """Re-solve the readout on target data, blending in source statistics.
 
     ``alpha = 0`` reproduces a plain fit on the target training set.
     """
-    target_acc = accumulate_dataset(r, target_train, threads=threads)
+    target_acc = accumulate_dataset(r, target_train)
     return solve(blend_accumulators(source_acc, target_acc, alpha), method)

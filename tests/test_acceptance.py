@@ -174,7 +174,7 @@ def test_04_learnability_at_full_scale(shipped):
     r = build(with_seed(shipped.reservoir, 406))
     assert r.config.reservoir_size == 578
     assert r.config.target_spectral_radius == 0.5
-    model = fit(r, train_ds, shipped.readout, threads=2)
+    model = fit(r, train_ds, shipped.readout)
     esn = evaluate(r, model, test_ds).mape_percent
 
     zero_baseline = 100.0

@@ -244,13 +244,26 @@ class TestSweep:
         assert len(lines) == 3  # two radius values x one repeat
         assert {line.split(",")[1] for line in lines[1:]} == {"0.3", "0.7"}
 
-    @pytest.mark.parametrize("axis", ["init", "size", "activation"])
-    def test_value_column_follows_config_list(self, config_path, dataset_path, tmp_path, axis):
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("init", SMALL_CONFIG["sweep"]["init_values"]),
+            ("size", SMALL_CONFIG["sweep"]["size_values"]),
+            ("activation", SMALL_CONFIG["sweep"]["activation_values"]),
+            ("radius", [0.3, 0.3000001, 0.123456789]),  # floats read back exactly
+        ],
+        ids=["init", "size", "activation", "radius"],
+    )
+    def test_value_column_follows_config_list(self, dataset_path, tmp_path, capsys, axis, values):
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], **{f"{axis}_values": values}))))
         out = tmp_path / "sweep.csv"
-        code = run("--config", config_path, "sweep", "--axis", axis, "--data", dataset_path, "-o", str(out))
+        code = run("--config", str(path), "sweep", "--axis", axis, "--data", dataset_path, "-o", str(out))
         assert code == 0
-        values = [line.split(",")[1] for line in out.read_text().strip().splitlines()[1:]]
-        assert values == [str(v) for v in SMALL_CONFIG["sweep"][f"{axis}_values"]]
+        labels = [line.split(",")[1] for line in out.read_text().strip().splitlines()[1:]]
+        assert labels == [str(v) for v in values]
+        printed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert printed == [f"{axis}={v}" for v in values]
 
     def test_unknown_axis_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))

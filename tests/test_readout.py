@@ -190,12 +190,6 @@ class TestFit:
         w_merged = solve(merged, Ridge()).w_out
         assert np.abs(w_whole - w_merged).max() < 1e-10
 
-    def test_threaded_fit_matches_serial(self):
-        dataset = make_dataset(10, 25, seed=14)
-        serial = fit(self.reservoir, dataset, Ridge(), threads=1)
-        threaded = fit(self.reservoir, dataset, Ridge(), threads=4)
-        np.testing.assert_array_equal(serial.w_out, threaded.w_out)
-
     @pytest.mark.parametrize("sequences", [CHUNK - 1, CHUNK, CHUNK + 1])
     @pytest.mark.parametrize("use_feedback", [False, True])
     def test_fit_matches_per_sequence_fold(self, sequences, use_feedback):

@@ -108,3 +108,17 @@ def test_every_public_function_has_a_caller():
         )
     ]
     assert not uncalled, f"public functions with no caller: {uncalled}"
+
+
+def test_regression_names_in_one_module():
+    # a regression method is named only where its class is declared
+    names = {"ridge", "linear", "lasso"}
+    modules = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        if any(
+            isinstance(node, ast.Constant) and node.value in names
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        )
+    )
+    assert len(modules) <= 1, f"regression method names are written in {modules}"

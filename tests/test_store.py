@@ -175,6 +175,10 @@ class TestHeaderTypes:
             (("method",), {"kind": "lasso", "lambda": 1e-3, "max_iter": 2.5, "tol": 1e-8}),
             (("achieved_radius",), "0.7"),
             (("provenance",), [["seed", 50], ["dataset_fingerprint", "0" * 64]]),
+            (("config", "leak_rate"), 0.3),
+            (("method", "max_iter"), 100),
+            (("method",), {"kind": "lasso", "lambda": 1e-3, "max_iter": 100}),
+            (("method", "kind"), "ols"),
         ],
     )
     def test_mistyped_model_field(self, tmp_path, keys, value):
