@@ -186,8 +186,10 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
 
     Harvesting starts from the zero state per sequence. When the
     reservoir has feedback enabled, the model's own previous prediction
-    is fed back (no teacher forcing at evaluation time). All predictions
-    are scored together by ``mape``.
+    is fed back (no teacher forcing at evaluation time). The sequences
+    are stepped as one chunk (up to ``CHUNK * BLOCK`` of them), in blocks
+    shortened to keep the state-row budget of ``state_blocks``. All
+    predictions are scored together by ``mape``.
     """
     started = time.perf_counter()
     config = r.config
@@ -199,7 +201,8 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
         )
     targets = dataset.targets[:, :, config.washout :]
     predictions = np.empty(targets.shape)
-    for first, t0, states in state_blocks(r, dataset.inputs, w_out=model.w_out):
+    blocks = state_blocks(r, dataset.inputs, w_out=model.w_out, chunk=dataset.num_sequences)
+    for first, t0, states in blocks:
         count, steps, _ = states.shape
         start = t0 - config.washout
         predictions[first : first + count, :, start : start + steps] = (

@@ -220,9 +220,10 @@ def check_dataset(config: ReservoirConfig, dataset) -> None:
 def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     """Harvest every sequence of ``dataset`` and fold it into accumulators.
 
-    States come from ``state_blocks`` a time block at a time and are
-    folded per sequence, in sequence order within each block, so memory
-    stays O(CHUNK * BLOCK * N).
+    States come from ``state_blocks`` at its default width (``CHUNK``
+    sequences, ``BLOCK`` steps per block) and are folded per sequence, in
+    sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
+    and the fold's summation order does not depend on the dataset size.
     """
     config = r.config
     check_dataset(config, dataset)

@@ -12,6 +12,11 @@ State update, with f the configured activation, stepped by
 (evaluation), for a chunk of sequences at once:
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
+
+States are handed out in blocks of at most ``CHUNK * BLOCK`` rows (chunk
+width x time steps). Training steps ``CHUNK`` sequences per chunk in
+``BLOCK``-step blocks; evaluation steps all of its sequences in one chunk
+with blocks shortened to the same budget.
 """
 
 from __future__ import annotations
@@ -25,10 +30,12 @@ from . import seeding
 from .errors import RescaleError, ShapeError
 from .numerics import as_vector, spectral_radius
 
-# Sequences stepped together by ``state_blocks``: one CHUNK x N by N x N
-# product per time step. Fixed, so results do not depend on the caller.
+# Default chunk width of ``state_blocks``: sequences stepped together as
+# one CHUNK x N by N x N product per time step. The training fold uses it,
+# so fitted bytes do not depend on the dataset size.
 CHUNK = 16
-# Time steps of a chunk's states held at once before they are handed out.
+# Time steps of a CHUNK-wide chunk held at once before they are handed
+# out; CHUNK * BLOCK is the state-row budget of a block at any width.
 BLOCK = 128
 
 
@@ -252,18 +259,23 @@ def harvest(
     return StateTrajectory(states=states, t_offset=config.washout)
 
 
-def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None):
+def state_blocks(
+    r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None, chunk=None
+):
     """Step S sequences (``inputs`` S x K x T) and yield their states block by block.
 
-    The one copy of the state recurrence. Sequences are stepped ``CHUNK``
-    at a time, so each step is one C x N by N x N product; ``teacher``
+    The one copy of the state recurrence. Sequences are stepped ``chunk``
+    at a time (``CHUNK`` when not given, at most ``CHUNK * BLOCK``), so
+    each step is one C x N by N x N product; a block holds
+    ``CHUNK * BLOCK // chunk`` time steps, so a chunk's block never
+    exceeds ``CHUNK * BLOCK`` state rows whatever the width. ``teacher``
     (S x L x T), ``w_out`` and ``initial_state`` (shared by every
     sequence) mean what they mean for ``harvest``. Yields
     ``(first, t0, states)`` in sequence-then-time order: ``states`` is a
     C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
     for t0 + j >= washout only. It is a buffer the next block overwrites,
     so fold or copy it before asking for the next one; memory is
-    O(CHUNK * BLOCK * N) whatever S and T are.
+    O(CHUNK * BLOCK * N) whatever S, T and ``chunk`` are.
     """
     config = r.config
     n, washout = config.reservoir_size, config.washout
@@ -275,67 +287,79 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     count, _, total = inputs.shape
     if total <= washout:
         raise ShapeError(f"sequence length {total} leaves no states after washout {washout}")
-    feedback = config.use_feedback
-    if feedback:
-        if (teacher is None) == (w_out is None):
+    rows = CHUNK * BLOCK
+    width = CHUNK if chunk is None else min(chunk, rows)
+    if width < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if not config.use_feedback:
+        teacher = w_out = None
+    elif (teacher is None) == (w_out is None):
+        raise ShapeError(
+            "reservoir uses feedback: give either a teacher sequence or a readout w_out"
+        )
+    elif teacher is not None:
+        teacher = np.asarray(teacher, dtype=np.float64)
+        if teacher.shape != (count, config.output_dim, total):
             raise ShapeError(
-                "reservoir uses feedback: give either a teacher sequence or a readout w_out"
+                f"teacher must be {count} x {config.output_dim} x {total}, "
+                f"got shape {teacher.shape}"
             )
-        if teacher is not None:
-            teacher = np.asarray(teacher, dtype=np.float64)
-            if teacher.shape != (count, config.output_dim, total):
-                raise ShapeError(
-                    f"teacher must be {count} x {config.output_dim} x {total}, "
-                    f"got shape {teacher.shape}"
-                )
-        else:
-            w_out = np.asarray(w_out, dtype=np.float64)
-            if w_out.shape != (config.output_dim, n):
-                raise ShapeError(
-                    f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
-                )
+    else:
+        w_out = np.asarray(w_out, dtype=np.float64)
+        if w_out.shape != (config.output_dim, n):
+            raise ShapeError(
+                f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
+            )
     if initial_state is None:
         x0 = np.zeros(n)
     else:
         x0 = as_vector(initial_state, "initial state")
         if x0.shape[0] != n:
             raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
-    return _step_blocks(r, inputs, teacher, x0, w_out)
+    return _step_blocks(r, inputs, teacher, x0, w_out, width, rows // width)
 
 
-def _step_blocks(r, inputs, teacher, x0, w_out):
-    """The generator behind ``state_blocks``, which checks its arguments first."""
-    config = r.config
-    activation = config.activation.apply
-    feedback = config.use_feedback
+def _step_blocks(r, inputs, teacher, x0, w_out, width, steps):
+    """The generator behind ``state_blocks``, which checks its arguments first.
+
+    A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
+    as input channels: a block's drive is one product of [u; y] with
+    [w_in | w_fb]. Only the closed loop feeds back inside the step loop.
+    """
+    activation = r.config.activation.apply
     count, _, total = inputs.shape
     # Row-major states: x(t) of a chunk is C x N, stepped as x @ w.T with
     # w.T made contiguous once; w @ X on column-major states made BLAS
     # repack w on every step, which is slower for small chunks.
-    w_in_t, w_t, w_fb_t = r.w_in.T, np.ascontiguousarray(r.w.T), r.w_fb.T
-    buffer = np.empty((min(CHUNK, count), min(BLOCK, total), config.reservoir_size))
-    for first in range(0, count, CHUNK):
-        u = inputs[first : first + CHUNK]
+    w_t, w_fb_t = np.ascontiguousarray(r.w.T), r.w_fb.T
+    w_drive_t = (r.w_in if teacher is None else np.hstack([r.w_in, r.w_fb])).T
+    buffer = np.empty((min(width, count), min(steps, total), r.config.reservoir_size))
+    for first in range(0, count, width):
+        u = inputs[first : first + width]
+        y = None if teacher is None else teacher[first : first + width]
         x = np.tile(x0, (u.shape[0], 1))
-        for t0 in range(0, total, BLOCK):
-            block = buffer[: u.shape[0], : min(BLOCK, total - t0)]
-            # The input drive w_in u(t) of the whole block in one product;
-            # each step then overwrites its row with the state.
-            np.matmul(u[:, :, t0 : t0 + block.shape[1]].transpose(0, 2, 1), w_in_t, out=block)
-            for j in range(block.shape[1]):
-                t = t0 + j
+        for t0 in range(0, total, steps):
+            block = buffer[: u.shape[0], : min(steps, total - t0)]
+            b = block.shape[1]
+            drive = u[:, :, t0 : t0 + b]
+            if y is not None:
+                # y(t - 1) for every t of the block, with y(-1) = 0
+                y_prev = np.zeros((u.shape[0], y.shape[1], b))
+                start = max(t0 - 1, 0)
+                y_prev[:, :, start + 1 - t0 :] = y[:, :, start : t0 + b - 1]
+                drive = np.concatenate([drive, y_prev], axis=1)
+            # The drive of the whole block in one product; each step then
+            # overwrites its row with the state.
+            np.matmul(drive.transpose(0, 2, 1), w_drive_t, out=block)
+            for j in range(b):
                 pre = block[:, j]
                 pre += x @ w_t
-                if feedback and t > 0:
-                    if teacher is not None:
-                        y_prev = teacher[first : first + CHUNK, :, t - 1]
-                    else:
-                        y_prev = x @ w_out.T
-                    pre += y_prev @ w_fb_t
+                if w_out is not None and t0 + j > 0:
+                    pre += (x @ w_out.T) @ w_fb_t
                 x = activation(pre)
                 block[:, j] = x
-            skip = max(config.washout - t0, 0)
-            if skip < block.shape[1]:
+            skip = max(r.config.washout - t0, 0)
+            if skip < b:
                 yield first, t0 + skip, block[:, skip:]
 
 

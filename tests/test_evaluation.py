@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from echochan import reservoir as reservoir_mod
 from echochan.channelsim import Multipath, SequenceDataset, Tap, WaveformSpec, generate_dataset
 from echochan.errors import DegenerateMetricError, ShapeError
 from echochan.evaluation import (
@@ -17,7 +18,7 @@ from echochan.evaluation import (
     write_sweep_csv,
 )
 from echochan.readout import ReadoutModel, Ridge, accumulate_dataset, fit
-from echochan.reservoir import BLOCK, CHUNK, Activation, ReservoirConfig, build
+from echochan.reservoir import BLOCK, CHUNK, Activation, ReservoirConfig, build, harvest
 
 
 def small_wave(seed=0, bits=80):
@@ -152,6 +153,42 @@ class TestEvaluate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteError):
                 evaluate(r, model, dataset)
+
+
+class TestEvaluateMatchesHarvest:
+    """The one-chunk evaluation scores what per-sequence harvests predict."""
+
+    @pytest.fixture(params=["shipped", "small"])
+    def chunking(self, request, monkeypatch):
+        # small: a budget of 8 state rows, so evaluation steps 3 chunks of
+        # 1-step blocks
+        if request.param == "small":
+            monkeypatch.setattr(reservoir_mod, "CHUNK", 2)
+            monkeypatch.setattr(reservoir_mod, "BLOCK", 4)
+
+    @pytest.mark.parametrize("feedback", [False, True], ids=["open-loop", "closed-loop"])
+    def test_equals_per_sequence_predictions(self, chunking, feedback):
+        config = ReservoirConfig(
+            input_dim=2, reservoir_size=60, output_dim=2, use_feedback=feedback, washout=5, seed=27
+        )
+        r = build(config)
+        dataset = generate_dataset(small_wave(seed=28), ECHO_CHANNEL, CHUNK + 3)
+        model = fit(r, dataset, Ridge())
+        predictions = np.stack(
+            [model.w_out @ harvest(r, u, w_out=model.w_out).states for u in dataset.inputs]
+        )
+        expected = mape(dataset.targets[:, :, config.washout :], predictions)
+        report = evaluate(r, model, dataset)
+        assert report.mape_percent == pytest.approx(expected.mape_percent, rel=1e-12, abs=0)
+        assert report.mse == pytest.approx(expected.mse, rel=1e-12, abs=0)
+        assert report.samples_used == expected.samples_used
+
+    def test_empty_dataset(self):
+        r = build(ReservoirConfig(input_dim=2, reservoir_size=10, output_dim=2, seed=29))
+        empty = SequenceDataset(inputs=np.zeros((0, 2, 10)), targets=np.zeros((0, 2, 10)))
+        model = ReadoutModel(w_out=np.zeros((2, 10)), method=Ridge())
+        with pytest.raises(ShapeError, match="dataset contains no sequences"):
+            evaluate(r, model, empty)
 
 
 def traced_peak(call) -> int:

@@ -352,15 +352,20 @@ class TestStateBlocks:
             monkeypatch.setattr(reservoir_mod, "BLOCK", 16)
 
     def check(self, r, inputs, teacher=None, initial_state=None, w_out=None):
-        batched = all_states(r, inputs, teacher=teacher, initial_state=initial_state, w_out=w_out)
-        assert np.isfinite(batched).all()
+        kwargs = dict(initial_state=initial_state, w_out=w_out)
+        # the default width, and the one-chunk width that evaluate uses
+        runs = [
+            all_states(r, inputs, teacher=teacher, chunk=c, **kwargs) for c in (None, len(inputs))
+        ]
         for i in range(inputs.shape[0]):
             y = None if teacher is None else teacher[i]
-            single = harvest(r, inputs[i], teacher=y, initial_state=initial_state, w_out=w_out)
+            single = harvest(r, inputs[i], teacher=y, **kwargs)
             assert single.t_offset == r.config.washout
-            np.testing.assert_allclose(batched[i], single.states, rtol=0, atol=1e-12)
-            expected = stepped(r, inputs[i], teacher=y, initial_state=initial_state, w_out=w_out)
-            np.testing.assert_allclose(batched[i], expected, rtol=0, atol=1e-12)
+            expected = stepped(r, inputs[i], teacher=y, **kwargs)
+            for batched in runs:
+                assert np.isfinite(batched[i]).all()
+                np.testing.assert_allclose(batched[i], single.states, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(batched[i], expected, rtol=0, atol=1e-12)
 
     def inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -376,6 +381,13 @@ class TestStateBlocks:
         rng = np.random.default_rng(31)
         teacher = rng.uniform(-1, 1, size=(self.SEQUENCES, 2, self.STEPS))
         self.check(r, self.inputs(32), teacher=teacher)
+
+    def test_teacher_forced_washout_longer_than_a_block(self, chunking):
+        # each block after the washout starts from teacher[..., t0 - 1]
+        r = build(small_config(use_feedback=True, washout=reservoir_mod.BLOCK + 3))
+        rng = np.random.default_rng(38)
+        teacher = rng.uniform(-1, 1, size=(self.SEQUENCES, 2, self.STEPS))
+        self.check(r, self.inputs(39), teacher=teacher)
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_closed_loop(self, chunking, activation):
@@ -401,3 +413,23 @@ class TestStateBlocks:
         fb = build(small_config(use_feedback=True))
         with pytest.raises(ShapeError, match="teacher must be 3 x 2 x 30"):
             state_blocks(fb, np.zeros((3, 2, 30)), teacher=np.zeros((2, 2, 30)))
+        with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
+            state_blocks(r, np.zeros((3, 2, 30)), chunk=0)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 4096])
+    def test_empty_stack_yields_nothing(self, chunking, chunk):
+        r = build(small_config())
+        assert list(state_blocks(r, np.zeros((0, 2, 10)), chunk=chunk)) == []
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 10**6])
+    def test_blocks_keep_the_row_budget(self, chunking, chunk):
+        r = build(small_config())
+        rows = reservoir_mod.CHUNK * reservoir_mod.BLOCK
+        widths, starts = set(), set()
+        for _, t0, block in state_blocks(r, self.inputs(40), chunk=chunk):
+            assert block.shape[0] * block.shape[1] <= rows
+            widths.add(block.shape[0])
+            starts.add(t0)
+        assert max(widths) == min(chunk, rows, self.SEQUENCES)
+        steps = rows // min(chunk, rows)
+        assert sorted(starts) == list(range(0, self.STEPS, steps))
