@@ -224,13 +224,14 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
+    The targets are always passed as the teacher; ``state_blocks`` uses
+    them only when the reservoir has feedback.
     """
     config = r.config
     check_dataset(config, dataset)
     n = config.reservoir_size
     a, b, samples = np.zeros((config.output_dim, n)), np.zeros((n, n)), 0
-    teacher = dataset.targets if config.use_feedback else None
-    for first, t0, states in state_blocks(r, dataset.inputs, teacher=teacher):
+    for first, t0, states in state_blocks(r, dataset.inputs, teacher=dataset.targets):
         count, steps, _ = states.shape
         targets = dataset.targets[first : first + count, :, t0 : t0 + steps]
         for x, y in zip(states, targets):

@@ -230,12 +230,10 @@ def harvest(
     Starts from the zero state (or ``initial_state`` when given, which
     exists so convergence from different starting points can be checked),
     steps t = 1..T, and returns the states with the first ``washout``
-    columns dropped. When the reservoir uses feedback, exactly one source
-    of the fed-back output y(t-1) must be given, with y(0) = 0 either way:
-    ``teacher`` (L x T) forces it during training, and a trained readout
-    ``w_out`` (L x N) closes the loop with y(t-1) = w_out @ x(t-1).
-    Without feedback both are ignored. This is ``state_blocks`` for one
-    sequence.
+    columns dropped. ``teacher`` (L x T) forces the fed-back output
+    y(t-1) during training and a readout ``w_out`` (L x N) closes the
+    loop; ``state_blocks`` owns the feedback decision and checks both.
+    This is ``state_blocks`` for one sequence.
     """
     config = r.config
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -244,13 +242,8 @@ def harvest(
             f"inputs must be {config.input_dim} x T, got shape {inputs.shape}"
         )
     total = inputs.shape[1]
-    if config.use_feedback and teacher is not None:
-        teacher = np.asarray(teacher, dtype=np.float64)
-        if teacher.shape != (config.output_dim, total):
-            raise ShapeError(
-                f"teacher must be {config.output_dim} x {total}, got shape {teacher.shape}"
-            )
-        teacher = teacher[None]
+    if teacher is not None:
+        teacher = np.asarray(teacher, dtype=np.float64)[None]
     blocks = state_blocks(r, inputs[None], teacher, initial_state, w_out)
     states = np.empty((config.reservoir_size, total - config.washout))
     for _, t0, block in blocks:
@@ -268,9 +261,15 @@ def state_blocks(
     at a time (``CHUNK`` when not given, at most ``CHUNK * BLOCK``), so
     each step is one C x N by N x N product; a block holds
     ``CHUNK * BLOCK // chunk`` time steps, so a chunk's block never
-    exceeds ``CHUNK * BLOCK`` state rows whatever the width. ``teacher``
-    (S x L x T), ``w_out`` and ``initial_state`` (shared by every
-    sequence) mean what they mean for ``harvest``. Yields
+    exceeds ``CHUNK * BLOCK`` state rows whatever the width.
+    ``initial_state`` is shared by every sequence.
+
+    It owns the feedback decision and the ``w_out`` check: any ``w_out``
+    given must be L x N, feedback or not. When the reservoir uses feedback, exactly one
+    source of the fed-back output y(t-1) must be given, with y(0) = 0
+    either way: ``teacher`` (S x L x T) forces it during training, and a
+    trained readout ``w_out`` closes the loop with y(t-1) = w_out @
+    x(t-1). Without feedback both are dropped. Yields
     ``(first, t0, states)`` in sequence-then-time order: ``states`` is a
     C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
     for t0 + j >= washout only. It is a buffer the next block overwrites,
@@ -291,6 +290,12 @@ def state_blocks(
     width = CHUNK if chunk is None else min(chunk, rows)
     if width < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    if w_out is not None:
+        w_out = np.asarray(w_out, dtype=np.float64)
+        if w_out.shape != (config.output_dim, n):
+            raise ShapeError(
+                f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
+            )
     if not config.use_feedback:
         teacher = w_out = None
     elif (teacher is None) == (w_out is None):
@@ -303,12 +308,6 @@ def state_blocks(
             raise ShapeError(
                 f"teacher must be {count} x {config.output_dim} x {total}, "
                 f"got shape {teacher.shape}"
-            )
-    else:
-        w_out = np.asarray(w_out, dtype=np.float64)
-        if w_out.shape != (config.output_dim, n):
-            raise ShapeError(
-                f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
             )
     if initial_state is None:
         x0 = np.zeros(n)

@@ -20,6 +20,7 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -95,10 +96,6 @@ def make_artifact(r: Reservoir, model: ReadoutModel, provenance: dict) -> ModelA
     )
 
 
-def _canonical_json(obj: dict) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _atomic_write(path, chunks) -> None:
     path = Path(path)
     handle = tempfile.NamedTemporaryFile(
@@ -147,14 +144,24 @@ def _expect_payload(path, payload: memoryview, expected: int) -> None:
         )
 
 
-def _floats_to_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _write_container(path, magic: bytes, header: dict, arrays) -> None:
+    """Write ``magic``, the version, the canonical JSON header and each
+    array's float64 LE bytes in turn; the mirror of ``_read_container``."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    prefix = [magic, FORMAT_VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
+    _atomic_write(path, chain(prefix, (np.ascontiguousarray(a, dtype="<f8") for a in arrays)))
+
+
+def _matrix_shapes(config: ReservoirConfig) -> dict[str, tuple[int, int]]:
+    """Name -> shape of each ``.esn`` matrix, in payload order."""
+    n, k, l = config.reservoir_size, config.input_dim, config.output_dim
+    return {"w_in": (n, k), "w": (n, n), "w_fb": (n, l), "w_out": (l, n)}
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
     """Write a model container; see docs/FORMATS.md for the byte layout."""
     config = artifact.config
-    n, k, l = config.reservoir_size, config.input_dim, config.output_dim
+    shapes = _matrix_shapes(config)
     header = {
         "config": {
             key: value.value if isinstance(value, Enum) else value
@@ -162,29 +169,11 @@ def save_model(artifact: ModelArtifact, path) -> None:
         },
         "achieved_radius": artifact.achieved_radius,
         "method": method_block(artifact.method),
-        "matrices": ["w_in", "w", "w_fb", "w_out"],
-        "shapes": {
-            "w_in": [n, k],
-            "w": [n, n],
-            "w_fb": [n, l],
-            "w_out": [l, n],
-        },
+        "matrices": list(shapes),
+        "shapes": shapes,
         "provenance": artifact.provenance,
     }
-    header_bytes = _canonical_json(header)
-    _atomic_write(
-        path,
-        [
-            MODEL_MAGIC,
-            FORMAT_VERSION.to_bytes(4, "little"),
-            len(header_bytes).to_bytes(8, "little"),
-            header_bytes,
-            _floats_to_bytes(artifact.w_in),
-            _floats_to_bytes(artifact.w),
-            _floats_to_bytes(artifact.w_fb),
-            _floats_to_bytes(artifact.w_out),
-        ],
-    )
+    _write_container(path, MODEL_MAGIC, header, (getattr(artifact, name) for name in shapes))
 
 
 def load_model(path) -> ModelArtifact:
@@ -200,30 +189,20 @@ def load_model(path) -> ModelArtifact:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
-    n, k, l = config.reservoir_size, config.input_dim, config.output_dim
-    expected_shapes = {"w_in": (n, k), "w": (n, n), "w_fb": (n, l), "w_out": (l, n)}
+    expected_shapes = _matrix_shapes(config)
     if shapes != expected_shapes:
         raise ShapeError(
             f"matrix shapes in {path} are inconsistent with the stored config: "
             f"{shapes} vs {expected_shapes}"
         )
-    counts = [n * k, n * n, n * l, l * n]
-    _expect_payload(path, payload, 8 * sum(counts))
-    arrays = []
-    offset = 0
-    for count, shape in zip(counts, expected_shapes.values()):
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(shape))
-        offset += 8 * count
+    _expect_payload(path, payload, 8 * sum(rows * cols for rows, cols in expected_shapes.values()))
+    matrices, offset = {}, 0
+    for name, (rows, cols) in expected_shapes.items():
+        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
+        matrices[name] = arr.astype(np.float64).reshape(rows, cols)
+        offset += 8 * rows * cols
     return ModelArtifact(
-        config=config,
-        w_in=arrays[0],
-        w=arrays[1],
-        w_fb=arrays[2],
-        achieved_radius=achieved,
-        w_out=arrays[3],
-        method=method,
-        provenance=provenance,
+        config=config, achieved_radius=achieved, method=method, provenance=provenance, **matrices
     )
 
 
@@ -236,17 +215,8 @@ def save_dataset(ds: SequenceDataset, path) -> None:
         "output_dim": ds.output_dim,
         "meta": ds.meta,
     }
-    header_bytes = _canonical_json(header)
-    chunks = [
-        DATASET_MAGIC,
-        FORMAT_VERSION.to_bytes(4, "little"),
-        len(header_bytes).to_bytes(8, "little"),
-        header_bytes,
-    ]
-    for i in range(ds.num_sequences):
-        chunks.append(_floats_to_bytes(ds.inputs[i]))
-        chunks.append(_floats_to_bytes(ds.targets[i]))
-    _atomic_write(path, chunks)
+    blocks = (block for pair in zip(ds.inputs, ds.targets) for block in pair)
+    _write_container(path, DATASET_MAGIC, header, blocks)
 
 
 def load_dataset(path) -> SequenceDataset:

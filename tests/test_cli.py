@@ -146,6 +146,14 @@ class TestTrain:
         code = run("--config", config_path, "train", str(tmp_path / "absent.esd"), "-o", str(tmp_path / "m.esn"))
         assert code == 3
 
+    @pytest.mark.parametrize("sequences", ["0", "1"])
+    def test_too_few_sequences_exits_4(self, config_path, tmp_path, capsys, sequences):
+        data = tmp_path / "few.esd"
+        run("--config", config_path, "generate", "--preset", "echo", "-n", sequences, "-o", str(data))
+        code = run("--config", config_path, "train", str(data), "-o", str(tmp_path / "m.esn"))
+        assert code == 4
+        assert capsys.readouterr().err == f"error: need at least 2 sequences to split, got {sequences}\n"
+
     def test_flag_overrides(self, config_path, dataset_path, tmp_path):
         out = tmp_path / "m.esn"
         code = run(
@@ -264,6 +272,14 @@ class TestSweep:
         assert labels == [str(v) for v in values]
         printed = [line.split(" ")[0] for line in capsys.readouterr().out.splitlines()[:-1]]
         assert printed == [f"{axis}={v}" for v in values]
+
+    @pytest.mark.parametrize("sequences", ["0", "1"])
+    def test_too_few_sequences_exits_4(self, config_path, tmp_path, capsys, sequences):
+        data = tmp_path / "few.esd"
+        run("--config", config_path, "generate", "--preset", "echo", "-n", sequences, "-o", str(data))
+        code = run("--config", config_path, "sweep", "--axis", "radius", "--data", str(data), "-o", str(tmp_path / "s.csv"))
+        assert code == 4
+        assert capsys.readouterr().err == f"error: need at least 2 sequences to split, got {sequences}\n"
 
     def test_unknown_axis_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))

@@ -72,6 +72,32 @@ def test_one_csv_writer():
     assert len(writers) == 1, f"csv.writer is called in {sorted(writers) or 'no function'}"
 
 
+def test_one_container_writer():
+    # both containers write their fixed fields through one function
+    def writes_version(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "to_bytes"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "FORMAT_VERSION"
+        )
+
+    writers = _owners(writes_version)
+    assert len(writers) == 1, f"the format version is written in {sorted(writers) or 'no function'}"
+
+
+def test_feedback_decided_in_reservoir():
+    # whether a run feeds its output back is read only where states are stepped
+    def reads_feedback(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "use_feedback"
+            and isinstance(node.ctx, ast.Load)
+        )
+
+    modules = {owner.split(":")[0] for owner in _owners(reads_feedback)}
+    assert modules == {"reservoir.py"}, f".use_feedback is read in {sorted(modules)}"
+
 
 # Public functions that stay with no caller in the package: the
 # `[project.scripts]` console script, and the one-sequence channel entry

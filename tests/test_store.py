@@ -1,6 +1,7 @@
 """On-disk format tests: round trips, corruption, versioning."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -257,6 +258,44 @@ class TestDatasetRoundTrip:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(IntegrityError, match="expected"):
             load_dataset(path)
+
+
+def split_container(data: bytes, magic: bytes):
+    """Header and payload values of a container, read as docs/FORMATS.md
+    lays it out: magic, u32 LE version, u64 LE header length, canonical
+    JSON header, float64 LE payload."""
+    assert data[:4] == magic
+    version, header_len = struct.unpack("<IQ", data[4:16])
+    assert version == 1
+    raw = data[16 : 16 + header_len]
+    header = json.loads(raw.decode("utf-8"))
+    assert raw == json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = data[16 + header_len :]
+    assert len(payload) % 8 == 0
+    return header, np.array(struct.unpack(f"<{len(payload) // 8}d", payload))
+
+
+class TestByteLayout:
+    def test_model_container(self, tmp_path):
+        artifact = trained_artifact()
+        path = tmp_path / "model.esn"
+        save_model(artifact, path)
+        header, payload = split_container(path.read_bytes(), b"ESN1")
+        assert header["matrices"] == ["w_in", "w", "w_fb", "w_out"]
+        assert header["shapes"] == {"w_in": [25, 2], "w": [25, 25], "w_fb": [25, 2], "w_out": [2, 25]}
+        expected = [artifact.w_in, artifact.w, artifact.w_fb, artifact.w_out]
+        np.testing.assert_array_equal(payload, np.concatenate([m.ravel() for m in expected]))
+
+    def test_dataset_container(self, tmp_path):
+        dataset = generate_dataset(wave(79), CHANNEL, 3)
+        path = tmp_path / "data.esd"
+        save_dataset(dataset, path)
+        header, payload = split_container(path.read_bytes(), b"ESD1")
+        assert (header["num_sequences"], header["seq_len"]) == (3, 60)
+        assert (header["input_dim"], header["output_dim"]) == (2, 2)
+        # sequence-major: each sequence's input block, then its target block
+        expected = [block.ravel() for i in range(3) for block in (dataset.inputs[i], dataset.targets[i])]
+        np.testing.assert_array_equal(payload, np.concatenate(expected))
 
 
 class TestFingerprints:
