@@ -181,6 +181,7 @@ def load_model(path) -> ModelArtifact:
     try:
         cfg = mapping(header["config"], "config")
         config = ReservoirConfig(**_read(cfg, MODEL_CONFIG_KEYS, "config"))
+        order = header["matrices"]
         shapes = {name: tuple(dims) for name, dims in header["shapes"].items()}
         settings = dict(mapping(header["method"], "method"))
         method = regression_method(settings.pop("kind", None), settings, "method")
@@ -190,6 +191,8 @@ def load_model(path) -> ModelArtifact:
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
     expected_shapes = _matrix_shapes(config)
+    if order != list(expected_shapes):
+        raise FormatError(f"payload order in {path} is {order}, expected {list(expected_shapes)}")
     if shapes != expected_shapes:
         raise ShapeError(
             f"matrix shapes in {path} are inconsistent with the stored config: "

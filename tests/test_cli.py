@@ -1,4 +1,4 @@
-"""End-to-end CLI tests (in-process via main(), one subprocess check)."""
+"""End-to-end CLI tests (in-process via main(), a few subprocess checks)."""
 
 import os
 import subprocess
@@ -345,27 +345,52 @@ class TestTransfer:
         assert code == 2
 
 
-def run_module(*argv):
-    """Run ``python -m echochan`` on the package these tests import."""
+def run_python(*argv):
+    """Run ``python *argv`` with the package these tests import on the path."""
     src = str(Path(echochan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "echochan", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
 
 
+WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from echochan.cli import main
+
+config, d = sys.argv[1:]
+for argv in (
+    ["generate", "--preset", "other", "-n", "20", "-o", f"{d}/src.esd"],
+    ["--seed", "12", "generate", "--preset", "echo", "-n", "20", "-o", f"{d}/tt.esd"],
+    ["--seed", "13", "generate", "--preset", "echo", "-n", "8", "-o", f"{d}/te.esd"],
+    ["train", f"{d}/tt.esd", "-o", f"{d}/m.esn"],
+    ["transfer", "--source", f"{d}/src.esd", "--target-train", f"{d}/tt.esd",
+     "--target-test", f"{d}/te.esd", "--mode", "finetune", "--alpha", "0.5", "-o", f"{d}/t.csv"],
+):
+    code = main(["--config", config, *argv])
+    if code:
+        sys.exit(code)
+"""
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        result = run_module("--help")
+        result = run_python("-m", "echochan", "--help")
         assert result.returncode == 0
         for sub in ("generate", "train", "evaluate", "sweep", "transfer"):
             assert sub in result.stdout
 
     def test_subcommand_help_documents_flags(self):
-        result = run_module("train", "--help")
+        result = run_python("-m", "echochan", "train", "--help")
         assert result.returncode == 0
         for flag in ("--radius", "--size", "--init", "--regression", "-o"):
             assert flag in result.stdout
+
+    def test_runs_without_scipy(self, config_path, tmp_path):
+        result = run_python("-c", WITHOUT_SCIPY, config_path, str(tmp_path))
+        assert result.returncode == 0, result.stderr

@@ -77,6 +77,43 @@ class TestSolveSpd:
         with pytest.raises(DefinitenessError):
             solve_spd(m, np.ones(2))
 
+    def test_one_by_one_system(self):
+        sol = solve_spd(np.array([[4.0]]), np.array([2.0]))
+        assert sol.shape == (1,)
+        np.testing.assert_allclose(sol, [0.5])
+        np.testing.assert_allclose(solve_spd([[4.0]], [[2.0, -8.0]]), [[0.5, -2.0]])
+
+    def test_vector_rhs_stays_1d_at_600(self):
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((600, 600))
+        m = a.T @ a + np.eye(600)
+        rhs = rng.standard_normal(600)
+        sol = solve_spd(m, rhs)
+        assert sol.shape == (600,)
+        assert np.abs(m @ sol - rhs).max() / np.abs(rhs).max() < 1e-8
+
+    def test_one_negative_eigenvalue_rejected(self):
+        rng = np.random.default_rng(23)
+        q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+        eigenvalues = np.linspace(1.0, 2.0, 300)
+        eigenvalues[150] = -0.5
+        m = (q * eigenvalues) @ q.T
+        m = (m + m.T) / 2
+        with pytest.raises(DefinitenessError, match="positive definite"):
+            solve_spd(m, np.ones((300, 2)))
+
+    def test_ill_conditioned_ridge_system_by_residual(self):
+        # B + lambda*I with B positive semidefinite, cond about 1e10
+        rng = np.random.default_rng(29)
+        q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+        b = (q * np.logspace(0.0, -12.0, 300)) @ q.T
+        m = (b + b.T) / 2 + 1e-10 * np.eye(300)
+        assert 1e9 < np.linalg.cond(m) < 1e11
+        rhs = rng.standard_normal((300, 2))
+        sol = solve_spd(m, rhs)
+        residual = np.abs(m @ sol - rhs).max() / (np.abs(m).max() * np.abs(sol).max())
+        assert residual < 1e-12
+
 
 class TestSpectralRadius:
     def test_identity(self):

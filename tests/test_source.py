@@ -33,6 +33,22 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def test_no_scipy_import():
+    # the runtime needs numpy and PyYAML only; scipy would load a second BLAS
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, f"scipy is imported at {importers}"
+
+
 def _owners(matches) -> set[str]:
     """``module:function`` of every node under the package that ``matches``."""
     owners = set()

@@ -140,6 +140,21 @@ class TestModelCorruption:
         with pytest.raises(VersionError, match="version 2"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ["w_out", "w_fb", "w", "w_in"],
+            ["w_in", "w", "w_fb"],
+            ["w_in", "w", "w_fb", "w_out", "w_out"],
+        ],
+    )
+    def test_payload_order_other_than_the_fixed_one(self, tmp_path, order):
+        path = tmp_path / "model.esn"
+        save_model(trained_artifact(seed=68), path)
+        rewrite_header(path, ("matrices",), order)
+        with pytest.raises(FormatError, match="payload order"):
+            load_model(path)
+
     def test_trailing_garbage(self, tmp_path):
         artifact = trained_artifact(seed=65)
         path = tmp_path / "model.esn"
