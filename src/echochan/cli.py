@@ -185,10 +185,8 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     except FileNotFoundError as exc:
         raise FileNotFoundError(f"model file not found: {args.model}") from exc
     dataset = _load_dataset_file(args.data)
-    reservoir = artifact.to_reservoir()
-    model = artifact.to_readout()
     started = time.perf_counter()
-    report = evaluate(reservoir, model, dataset)
+    report = evaluate(artifact, artifact.to_readout(), dataset)
     eval_seconds = time.perf_counter() - started
     print(
         f"MAPE={report.mape_percent:.4f}% mse={report.mse:.6e} "

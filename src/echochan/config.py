@@ -70,8 +70,8 @@ def _optional(kind):
 
 def _list_of(kind):
     def read(value, name):
-        if not isinstance(value, list):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
         return tuple(kind(item, f"{name}[{i}]") for i, item in enumerate(value))
 
     return read

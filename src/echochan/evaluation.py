@@ -240,20 +240,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     captured as error rows; the sweep keeps going.
     """
     master = spec.base_config.seed
-    splits = {}
-    for d_idx, (name, dataset) in enumerate(spec.datasets):
+    # by dataset index: the same name given twice is two datasets
+    splits = []
+    for d_idx, (_, dataset) in enumerate(spec.datasets):
         train_idx, test_idx = split_indices(
             dataset.num_sequences,
             spec.train_fraction,
             seeding.child_seed(master, seeding.STREAM_SWEEP, d_idx),
         )
-        splits[name] = (dataset.subset(train_idx), dataset.subset(test_idx))
+        splits.append((dataset.subset(train_idx), dataset.subset(test_idx)))
 
     rows = []
     for v_idx, value in enumerate(spec.values):
         label = _value_label(value)
         for d_idx, (name, _) in enumerate(spec.datasets):
-            train_ds, test_ds = splits[name]
+            train_ds, test_ds = splits[d_idx]
             for rep in range(spec.repeats):
                 cell_seed = seeding.child_seed(
                     master, seeding.STREAM_SWEEP, v_idx, d_idx, rep

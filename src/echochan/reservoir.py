@@ -62,14 +62,6 @@ class Activation(Enum):
             return np.maximum(x, 0.0)
         return 1.0 / (1.0 + np.exp(-x))
 
-    @property
-    def state_range(self) -> tuple[float, float]:
-        if self is Activation.TANH:
-            return (-1.0, 1.0)
-        if self is Activation.RELU:
-            return (0.0, np.inf)
-        return (0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class ReservoirConfig:
@@ -129,15 +121,25 @@ class Reservoir:
     achieved_radius: float
 
     def __post_init__(self):
-        n, k, l = self.config.reservoir_size, self.config.input_dim, self.config.output_dim
-        if self.w_in.shape != (n, k):
-            raise ShapeError(f"w_in must be {(n, k)}, got {self.w_in.shape}")
-        if self.w.shape != (n, n):
-            raise ShapeError(f"w must be {(n, n)}, got {self.w.shape}")
-        if self.w_fb.shape != (n, l):
-            raise ShapeError(f"w_fb must be {(n, l)}, got {self.w_fb.shape}")
-        for arr in (self.w_in, self.w, self.w_fb):
-            arr.flags.writeable = False
+        for name in ("w_in", "w", "w_fb"):
+            matrix = getattr(self, name)
+            check_shape(self.config, name, matrix)
+            matrix.flags.writeable = False
+
+
+def matrix_shapes(config: ReservoirConfig) -> dict[str, tuple[int, int]]:
+    """Name -> shape of each weight matrix of a trained model, in the
+    ``.esn`` payload order: the reservoir's three, then the readout's."""
+    n, k, l = config.reservoir_size, config.input_dim, config.output_dim
+    return {"w_in": (n, k), "w": (n, n), "w_fb": (n, l), "w_out": (l, n)}
+
+
+def check_shape(config: ReservoirConfig, name: str, matrix: np.ndarray) -> None:
+    """Raise ``ShapeError`` unless ``matrix`` has the shape that
+    ``matrix_shapes(config)`` gives ``name``."""
+    rows, cols = matrix_shapes(config)[name]
+    if matrix.shape != (rows, cols):
+        raise ShapeError(f"{name} must be {rows} x {cols}, got shape {matrix.shape}")
 
 
 @dataclass(frozen=True)
@@ -292,10 +294,7 @@ def state_blocks(
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if w_out is not None:
         w_out = np.asarray(w_out, dtype=np.float64)
-        if w_out.shape != (config.output_dim, n):
-            raise ShapeError(
-                f"w_out must be {config.output_dim} x {n}, got shape {w_out.shape}"
-            )
+        check_shape(config, "w_out", w_out)
     if not config.use_feedback:
         teacher = w_out = None
     elif (teacher is None) == (w_out is None):

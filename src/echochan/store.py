@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from pathlib import Path
@@ -38,7 +38,7 @@ from .config import (
 )
 from .errors import FormatError, IntegrityError, ShapeError, VersionError
 from .readout import ReadoutModel, RegressionMethod
-from .reservoir import Reservoir, ReservoirConfig
+from .reservoir import Reservoir, ReservoirConfig, check_shape, matrix_shapes
 
 MODEL_MAGIC = b"ESN1"
 DATASET_MAGIC = b"ESD1"
@@ -46,53 +46,32 @@ FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ModelArtifact:
-    """Everything needed to reload and run a trained model."""
+class ModelArtifact(Reservoir):
+    """A built reservoir and its trained readout: everything needed to
+    reload and run a trained model."""
 
-    config: ReservoirConfig
-    w_in: np.ndarray
-    w: np.ndarray
-    w_fb: np.ndarray
-    achieved_radius: float
     w_out: np.ndarray
     method: RegressionMethod
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        super().__post_init__()
+        check_shape(self.config, "w_out", self.w_out)
+        self.w_out.flags.writeable = False
         for key in ("seed", "dataset_fingerprint"):
             if key not in self.provenance:
                 raise ValueError(f"model provenance must include {key!r}")
 
-    def to_reservoir(self) -> Reservoir:
-        return Reservoir(
-            config=self.config,
-            w_in=self.w_in.copy(),
-            w=self.w.copy(),
-            w_fb=self.w_fb.copy(),
-            achieved_radius=self.achieved_radius,
-        )
-
     def to_readout(self) -> ReadoutModel:
-        return ReadoutModel(w_out=self.w_out.copy(), method=self.method)
+        return ReadoutModel(w_out=self.w_out, method=self.method)
 
 
 def make_artifact(r: Reservoir, model: ReadoutModel, provenance: dict) -> ModelArtifact:
-    if model.w_out.shape != (r.config.output_dim, r.config.reservoir_size):
-        raise ShapeError(
-            f"readout shape {model.w_out.shape} does not match reservoir config "
-            f"({r.config.output_dim}, {r.config.reservoir_size})"
-        )
-    prov = dict(provenance)
-    prov.setdefault("tool_version", __version__)
     return ModelArtifact(
-        config=r.config,
-        w_in=r.w_in,
-        w=r.w,
-        w_fb=r.w_fb,
-        achieved_radius=r.achieved_radius,
+        **{f.name: getattr(r, f.name) for f in fields(Reservoir)},
         w_out=model.w_out,
         method=model.method,
-        provenance=prov,
+        provenance={"tool_version": __version__, **provenance},
     )
 
 
@@ -152,16 +131,10 @@ def _write_container(path, magic: bytes, header: dict, arrays) -> None:
     _atomic_write(path, chain(prefix, (np.ascontiguousarray(a, dtype="<f8") for a in arrays)))
 
 
-def _matrix_shapes(config: ReservoirConfig) -> dict[str, tuple[int, int]]:
-    """Name -> shape of each ``.esn`` matrix, in payload order."""
-    n, k, l = config.reservoir_size, config.input_dim, config.output_dim
-    return {"w_in": (n, k), "w": (n, n), "w_fb": (n, l), "w_out": (l, n)}
-
-
 def save_model(artifact: ModelArtifact, path) -> None:
     """Write a model container; see docs/FORMATS.md for the byte layout."""
     config = artifact.config
-    shapes = _matrix_shapes(config)
+    shapes = matrix_shapes(config)
     header = {
         "config": {
             key: value.value if isinstance(value, Enum) else value
@@ -190,7 +163,7 @@ def load_model(path) -> ModelArtifact:
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
-    expected_shapes = _matrix_shapes(config)
+    expected_shapes = matrix_shapes(config)
     if order != list(expected_shapes):
         raise FormatError(f"payload order in {path} is {order}, expected {list(expected_shapes)}")
     if shapes != expected_shapes:

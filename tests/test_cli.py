@@ -281,6 +281,13 @@ class TestSweep:
         assert code == 4
         assert capsys.readouterr().err == f"error: need at least 2 sequences to split, got {sequences}\n"
 
+    def test_empty_value_list_exits_2(self, dataset_path, tmp_path, capsys):
+        path = tmp_path / "empty.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], radius_values=[]))))
+        code = run("--config", str(path), "sweep", "--axis", "radius", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: sweep.radius_values must be a non-empty list, got []\n"
+
     def test_unknown_axis_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
         assert code == 2
@@ -369,6 +376,7 @@ for argv in (
     ["--seed", "12", "generate", "--preset", "echo", "-n", "20", "-o", f"{d}/tt.esd"],
     ["--seed", "13", "generate", "--preset", "echo", "-n", "8", "-o", f"{d}/te.esd"],
     ["train", f"{d}/tt.esd", "-o", f"{d}/m.esn"],
+    ["evaluate", f"{d}/m.esn", f"{d}/te.esd"],
     ["transfer", "--source", f"{d}/src.esd", "--target-train", f"{d}/tt.esd",
      "--target-test", f"{d}/te.esd", "--mode", "finetune", "--alpha", "0.5", "-o", f"{d}/t.csv"],
 ):

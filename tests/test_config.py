@@ -214,6 +214,13 @@ class TestParsedValues:
         assert code == 2
         assert "sweep.regression_values[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key", ["radius_values", "size_values", "init_values", "activation_values", "regression_values"]
+    )
+    def test_empty_sweep_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=rf"sweep\.{key} must be a non-empty list, got \[\]"):
+            parse_config(minimal_raw(sweep={key: []}))
+
     def test_reservoir_seed_follows_master_seed(self):
         config = parse_config(minimal_raw(master_seed=99))
         assert config.reservoir.seed == 99

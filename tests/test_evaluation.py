@@ -303,6 +303,18 @@ class TestRunSweep:
         assert row.mape_percent == report.mape_percent
         assert row.seed == cell_seed
 
+    def test_dataset_given_twice_keeps_its_own_split(self):
+        # each copy is split with the seed of its own position, not of the
+        # last dataset with its name
+        one = sweep_spec()
+        twice = sweep_spec(datasets=one.datasets * 2)
+        alone, first = run_sweep(one).rows[0], run_sweep(twice).rows[0]
+        assert (first.mape_percent, first.mse, first.seed) == (
+            alone.mape_percent,
+            alone.mse,
+            alone.seed,
+        )
+
     def test_rerun_is_bit_identical(self):
         spec = sweep_spec(values=(0.3, 0.7), repeats=2)
         a = run_sweep(spec)

@@ -136,6 +136,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             r.w[0, 0] = 1.0
 
+    @pytest.mark.parametrize(
+        "name, expected", [("w_in", "50 x 2"), ("w", "50 x 50"), ("w_fb", "50 x 2")]
+    )
+    def test_wrong_matrix_shape_names_it(self, name, expected):
+        r = build(small_config())
+        matrices = {"w_in": r.w_in, "w": r.w, "w_fb": r.w_fb, name: np.zeros((3, 4))}
+        with pytest.raises(ShapeError, match=rf"{name} must be {expected}, got shape \(3, 4\)"):
+            Reservoir(config=r.config, achieved_radius=r.achieved_radius, **matrices)
+
     def test_no_feedback_gives_zero_w_fb(self):
         r = build(small_config(use_feedback=False))
         assert not np.any(r.w_fb)
@@ -242,10 +251,15 @@ class TestHarvest:
     def test_states_in_activation_range(self):
         rng = np.random.default_rng(1)
         inputs = rng.uniform(-2, 2, size=(2, 100))
+        ranges = {
+            Activation.TANH: (-1.0, 1.0),
+            Activation.RELU: (0.0, np.inf),
+            Activation.SIGMOID: (0.0, 1.0),
+        }
         for activation in Activation:
             r = build(small_config(activation=activation))
             traj = harvest(r, inputs)
-            lo, hi = activation.state_range
+            lo, hi = ranges[activation]
             assert traj.states.min() >= lo
             assert traj.states.max() <= hi
 
@@ -415,6 +429,8 @@ class TestStateBlocks:
             state_blocks(fb, np.zeros((3, 2, 30)), teacher=np.zeros((2, 2, 30)))
         with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
             state_blocks(r, np.zeros((3, 2, 30)), chunk=0)
+        with pytest.raises(ShapeError, match=r"w_out must be 2 x 50, got shape \(50, 2\)"):
+            state_blocks(r, np.zeros((3, 2, 30)), w_out=np.zeros((50, 2)))
 
     @pytest.mark.parametrize("chunk", [None, 1, 4096])
     def test_empty_stack_yields_nothing(self, chunking, chunk):

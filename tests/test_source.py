@@ -122,22 +122,30 @@ _ENTRY_POINTS = {"entrypoint", "apply_channel"}
 
 
 def test_every_public_function_has_a_caller():
-    # a caller references the function by a name or an attribute (not a
-    # string) outside the function's own body, in the package (whose
-    # __init__.py only re-exports), the acceptance tests or the benchmark
+    # a caller references the function, method or property by a name or an
+    # attribute (not a string) outside its own body, in the package (whose
+    # __init__.py only re-exports), the acceptance tests or the benchmark;
+    # a class body's statements count one by one, like a module's
     root = PACKAGE.parent.parent
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     others = [root / "tests" / "test_acceptance.py", *sorted((root / "perfbench").glob("*.py"))]
     statements = [
         (path, stmt)
         for path in modules + others
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for stmt in ([top, *top.body] if isinstance(top, ast.ClassDef) else [top])
     ]
-    references = [
-        {n.id if isinstance(n, ast.Name) else n.attr
-         for n in ast.walk(stmt) if isinstance(n, (ast.Name, ast.Attribute))}
-        for _, stmt in statements
-    ]
+
+    def references(stmt):
+        nodes = stmt.decorator_list + stmt.bases if isinstance(stmt, ast.ClassDef) else [stmt]
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    refs = [references(stmt) for _, stmt in statements]
     uncalled = [
         f"{path.name}:{stmt.name}"
         for path, stmt in statements
@@ -146,7 +154,7 @@ def test_every_public_function_has_a_caller():
         and not stmt.name.startswith("_")
         and stmt.name not in _ENTRY_POINTS
         and not any(
-            stmt.name in refs for (_, other), refs in zip(statements, references) if other is not stmt
+            stmt.name in names for (_, other), names in zip(statements, refs) if other is not stmt
         )
     ]
     assert not uncalled, f"public functions with no caller: {uncalled}"

@@ -2,15 +2,18 @@
 
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from echochan.channelsim import Awgn, Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import FormatError, IntegrityError, ShapeError, VersionError
-from echochan.readout import Lasso, Linear, Ridge, fit
-from echochan.reservoir import Activation, InitMethod, ReservoirConfig, build
+from echochan.evaluation import evaluate
+from echochan.readout import Lasso, Linear, ReadoutModel, Ridge, fit
+from echochan.reservoir import Activation, InitMethod, Reservoir, ReservoirConfig, build
 from echochan.store import (
+    ModelArtifact,
     file_fingerprint,
     load_dataset,
     load_model,
@@ -94,13 +97,23 @@ class TestModelRoundTrip:
         path = tmp_path / "model.esn"
         save_model(artifact, path)
         loaded = load_model(path)
-        reservoir = loaded.to_reservoir()
         model = loaded.to_readout()
         dataset = generate_dataset(wave(60), CHANNEL, 2)
-        from echochan.evaluation import evaluate
-
-        report = evaluate(reservoir, model, dataset)
+        report = evaluate(loaded, model, dataset)
         assert np.isfinite(report.mape_percent)
+
+    def test_loaded_artifact_evaluates_like_its_reservoir(self, tmp_path):
+        reservoir = build(
+            ReservoirConfig(
+                input_dim=2, reservoir_size=20, output_dim=2, use_feedback=True, washout=3, seed=5
+            )
+        )
+        train, test = (generate_dataset(wave(seed), CHANNEL, 4) for seed in (6, 7))
+        model = fit(reservoir, train, Ridge(lam=1e-5))
+        path = tmp_path / "model.esn"
+        save_model(make_artifact(reservoir, model, {"seed": 5, "dataset_fingerprint": "0"}), path)
+        loaded = load_model(path)
+        assert evaluate(loaded, loaded.to_readout(), test) == evaluate(reservoir, model, test)
 
     def test_provenance_required(self):
         reservoir = build(ReservoirConfig(input_dim=2, reservoir_size=10, output_dim=2, seed=0))
@@ -108,6 +121,27 @@ class TestModelRoundTrip:
         model = fit(reservoir, dataset, Ridge())
         with pytest.raises(ValueError, match="provenance"):
             make_artifact(reservoir, model, provenance={})
+
+
+class TestArtifactIsAReservoir:
+    def test_adds_only_the_readout_and_provenance(self):
+        assert issubclass(ModelArtifact, Reservoir)
+        added = {f.name for f in fields(ModelArtifact)} - {f.name for f in fields(Reservoir)}
+        assert added == {"w_out", "method", "provenance"}
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "model.esn"
+        save_model(trained_artifact(seed=49), path)
+        loaded = load_model(path)
+        for name in ("w_in", "w", "w_fb", "w_out"):
+            assert not getattr(loaded, name).flags.writeable
+
+    def test_wrong_readout_shape_names_it(self):
+        reservoir = build(ReservoirConfig(input_dim=2, reservoir_size=10, output_dim=2, seed=0))
+        model = ReadoutModel(w_out=np.zeros((10, 2)), method=Ridge())
+        provenance = {"seed": 0, "dataset_fingerprint": "0"}
+        with pytest.raises(ShapeError, match=r"w_out must be 2 x 10, got shape \(10, 2\)"):
+            make_artifact(reservoir, model, provenance)
 
 
 class TestModelCorruption:
