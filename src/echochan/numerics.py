@@ -1,16 +1,22 @@
-"""Dense float64 matrix kernel: SPD solves and spectral radius.
+"""Dense float64 matrix kernel: SPD solves, spectral radius, Gram updates.
 
 Matrices are plain 2-D ``numpy`` arrays (row-major, float64); vectors are
 1-D arrays. The helpers here validate the contracts the rest of the
 package relies on: finite entries, compatible shapes, and symmetric
 positive definiteness where a Cholesky solve is requested.
 
-Everything here runs on ``numpy.linalg`` alone, so a run loads numpy's
-BLAS/LAPACK and no other: the state stepping, the fold, ``eigvals`` and
-the Cholesky share one thread pool. scipy is not a runtime dependency.
+Everything here runs on numpy's BLAS/LAPACK and no other, so the state
+stepping, the fold, ``eigvals`` and the Cholesky share one thread pool.
+scipy is not a runtime dependency. The fold's ``b += x.T @ x`` is one
+in-place ``dsyrk`` on b's upper triangle (``add_gram_upper``), called
+through ``ctypes`` in the OpenBLAS that numpy itself loaded; numpy's own
+``x.T @ x`` would mirror the triangle into a fresh N x N array on every
+call. With any other BLAS the update falls back to ``b += x.T @ x``.
 """
 
 from __future__ import annotations
+
+import ctypes
 
 import numpy as np
 
@@ -19,6 +25,37 @@ from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeEr
 # Relative asymmetry above which solve_spd rejects its input instead of
 # silently symmetrizing (a symmetrized solve would hide accumulator bugs).
 SYMMETRY_RTOL = 1e-9
+# Rows of m compared with its columns at a time by the symmetry check.
+_SYMMETRY_ROWS = 64
+
+# CBLAS enum values: row-major, upper triangle, C = A^T A.
+_ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112
+
+
+def _numpy_dsyrk():
+    """``cblas_dsyrk`` of the OpenBLAS numpy loaded, or None.
+
+    Only numpy's bundled scipy-openblas with 64-bit integers is trusted;
+    the symbol is looked up through numpy's own extension module, whose
+    dependencies include that library, so nothing new is loaded.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas" or "USE64BITINT" not in blas["openblas configuration"]:
+            return None
+        dsyrk = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dsyrk64_
+    except (ImportError, AttributeError, KeyError, TypeError, OSError):
+        return None
+    enum, blasint, double, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    dsyrk.argtypes = [enum, enum, enum, blasint, blasint, double, pointer, blasint, double,
+                      pointer, blasint]
+    dsyrk.restype = None
+    return dsyrk
+
+
+_DSYRK = _numpy_dsyrk()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -63,9 +100,14 @@ def solve_spd(m, rhs) -> np.ndarray:
             f"right-hand side rows {rhs_arr.shape} do not match matrix shape {m.shape}"
         )
 
-    scale = np.abs(m).max()
+    scale = max(m.max(), -m.min())
     if scale > 0.0:
-        asym = np.abs(m - m.T).max()
+        # |m - m.T| is symmetric, so rows i0:i1 against columns i0: of
+        # m.T cover every pair, a band at a time instead of two N x N copies
+        asym = max(
+            np.abs(m[i0 : i0 + _SYMMETRY_ROWS, i0:] - m[i0:, i0 : i0 + _SYMMETRY_ROWS].T).max()
+            for i0 in range(0, n, _SYMMETRY_ROWS)
+        )
         if asym > SYMMETRY_RTOL * scale:
             raise DefinitenessError(
                 f"matrix is asymmetric beyond tolerance (relative asymmetry {asym / scale:.3e})"
@@ -107,3 +149,41 @@ def spectral_radius(m) -> float:
             f"eigenvalue computation did not converge: {exc}", iterations=None
         ) from exc
     return float(np.abs(eigenvalues).max())
+
+
+def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
+    """Add ``x.T @ x`` (``x`` K x N) to the upper triangle of ``b`` (N x N) in place.
+
+    One ``dsyrk`` (row-major, upper, transposed, beta = 1) in numpy's own
+    OpenBLAS when it has one and both arrays are float64 with unit column
+    stride; otherwise ``b += x.T @ x``. Only the upper triangle is
+    defined afterwards: finish with ``mirror_upper``. The two paths give
+    identical bytes as long as K fits in one K-panel of the BLAS kernel
+    (384 rows for OpenBLAS on Haswell); a state block has at most
+    ``reservoir.BLOCK`` rows.
+    """
+    k, n = x.shape
+    if b.shape != (n, n):
+        raise ShapeError(f"gram of {x.shape} states cannot update a {b.shape} matrix")
+    direct = (
+        _DSYRK is not None
+        and x.dtype == b.dtype == np.float64
+        and x.flags.aligned
+        and b.flags.aligned
+        and b.flags.writeable
+        and x.strides[1] == b.strides[1] == 8
+        and b.strides[0] >= 8 * n
+        and (k < 2 or x.strides[0] >= 8 * n)
+    )
+    if not direct:
+        b += x.T @ x
+        return
+    lda = x.strides[0] // 8 if k > 1 else n
+    _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, lda, 1.0, b.ctypes.data,
+           b.strides[0] // 8)
+
+
+def mirror_upper(b: np.ndarray) -> None:
+    """Copy the upper triangle of square ``b`` onto its lower one, row by row."""
+    for i in range(1, b.shape[0]):
+        b[i, :i] = b[:i, i]

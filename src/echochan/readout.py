@@ -7,7 +7,10 @@ Training folds harvested states and targets into two accumulators,
 
 and solves ``w_out @ (b + lam*I) = a`` once at the end. The fold is
 associative and commutative, so sequences can be accumulated in any
-partition and merged; the result changes only by rounding.
+partition and merged; the result changes only by rounding. Each state
+block goes into b as one in-place ``dsyrk`` on its upper triangle
+(``numerics.add_gram_upper``, or ``b += x.T @ x`` on a BLAS other than
+numpy's OpenBLAS), and b is mirrored once at the end.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
-from .numerics import as_matrix, solve_spd
+from .numerics import add_gram_upper, as_matrix, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -148,9 +151,10 @@ def merge(first: Accumulators, second: Accumulators) -> Accumulators:
 
 def solve(acc: Accumulators, method: RegressionMethod) -> ReadoutModel:
     """Compute w_out from accumulators under the chosen regression."""
-    n = acc.b.shape[0]
     if isinstance(method, Ridge):
-        w_out = solve_spd(acc.b + method.lam * np.eye(n), acc.a.T).T
+        regularized = acc.b.copy()
+        regularized.flat[:: acc.b.shape[0] + 1] += method.lam
+        w_out = solve_spd(regularized, acc.a.T).T
     elif isinstance(method, Linear):
         try:
             w_out = solve_spd(acc.b, acc.a.T).T
@@ -224,6 +228,9 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
+    Each sequence's block is added to b's upper triangle in place
+    (``add_gram_upper``: one ``dsyrk``, or ``b += x.T @ x`` on another
+    BLAS), and the triangle is mirrored once at the end.
     The targets are always passed as the teacher; ``state_blocks`` uses
     them only when the reservoir has feedback.
     """
@@ -235,9 +242,10 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
         count, steps, _ = states.shape
         targets = dataset.targets[first : first + count, :, t0 : t0 + steps]
         for x, y in zip(states, targets):
-            b += x.T @ x
+            add_gram_upper(b, x)
             a += y @ x
         samples += count * steps
+    mirror_upper(b)
     return Accumulators(a=a, b=b, samples_seen=samples)
 
 

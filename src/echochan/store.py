@@ -177,9 +177,12 @@ def load_model(path) -> ModelArtifact:
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
         matrices[name] = arr.astype(np.float64).reshape(rows, cols)
         offset += 8 * rows * cols
-    return ModelArtifact(
-        config=config, achieved_radius=achieved, method=method, provenance=provenance, **matrices
-    )
+    try:
+        return ModelArtifact(
+            config=config, achieved_radius=achieved, method=method, provenance=provenance, **matrices
+        )
+    except ValueError as exc:  # the provenance check: the shapes were checked above
+        raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
 
 def save_dataset(ds: SequenceDataset, path) -> None:

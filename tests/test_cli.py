@@ -1,5 +1,6 @@
 """End-to-end CLI tests (in-process via main(), a few subprocess checks)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -241,6 +242,20 @@ class TestEvaluate:
         code = run("--config", config_path, "evaluate", str(tmp_path / "no.esn"), dataset_path)
         assert code == 3
 
+    @pytest.mark.parametrize("key", ["seed", "dataset_fingerprint"])
+    def test_provenance_without_key_exits_3(self, config_path, model_path, dataset_path, capsys, key):
+        path = Path(model_path)
+        data = path.read_bytes()
+        header_len = int.from_bytes(data[8:16], "little")
+        header = json.loads(data[16 : 16 + header_len])
+        del header["provenance"][key]
+        text = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:8] + len(text).to_bytes(8, "little") + text + data[16 + header_len :])
+        code = run("--config", config_path, "evaluate", model_path, dataset_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
 
 class TestSweep:
     def test_radius_sweep_csv(self, config_path, dataset_path, tmp_path, capsys):
@@ -385,6 +400,23 @@ for argv in (
         sys.exit(code)
 """
 
+ONE_BLAS = """
+import sys
+
+from echochan.cli import main
+
+d = sys.argv[1]
+for argv in (
+    ["generate", "--preset", "data1", "-n", "6", "-o", f"{d}/d.esd"],
+    ["train", f"{d}/d.esd", "-o", f"{d}/m.esn", "--size", "60"],
+):
+    if main(argv):
+        sys.exit(1)
+with open("/proc/self/maps") as maps:
+    for library in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()}):
+        print("mapped:", library)
+"""
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -402,3 +434,14 @@ class TestEntryPoint:
     def test_runs_without_scipy(self, config_path, tmp_path):
         result = run_python("-c", WITHOUT_SCIPY, config_path, str(tmp_path))
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+    def test_train_maps_one_openblas(self, tmp_path):
+        # the in-place fold calls into numpy's own OpenBLAS; a second copy
+        # would bring a second thread pool that contends with the first
+        result = run_python("-c", ONE_BLAS, str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        libraries = [line for line in result.stdout.splitlines() if line.startswith("mapped:")]
+        if not libraries:
+            pytest.skip("numpy is not built against OpenBLAS")
+        assert len(libraries) == 1, libraries

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from echochan import numerics
 from echochan.errors import (
     ConvergenceError,
     DefinitenessError,
     NonFiniteError,
     ShapeError,
 )
-from echochan.numerics import solve_spd, spectral_radius
+from echochan.numerics import add_gram_upper, mirror_upper, solve_spd, spectral_radius
 
 
 def gaussian_elimination(m, rhs):
@@ -102,6 +103,18 @@ class TestSolveSpd:
         with pytest.raises(DefinitenessError, match="positive definite"):
             solve_spd(m, np.ones((300, 2)))
 
+    def test_asymmetry_found_in_every_band(self):
+        # the check compares row bands with column bands; a pair far from
+        # the diagonal, in the last band, or below it must still be seen
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((300, 300))
+        spd = a.T @ a + np.eye(300)
+        for i, j in ((0, 299), (299, 0), (70, 64), (200, 3), (298, 299)):
+            m = spd.copy()
+            m[i, j] += 1e-6 * np.abs(spd).max()
+            with pytest.raises(DefinitenessError, match="relative asymmetry 1.000e-06"):
+                solve_spd(m, np.ones(300))
+
     def test_ill_conditioned_ridge_system_by_residual(self):
         # B + lambda*I with B positive semidefinite, cond about 1e10
         rng = np.random.default_rng(29)
@@ -153,3 +166,79 @@ class TestSpectralRadius:
             spectral_radius(np.eye(2))
         assert info.value.iterations is None
         assert "iterations" not in str(info.value)
+
+
+def gram_both_ways(monkeypatch, n, blocks):
+    """B folded from ``blocks`` by ``add_gram_upper`` as built, and with
+    the ``dsyrk`` path switched off, each mirrored once."""
+    folded = []
+    for dsyrk in (numerics._DSYRK, None):
+        monkeypatch.setattr(numerics, "_DSYRK", dsyrk)
+        b = np.zeros((n, n))
+        for x in blocks:
+            add_gram_upper(b, x)
+        mirror_upper(b)
+        folded.append(b)
+    return folded
+
+
+class TestAddGramUpper:
+    def test_dsyrk_found_in_numpy_openblas(self):
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas['name']}")
+        assert numerics._DSYRK is not None
+
+    @pytest.mark.parametrize("k", [1, 7, 200])  # K = 1, K < N, K > N
+    def test_dsyrk_and_fallback_byte_identical(self, monkeypatch, k):
+        rng = np.random.default_rng(k)
+        blocks = [rng.standard_normal((k, 40)) for _ in range(5)]
+        direct, fallback = gram_both_ways(monkeypatch, 40, blocks)
+        expected = np.zeros((40, 40))
+        for x in blocks:
+            expected += x.T @ x
+        assert direct.tobytes() == fallback.tobytes() == expected.tobytes()
+
+    def test_row_views_of_a_block_buffer(self, monkeypatch):
+        # state blocks are views past a washout into a larger buffer
+        buffer = np.random.default_rng(3).standard_normal((4, 130, 40))
+        blocks = [x for x in buffer[:, 5:]]
+        direct, fallback = gram_both_ways(monkeypatch, 40, blocks)
+        assert direct.tobytes() == fallback.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: np.asfortranarray(x),
+            lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+            lambda x: x.astype(np.float32),
+        ],
+        ids=["column-major", "column-strided", "float32"],
+    )
+    def test_other_layouts_take_the_fallback(self, monkeypatch, make):
+        x = make(np.random.default_rng(5).standard_normal((30, 20)))
+        calls = []
+        monkeypatch.setattr(numerics, "_DSYRK", lambda *args: calls.append(args))
+        b, expected = np.ones((20, 20)), np.ones((20, 20))
+        add_gram_upper(b, x)
+        expected += x.T @ x
+        assert not calls
+        assert b.tobytes() == expected.tobytes()
+
+    def test_only_the_upper_triangle_is_written(self):
+        if numerics._DSYRK is None:
+            pytest.skip("numpy's BLAS has no dsyrk to call")
+        b = np.zeros((6, 6))
+        add_gram_upper(b, np.arange(12.0).reshape(2, 6))
+        assert not np.tril(b, -1).any()
+        assert b[np.triu_indices(6)].all()
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError):
+            add_gram_upper(np.zeros((5, 5)), np.ones((3, 4)))
+
+    def test_mirror_upper(self):
+        m = np.arange(16.0).reshape(4, 4)
+        mirror_upper(m)
+        upper = np.triu(np.arange(16.0).reshape(4, 4))
+        np.testing.assert_array_equal(m, upper + np.triu(upper, 1).T)

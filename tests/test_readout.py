@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from echochan import numerics
 from echochan.channelsim import SequenceDataset
 from echochan.errors import RankError, ShapeError
+from echochan.numerics import solve_spd
 from echochan.readout import (
     Accumulators,
     Lasso,
@@ -106,6 +108,15 @@ class TestSolve:
         w = solve(acc, Ridge(lam=lam)).w_out
         gradient = 2.0 * (w @ acc.b - acc.a) + 2.0 * lam * w
         assert np.abs(gradient).max() < 1e-6
+
+    def test_ridge_adds_lambda_to_the_diagonal_only(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 90))
+        acc = accumulate(empty_accumulators(30, 2), traj(x), rng.standard_normal((2, 90)))
+        b = acc.b.copy()
+        expected = np.ascontiguousarray(solve_spd(b + 0.3 * np.eye(30), acc.a.T).T)
+        assert solve(acc, Ridge(lam=0.3)).w_out.tobytes() == expected.tobytes()
+        assert acc.b.tobytes() == b.tobytes()  # solved on a copy
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(4)
@@ -218,6 +229,22 @@ class TestFit:
         w_hand = solve(by_hand, Ridge()).w_out
         assert np.abs(w_fit - w_hand).max() < 1e-10
 
+    @pytest.mark.parametrize("use_feedback", [False, True])
+    def test_dsyrk_fold_matches_fallback_bytes(self, monkeypatch, use_feedback):
+        r = build(
+            ReservoirConfig(
+                input_dim=2, reservoir_size=40, output_dim=2, use_feedback=use_feedback,
+                washout=5, seed=11,
+            )
+        )
+        dataset = make_dataset(CHUNK + 1, 200, seed=19)
+        direct = accumulate_dataset(r, dataset)
+        monkeypatch.setattr(numerics, "_DSYRK", None)
+        fallback = accumulate_dataset(r, dataset)
+        assert direct.b.tobytes() == fallback.b.tobytes()
+        assert direct.a.tobytes() == fallback.a.tobytes()
+        assert np.array_equal(direct.b, direct.b.T)
+
     def test_heavy_regularization_shrinks_to_zero(self):
         dataset = make_dataset(6, 40, seed=15)
         free = fit(self.reservoir, dataset, Ridge(lam=0.0))
@@ -233,3 +260,4 @@ class TestFit:
         dataset = make_dataset(0, 20, seed=17)
         with pytest.raises(ShapeError):
             fit(self.reservoir, dataset, Ridge())
+

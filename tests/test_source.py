@@ -33,9 +33,9 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def test_no_scipy_import():
-    # the runtime needs numpy and PyYAML only; scipy would load a second BLAS
-    importers = []
+def _import_sites(package: str) -> list[str]:
+    """``module.py:line`` of every import of ``package`` or its submodules."""
+    sites = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
@@ -44,9 +44,21 @@ def test_no_scipy_import():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                importers.append(f"{path.name}:{node.lineno}")
+            if any(module.split(".")[0] == package for module in modules):
+                sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_no_scipy_import():
+    # the runtime needs numpy and PyYAML only; scipy would load a second BLAS
+    importers = _import_sites("scipy")
     assert not importers, f"scipy is imported at {importers}"
+
+
+def test_ctypes_only_in_numerics():
+    # direct BLAS calls go through ctypes, and live in one module
+    importers = {site.split(":")[0] for site in _import_sites("ctypes")}
+    assert importers == {"numerics.py"}, f"ctypes is imported in {sorted(importers)}"
 
 
 def _owners(matches) -> set[str]:
