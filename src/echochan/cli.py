@@ -28,7 +28,7 @@ from .evaluation import (
     write_csv,
     write_sweep_csv,
 )
-from .readout import fit
+from .readout import accumulate_dataset, fit
 from .reservoir import build, with_seed
 from .store import (
     file_fingerprint,
@@ -236,9 +236,11 @@ def cmd_transfer(args, config: RunConfig) -> int:
     reservoir = build(with_seed(config.reservoir, seed))
 
     started = time.perf_counter()
-    model, source_acc = pretrain(reservoir, source, config.readout)
-    if args.mode == "finetune":
+    if args.mode == "finetune":  # only the blended readout is solved
+        source_acc = accumulate_dataset(reservoir, source)
         model = fine_tune(reservoir, source_acc, target_train, args.alpha, config.readout)
+    else:
+        model, _ = pretrain(reservoir, source, config.readout)
     train_seconds = time.perf_counter() - started
     report = direct_transfer_eval(reservoir, model, target_test)
 

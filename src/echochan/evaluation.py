@@ -101,6 +101,7 @@ class SweepRow:
     axis: str
     value: str
     dataset: str
+    dataset_index: int  # position in ``SweepSpec.datasets``; not a CSV column
     repeat: int
     mape_percent: float
     mse: float
@@ -114,18 +115,19 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def summarize(self) -> list[dict]:
-        """Mean/std MAPE and mean train time per (value, dataset)."""
-        groups: dict[tuple[str, str], list[SweepRow]] = {}
+        """Mean/std MAPE and mean train time per (value, dataset), with
+        datasets told apart by position: one name given twice is two."""
+        groups: dict[tuple[str, int], list[SweepRow]] = {}
         for row in self.rows:
-            groups.setdefault((row.value, row.dataset), []).append(row)
+            groups.setdefault((row.value, row.dataset_index), []).append(row)
         summary = []
-        for (value, dataset), rows in groups.items():
+        for (value, _), rows in groups.items():
             cells = [r for r in rows if r.error is None]
             mapes = np.array([c.mape_percent for c in cells])
             summary.append(
                 {
                     "value": value,
-                    "dataset": dataset,
+                    "dataset": rows[0].dataset,
                     "mean_mape_percent": float(mapes.mean()) if cells else float("nan"),
                     "std_mape_percent": float(mapes.std()) if cells else float("nan"),
                     "mean_train_seconds": (
@@ -271,7 +273,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     metrics, error = (report.mape_percent, report.mse, train_seconds), None
                 except Exception as exc:  # error rows keep the sweep alive
                     metrics, error = (float("nan"),) * 3, f"{type(exc).__name__}: {exc}"
-                rows.append(SweepRow(spec.axis.value, label, name, rep, *metrics, cell_seed, error))
+                rows.append(
+                    SweepRow(spec.axis.value, label, name, d_idx, rep, *metrics, cell_seed, error)
+                )
     return SweepResult(rows=tuple(rows))
 
 

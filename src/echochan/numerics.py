@@ -1,17 +1,21 @@
 """Dense float64 matrix kernel: SPD solves, spectral radius, Gram updates.
 
-Matrices are plain 2-D ``numpy`` arrays (row-major, float64); vectors are
-1-D arrays. The helpers here validate the contracts the rest of the
-package relies on: finite entries, compatible shapes, and symmetric
-positive definiteness where a Cholesky solve is requested.
+Matrices are plain 2-D float64 ``numpy`` arrays; vectors are 1-D arrays.
+The helpers here validate the contracts the rest of the package relies
+on: finite entries, compatible shapes, and symmetric positive
+definiteness where a Cholesky solve is requested.
 
 Everything here runs on numpy's BLAS/LAPACK and no other, so the state
 stepping, the fold, ``eigvals`` and the Cholesky share one thread pool.
-scipy is not a runtime dependency. The fold's ``b += x.T @ x`` is one
-in-place ``dsyrk`` on b's upper triangle (``add_gram_upper``), called
-through ``ctypes`` in the OpenBLAS that numpy itself loaded; numpy's own
-``x.T @ x`` would mirror the triangle into a fresh N x N array on every
-call. With any other BLAS the update falls back to ``b += x.T @ x``.
+scipy is not a runtime dependency. Three routines are called through
+``ctypes`` in the OpenBLAS that numpy itself loaded. The fold's
+``b += x.T @ x`` is one in-place ``dsyrk`` on b's upper triangle
+(``add_gram_upper``); numpy's own ``x.T @ x`` would mirror the triangle
+into a fresh N x N array on every call. ``solve_spd`` makes one N x N
+working copy and factors and solves it in place with ``dpotrf`` and
+``dpotrs``; ``np.linalg.cholesky`` would add a Fortran-order copy and a
+separate factor. With any other BLAS, the update falls back to
+``b += x.T @ x`` and the solve to ``np.linalg.cholesky``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ _SYMMETRY_ROWS = 64
 _ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112
 
 
-def _numpy_dsyrk():
-    """``cblas_dsyrk`` of the OpenBLAS numpy loaded, or None.
+def _numpy_openblas(name: str, argtypes: list):
+    """Function ``name`` of the OpenBLAS numpy loaded, or None.
 
     Only numpy's bundled scipy-openblas with 64-bit integers is trusted;
     the symbol is looked up through numpy's own extension module, whose
@@ -45,17 +49,29 @@ def _numpy_dsyrk():
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         if blas["name"] != "scipy-openblas" or "USE64BITINT" not in blas["openblas configuration"]:
             return None
-        dsyrk = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dsyrk64_
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
     except (ImportError, AttributeError, KeyError, TypeError, OSError):
         return None
-    enum, blasint, double, pointer = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    dsyrk.argtypes = [enum, enum, enum, blasint, blasint, double, pointer, blasint, double,
-                      pointer, blasint]
-    dsyrk.restype = None
-    return dsyrk
+    function.argtypes = argtypes
+    function.restype = None
+    return function
 
 
-_DSYRK = _numpy_dsyrk()
+_ENUM, _BLASINT, _DOUBLE, _ARRAY = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_DSYRK = _numpy_openblas(
+    "scipy_cblas_dsyrk64_",
+    [_ENUM, _ENUM, _ENUM, _BLASINT, _BLASINT, _DOUBLE, _ARRAY, _BLASINT, _DOUBLE, _ARRAY, _BLASINT],
+)
+# Fortran LAPACK: every argument by reference, then the length of the
+# one-character ``uplo`` argument. Column-major, factored in place.
+_REF = ctypes.POINTER(_BLASINT)
+_DPOTRF = _numpy_openblas(
+    "scipy_dpotrf_64_", [ctypes.c_char_p, _REF, _ARRAY, _REF, _REF, ctypes.c_size_t]
+)
+_DPOTRS = _numpy_openblas(
+    "scipy_dpotrs_64_",
+    [ctypes.c_char_p, _REF, _REF, _ARRAY, _REF, _ARRAY, _REF, _REF, ctypes.c_size_t],
+)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -78,12 +94,16 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def solve_spd(m, rhs) -> np.ndarray:
-    """Solve ``m @ s == rhs`` for symmetric positive definite ``m``.
+def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
+    """Solve ``(m + shift * I) @ s == rhs``, with ``m + shift * I`` symmetric positive definite.
 
     ``m`` must be symmetric to within ``SYMMETRY_RTOL`` (relative to its
     largest entry); asymmetric inputs are rejected rather than symmetrized.
     Raises ``DefinitenessError`` when the Cholesky factorization fails.
+    Neither ``m`` nor ``rhs`` is changed. The only N x N array made is one
+    working copy of ``m`` with ``shift`` added to its diagonal; numpy's
+    OpenBLAS factors and solves it in place (``dpotrf``/``dpotrs``). On
+    any other BLAS, ``np.linalg.cholesky`` and row substitutions solve it.
     """
     m = as_matrix(m, "matrix")
     rhs_arr = np.asarray(rhs, dtype=np.float64)
@@ -113,21 +133,48 @@ def solve_spd(m, rhs) -> np.ndarray:
                 f"matrix is asymmetric beyond tolerance (relative asymmetry {asym / scale:.3e})"
             )
 
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
-    # L y = rhs forward, then L^T s = y backward, one row per step. Row i of
-    # L^T is read in place as column i of L: at N=2400 that is faster than a
-    # contiguous transposed copy.
-    sol = np.empty_like(rhs_arr)
-    for i in range(n):
-        sol[i] = (rhs_arr[i] - lower[i, :i] @ sol[:i]) / lower[i, i]
-    for i in range(n - 1, -1, -1):
-        sol[i] = (sol[i] - lower[i + 1 :, i] @ sol[i + 1 :]) / lower[i, i]
+    work = np.array(m, order="C")
+    work.flat[:: n + 1] += shift
+    if _DPOTRF is not None and _DPOTRS is not None:
+        # The row-major copy read column-major is its transpose, so the
+        # "L" triangle LAPACK reads is m's upper one, which the fold writes.
+        sol = np.array(rhs_arr, order="F")
+        info = _cholesky_solve_in_place(work, sol)
+        if info > 0:
+            raise DefinitenessError(
+                f"matrix is not positive definite: leading minor of order {info} is not positive"
+            )
+    else:
+        try:
+            lower = np.linalg.cholesky(work)
+        except np.linalg.LinAlgError as exc:
+            raise DefinitenessError(f"matrix is not positive definite: {exc}") from exc
+        # L y = rhs forward, then L^T s = y backward, one row per step. Row
+        # i of L^T is read in place as column i of L: at N=2400 that is
+        # faster than a contiguous transposed copy.
+        sol = np.empty_like(rhs_arr)
+        for i in range(n):
+            sol[i] = (rhs_arr[i] - lower[i, :i] @ sol[:i]) / lower[i, i]
+        for i in range(n - 1, -1, -1):
+            sol[i] = (sol[i] - lower[i + 1 :, i] @ sol[i + 1 :]) / lower[i, i]
     if not np.isfinite(sol).all():
         raise NonFiniteError("solve produced non-finite values")
     return sol[:, 0] if rhs_was_vector else sol
+
+
+def _cholesky_solve_in_place(work: np.ndarray, sol: np.ndarray) -> int:
+    """Factor column-major ``work`` (N x N, lower triangle read) with
+    ``dpotrf`` and solve for column-major ``sol`` (N x L) with ``dpotrs``,
+    both in place. Returns ``dpotrf``'s ``info``: 0, or the order of the
+    first leading minor that is not positive (``sol`` is then untouched).
+    """
+    n, nrhs, info = _BLASINT(work.shape[0]), _BLASINT(sol.shape[1]), _BLASINT(0)
+    _DPOTRF(b"L", n, work.ctypes.data, n, info, 1)
+    if info.value == 0:
+        _DPOTRS(b"L", n, nrhs, work.ctypes.data, n, sol.ctypes.data, n, info, 1)
+    if info.value < 0:
+        raise ValueError(f"LAPACK rejected argument {-info.value}")
+    return info.value
 
 
 def spectral_radius(m) -> float:

@@ -152,9 +152,7 @@ def merge(first: Accumulators, second: Accumulators) -> Accumulators:
 def solve(acc: Accumulators, method: RegressionMethod) -> ReadoutModel:
     """Compute w_out from accumulators under the chosen regression."""
     if isinstance(method, Ridge):
-        regularized = acc.b.copy()
-        regularized.flat[:: acc.b.shape[0] + 1] += method.lam
-        w_out = solve_spd(regularized, acc.a.T).T
+        w_out = solve_spd(acc.b, acc.a.T, shift=method.lam).T
     elif isinstance(method, Linear):
         try:
             w_out = solve_spd(acc.b, acc.a.T).T

@@ -111,7 +111,8 @@ class Reservoir:
     """Frozen weight matrices of a built reservoir.
 
     All arrays are marked read-only; only the readout layer is ever
-    trained.
+    trained. ``w`` is kept column-major, so the ``w.T`` that
+    ``state_blocks`` steps with is a row-major view, not a copy.
     """
 
     config: ReservoirConfig
@@ -121,6 +122,7 @@ class Reservoir:
     achieved_radius: float
 
     def __post_init__(self):
+        object.__setattr__(self, "w", np.asfortranarray(self.w))
         for name in ("w_in", "w", "w_fb"):
             matrix = getattr(self, name)
             check_shape(self.config, name, matrix)
@@ -209,7 +211,7 @@ def build(config: ReservoirConfig) -> Reservoir:
         if achieved == 0.0:
             raise RescaleError("matrix has spectral radius 0 and cannot be rescaled")
         scale = config.target_spectral_radius / achieved
-        w = w * scale
+        w *= scale
         achieved *= scale
     if config.use_feedback:
         w_fb = init_matrix(
@@ -327,8 +329,9 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps):
     activation = r.config.activation.apply
     count, _, total = inputs.shape
     # Row-major states: x(t) of a chunk is C x N, stepped as x @ w.T with
-    # w.T made contiguous once; w @ X on column-major states made BLAS
-    # repack w on every step, which is slower for small chunks.
+    # w.T row-major (a view of the column-major w); w @ X on column-major
+    # states made BLAS repack w on every step, which is slower for small
+    # chunks.
     w_t, w_fb_t = np.ascontiguousarray(r.w.T), r.w_fb.T
     w_drive_t = (r.w_in if teacher is None else np.hstack([r.w_in, r.w_fb])).T
     buffer = np.empty((min(width, count), min(steps, total), r.config.reservoir_size))

@@ -175,7 +175,9 @@ def load_model(path) -> ModelArtifact:
     matrices, offset = {}, 0
     for name, (rows, cols) in expected_shapes.items():
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        matrices[name] = arr.astype(np.float64).reshape(rows, cols)
+        # w in the column-major layout a Reservoir keeps, in the one copy
+        order = "F" if name == "w" else "C"
+        matrices[name] = arr.reshape(rows, cols).astype(np.float64, order=order)
         offset += 8 * rows * cols
     try:
         return ModelArtifact(

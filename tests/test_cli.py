@@ -358,6 +358,32 @@ class TestTransfer:
         tuned_mape = float(tuned_lines[1].split(",")[4])
         assert tuned_mape <= direct_mape
 
+    @pytest.mark.parametrize("mode", ["direct", "finetune"])
+    def test_one_solve_per_run(self, config_path, tmp_path, monkeypatch, mode):
+        # finetune solves only the blended readout, not the source one first
+        from echochan import readout, transfer
+
+        paths = {name: str(tmp_path / f"{name}.esd") for name in ("src", "tt", "te")}
+        for seed, (name, path) in enumerate(paths.items(), start=12):
+            run("--config", config_path, "--seed", str(seed), "generate", "--preset", "echo",
+                "-n", "6", "-o", path)
+        solves = []
+        original = readout.solve
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(readout, "solve", counted)
+        monkeypatch.setattr(transfer, "solve", counted)
+        code = run(
+            "--config", config_path, "transfer",
+            "--source", paths["src"], "--target-train", paths["tt"], "--target-test", paths["te"],
+            "--mode", mode, "--alpha", "0.5", "-o", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        assert len(solves) == 1
+
     def test_invalid_alpha_exits_2(self, config_path, tmp_path):
         code = run(
             "--config", config_path, "transfer",

@@ -315,6 +315,15 @@ class TestRunSweep:
             alone.seed,
         )
 
+    def test_summary_keeps_a_dataset_given_twice_apart(self):
+        twice = sweep_spec(datasets=sweep_spec().datasets * 2, repeats=2)
+        result = run_sweep(twice)
+        summary = result.summarize()
+        assert [line["dataset"] for line in summary] == ["echo", "echo"]
+        for line, rows in zip(summary, (result.rows[:2], result.rows[2:])):
+            mapes = [row.mape_percent for row in rows]
+            assert line["mean_mape_percent"] == pytest.approx(np.mean(mapes))
+
     def test_rerun_is_bit_identical(self):
         spec = sweep_spec(values=(0.3, 0.7), repeats=2)
         a = run_sweep(spec)

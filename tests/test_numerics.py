@@ -1,5 +1,7 @@
 """Tests for the dense matrix kernel against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,99 @@ class TestSolveSpd:
         sol = solve_spd(m, rhs)
         residual = np.abs(m @ sol - rhs).max() / (np.abs(m).max() * np.abs(sol).max())
         assert residual < 1e-12
+
+
+BUILT_DPOTRF = numerics._DPOTRF
+
+
+def solve_both_ways(monkeypatch, m, rhs, shift=0.0):
+    """``solve_spd`` through ``dpotrf``/``dpotrs`` as built, and with that
+    path switched off (``np.linalg.cholesky`` and row substitutions)."""
+    sols = []
+    for dpotrf in (BUILT_DPOTRF, None):
+        monkeypatch.setattr(numerics, "_DPOTRF", dpotrf)
+        sols.append(solve_spd(m, rhs, shift=shift))
+    return sols
+
+
+def ridge_like(n=300, seed=29):
+    """A B-like positive semidefinite matrix (eigenvalues 1 down to 1e-12),
+    a right-hand side, and the shift that puts cond(B + shift * I) near 1e10."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = (q * np.logspace(0.0, -12.0, n)) @ q.T
+    return (b + b.T) / 2, rng.standard_normal((n, 2)), 1e-10
+
+
+class TestSolveSpdPaths:
+    def test_dpotrf_found_in_numpy_openblas(self):
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        if blas["name"] != "scipy-openblas":
+            pytest.skip(f"numpy is built against {blas['name']}")
+        assert numerics._DPOTRF is not None and numerics._DPOTRS is not None
+
+    def test_paths_agree_on_a_well_conditioned_system(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((200, 200))
+        m = a.T @ a + 200.0 * np.eye(200)  # cond about 5
+        rhs = rng.standard_normal((200, 3))
+        direct, fallback = solve_both_ways(monkeypatch, m, rhs)
+        assert np.abs(direct - fallback).max() <= 1e-13 * np.abs(fallback).max()
+
+    def test_paths_agree_at_cond_1e10(self, monkeypatch):
+        # both are backward stable, so they may differ by a small multiple
+        # of cond * eps (about 2e-6 here); measured 4.4e-15 where numpy's
+        # cholesky calls the same dpotrf on the same triangle
+        b, rhs, shift = ridge_like()
+        m = b + shift * np.eye(300)
+        assert 1e9 < np.linalg.cond(m) < 1e11
+        direct, fallback = solve_both_ways(monkeypatch, b, rhs, shift)
+        assert np.abs(direct - fallback).max() <= 1e-5 * np.abs(fallback).max()
+        for sol in (direct, fallback):
+            residual = np.abs(m @ sol - rhs).max() / (np.abs(m).max() * np.abs(sol).max())
+            assert residual < 1e-12
+
+    def test_shift_is_added_to_the_diagonal(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((40, 40))
+        m, rhs = a.T @ a, rng.standard_normal((40, 2))
+        shifted = solve_both_ways(monkeypatch, m, rhs, 0.3)
+        explicit = solve_both_ways(monkeypatch, m + 0.3 * np.eye(40), rhs)
+        for got, expected in zip(shifted, explicit):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "vector"])
+    def test_inputs_left_unchanged(self, monkeypatch, layout):
+        b, rhs, shift = ridge_like(n=120)
+        rhs = rhs[:, 0] if layout == "vector" else np.array(rhs, order=layout)
+        m_bytes, rhs_bytes = b.tobytes(), rhs.tobytes()
+        for sol in solve_both_ways(monkeypatch, b, rhs, shift):
+            assert sol.shape == rhs.shape
+        assert b.tobytes() == m_bytes
+        assert rhs.tobytes() == rhs_bytes
+
+    @pytest.mark.parametrize("dpotrf", ["built", None])
+    def test_indefinite_rejected_on_both_paths(self, monkeypatch, dpotrf):
+        if dpotrf is None:
+            monkeypatch.setattr(numerics, "_DPOTRF", None)
+        b, rhs, _ = ridge_like(n=100)
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            solve_spd(b, rhs, shift=-1e-3)
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+    def test_one_working_copy_at_n_300(self):
+        # at most one N x N array plus O(N * L): the fallback takes two
+        if numerics._DPOTRF is None:
+            pytest.skip("numpy's LAPACK has no dpotrf to call")
+        b, rhs, shift = ridge_like()
+        tracemalloc.start()
+        try:
+            solve_spd(b, rhs, shift=shift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= b.nbytes + 8 * rhs.size * 4 + 8192
 
 
 class TestSpectralRadius:

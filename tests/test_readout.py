@@ -136,6 +136,16 @@ class TestSolve:
         with pytest.raises(RankError, match="[Rr]idge"):
             solve(acc, Linear())
 
+    @pytest.mark.parametrize("dpotrf", ["built", None])
+    def test_singular_linear_is_a_rank_error_on_both_paths(self, monkeypatch, dpotrf):
+        if dpotrf is None:
+            monkeypatch.setattr(numerics, "_DPOTRF", None)
+        x = np.zeros((3, 5))
+        x[0] = 1.0  # rank one
+        acc = accumulate(empty_accumulators(3, 1), traj(x), np.ones((1, 5)))
+        with pytest.raises(RankError, match="[Rr]idge"):
+            solve(acc, Linear())
+
     def test_lasso_approaches_linear_at_tiny_lambda(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((8, 300))

@@ -432,6 +432,13 @@ class TestStateBlocks:
         with pytest.raises(ShapeError, match=r"w_out must be 2 x 50, got shape \(50, 2\)"):
             state_blocks(r, np.zeros((3, 2, 30)), w_out=np.zeros((50, 2)))
 
+    def test_steps_without_copying_w(self):
+        from conftest import state_blocks_peak
+
+        r = build(small_config(reservoir_size=300))
+        assert r.w.flags.f_contiguous
+        assert state_blocks_peak(r) < r.w.nbytes // 2  # no N x N array
+
     @pytest.mark.parametrize("chunk", [None, 1, 4096])
     def test_empty_stack_yields_nothing(self, chunking, chunk):
         r = build(small_config())

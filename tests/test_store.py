@@ -92,6 +92,20 @@ class TestModelRoundTrip:
         save_model(artifact, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_w_is_row_major_on_disk_and_steps_without_a_copy(self, tmp_path):
+        from conftest import state_blocks_peak
+
+        reservoir = build(ReservoirConfig(input_dim=2, reservoir_size=300, output_dim=2, seed=60))
+        model = ReadoutModel(w_out=np.zeros((2, 300)), method=Ridge())
+        provenance = {"seed": 60, "dataset_fingerprint": "0" * 64}
+        path = tmp_path / "model.esn"
+        save_model(make_artifact(reservoir, model, provenance), path)
+        payload = path.read_bytes()[-8 * (600 + 90_000 + 600 + 600) :]
+        assert payload[8 * 600 : 8 * 90_600] == reservoir.w.tobytes(order="C")
+        loaded = load_model(path)
+        assert loaded.w.flags.f_contiguous
+        assert state_blocks_peak(loaded) < loaded.w.nbytes // 2  # no N x N array
+
     def test_loaded_artifact_runs(self, tmp_path):
         artifact = trained_artifact(seed=59)
         path = tmp_path / "model.esn"
