@@ -136,9 +136,10 @@ class WaveformSpec:
 class SequenceDataset:
     """Batched transmitted/received I/Q sequences.
 
-    ``inputs`` and ``targets`` are (num_sequences, dim, T) arrays with
-    row 0 = in-phase and row 1 = quadrature. ``meta`` records how the
-    data was generated.
+    ``inputs`` and ``targets`` are (num_sequences, dim, T) float64
+    arrays with row 0 = in-phase and row 1 = quadrature, row-major and
+    owning their data (a view or another layout is copied once).
+    ``meta`` records how the data was generated.
     """
 
     inputs: np.ndarray
@@ -146,6 +147,9 @@ class SequenceDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("inputs", "targets"):
+            array = np.require(getattr(self, name), np.float64, ["C", "O"])
+            object.__setattr__(self, name, array)
         if self.inputs.ndim != 3 or self.targets.ndim != 3:
             raise ShapeError("inputs and targets must be 3-D (sequence, dim, time)")
         if self.inputs.shape[0] != self.targets.shape[0]:

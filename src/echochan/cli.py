@@ -38,7 +38,7 @@ from .store import (
     save_dataset,
     save_model,
 )
-from .transfer import direct_transfer_eval, fine_tune, pretrain
+from .transfer import direct_transfer_eval, fine_tune
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,7 +240,7 @@ def cmd_transfer(args, config: RunConfig) -> int:
         source_acc = accumulate_dataset(reservoir, source)
         model = fine_tune(reservoir, source_acc, target_train, args.alpha, config.readout)
     else:
-        model, _ = pretrain(reservoir, source, config.readout)
+        model = fit(reservoir, source, config.readout)
     train_seconds = time.perf_counter() - started
     report = direct_transfer_eval(reservoir, model, target_test)
 

@@ -14,8 +14,9 @@ scipy is not a runtime dependency. Three routines are called through
 into a fresh N x N array on every call. ``solve_spd`` makes one N x N
 working copy and factors and solves it in place with ``dpotrf`` and
 ``dpotrs``; ``np.linalg.cholesky`` would add a Fortran-order copy and a
-separate factor. With any other BLAS, the update falls back to
-``b += x.T @ x`` and the solve to ``np.linalg.cholesky``.
+separate factor. With any other BLAS, the update is ``b += x.T @ x``
+and the solve ``np.linalg.cholesky``; the update's layout contract is
+the same on every BLAS.
 """
 
 from __future__ import annotations
@@ -201,33 +202,31 @@ def spectral_radius(m) -> float:
 def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
     """Add ``x.T @ x`` (``x`` K x N) to the upper triangle of ``b`` (N x N) in place.
 
-    One ``dsyrk`` (row-major, upper, transposed, beta = 1) in numpy's own
-    OpenBLAS when it has one and both arrays are float64 with unit column
-    stride; otherwise ``b += x.T @ x``. Only the upper triangle is
-    defined afterwards: finish with ``mirror_upper``. The two paths give
-    identical bytes as long as K fits in one K-panel of the BLAS kernel
-    (384 rows for OpenBLAS on Haswell); a state block has at most
+    Both must be C-contiguous, aligned float64 arrays and ``b`` writeable,
+    as the fold's own B and the row blocks ``state_blocks`` hands out are;
+    anything else is a ``ValueError``, whatever BLAS numpy has. One
+    ``dsyrk`` (row-major, upper, transposed, beta = 1) in numpy's own
+    OpenBLAS, or ``b += x.T @ x`` on a BLAS without it. Only the upper
+    triangle is defined afterwards: finish with ``mirror_upper``. The two
+    give identical bytes as long as K fits in one K-panel of the BLAS
+    kernel (384 rows for OpenBLAS on Haswell); a state block has at most
     ``reservoir.BLOCK`` rows.
     """
     k, n = x.shape
     if b.shape != (n, n):
         raise ShapeError(f"gram of {x.shape} states cannot update a {b.shape} matrix")
-    direct = (
-        _DSYRK is not None
-        and x.dtype == b.dtype == np.float64
-        and x.flags.aligned
-        and b.flags.aligned
-        and b.flags.writeable
-        and x.strides[1] == b.strides[1] == 8
-        and b.strides[0] >= 8 * n
-        and (k < 2 or x.strides[0] >= 8 * n)
-    )
-    if not direct:
+    for name, arr in (("states", x), ("gram", b)):
+        if arr.dtype != np.float64 or not (arr.flags.c_contiguous and arr.flags.aligned):
+            raise ValueError(
+                f"{name} must be a C-contiguous, aligned float64 array, "
+                f"got {arr.dtype} with strides {arr.strides}"
+            )
+    if not b.flags.writeable:
+        raise ValueError("gram must be writeable")
+    if _DSYRK is None:
         b += x.T @ x
-        return
-    lda = x.strides[0] // 8 if k > 1 else n
-    _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, lda, 1.0, b.ctypes.data,
-           b.strides[0] // 8)
+    else:
+        _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, n, 1.0, b.ctypes.data, n)
 
 
 def mirror_upper(b: np.ndarray) -> None:

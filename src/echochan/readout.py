@@ -8,9 +8,10 @@ Training folds harvested states and targets into two accumulators,
 and solves ``w_out @ (b + lam*I) = a`` once at the end. The fold is
 associative and commutative, so sequences can be accumulated in any
 partition and merged; the result changes only by rounding. Each state
-block goes into b as one in-place ``dsyrk`` on its upper triangle
-(``numerics.add_gram_upper``, or ``b += x.T @ x`` on a BLAS other than
-numpy's OpenBLAS), and b is mirrored once at the end.
+block goes into b's upper triangle in place (``numerics.add_gram_upper``,
+whose contract is C-contiguous float64 rows and a C-contiguous b, as
+``state_blocks`` and the fold make them), and b is mirrored once at the
+end.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def solve(acc: Accumulators, method: RegressionMethod) -> ReadoutModel:
         w_out = _lasso_coordinate_descent(acc, method)
     else:
         raise TypeError(f"unknown regression method {method!r}")
-    return ReadoutModel(w_out=np.ascontiguousarray(w_out), method=method)
+    return ReadoutModel(w_out=w_out, method=method)
 
 
 def _lasso_coordinate_descent(acc: Accumulators, method: Lasso) -> np.ndarray:
@@ -226,9 +227,9 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
-    Each sequence's block is added to b's upper triangle in place
-    (``add_gram_upper``: one ``dsyrk``, or ``b += x.T @ x`` on another
-    BLAS), and the triangle is mirrored once at the end.
+    Each sequence's rows of a block are added to b's upper triangle in
+    place by ``add_gram_upper``, and the triangle is mirrored once at the
+    end.
     The targets are always passed as the teacher; ``state_blocks`` uses
     them only when the reservoir has feedback.
     """

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -110,10 +111,15 @@ class ReservoirConfig:
 class Reservoir:
     """Frozen weight matrices of a built reservoir.
 
-    All arrays are marked read-only; only the readout layer is ever
-    trained. ``w`` is kept column-major, so the ``w.T`` that
-    ``state_blocks`` steps with is a row-major view, not a copy.
+    ``ORDERS`` is the one table of each matrix's memory order
+    (``ModelArtifact`` adds ``w_out``): every matrix is float64 in that
+    order, owns its data (a view or a matrix in another layout is copied
+    once) and is marked read-only; only the readout layer is ever
+    trained. ``w`` is column-major, so the ``w.T`` that ``state_blocks``
+    steps with is a row-major view, not a copy.
     """
+
+    ORDERS: ClassVar[dict[str, str]] = {"w_in": "C", "w": "F", "w_fb": "C"}
 
     config: ReservoirConfig
     w_in: np.ndarray
@@ -122,11 +128,11 @@ class Reservoir:
     achieved_radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", np.asfortranarray(self.w))
-        for name in ("w_in", "w", "w_fb"):
-            matrix = getattr(self, name)
+        for name, order in self.ORDERS.items():
+            matrix = np.require(getattr(self, name), np.float64, [order, "O"])
             check_shape(self.config, name, matrix)
             matrix.flags.writeable = False
+            object.__setattr__(self, name, matrix)
 
 
 def matrix_shapes(config: ReservoirConfig) -> dict[str, tuple[int, int]]:
@@ -332,7 +338,7 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps):
     # w.T row-major (a view of the column-major w); w @ X on column-major
     # states made BLAS repack w on every step, which is slower for small
     # chunks.
-    w_t, w_fb_t = np.ascontiguousarray(r.w.T), r.w_fb.T
+    w_t, w_fb_t = r.w.T, r.w_fb.T
     w_drive_t = (r.w_in if teacher is None else np.hstack([r.w_in, r.w_fb])).T
     buffer = np.empty((min(width, count), min(steps, total), r.config.reservoir_size))
     for first in range(0, count, width):

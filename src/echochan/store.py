@@ -10,6 +10,11 @@ the input block before the target block inside each sequence. Headers
 carry the provenance (specs, seeds, fingerprints) needed to regenerate
 the contents. Writes go to a temporary file in the destination directory
 followed by an atomic rename, so readers never observe partial files.
+
+This module is a codec only. It writes any array in row bands and reads
+views of the payload; the types that own the arrays (``Reservoir``,
+``ModelArtifact``, ``SequenceDataset``) take their own copies in the
+layout they keep.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import chain
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -38,17 +44,23 @@ from .config import (
 )
 from .errors import FormatError, IntegrityError, ShapeError, VersionError
 from .readout import ReadoutModel, RegressionMethod
-from .reservoir import Reservoir, ReservoirConfig, check_shape, matrix_shapes
+from .reservoir import Reservoir, ReservoirConfig, matrix_shapes
 
 MODEL_MAGIC = b"ESN1"
 DATASET_MAGIC = b"ESD1"
 FORMAT_VERSION = 1
+# Rows of an array encoded at a time, so a save copies at most this many
+# rows of a matrix kept column-major, never a whole N x N transpose.
+_BAND = 64
 
 
 @dataclass(frozen=True)
 class ModelArtifact(Reservoir):
     """A built reservoir and its trained readout: everything needed to
-    reload and run a trained model."""
+    reload and run a trained model. ``w_out`` is kept row-major, by the
+    same rule as the reservoir's own matrices."""
+
+    ORDERS: ClassVar[dict[str, str]] = {**Reservoir.ORDERS, "w_out": "C"}
 
     w_out: np.ndarray
     method: RegressionMethod
@@ -56,8 +68,6 @@ class ModelArtifact(Reservoir):
 
     def __post_init__(self):
         super().__post_init__()
-        check_shape(self.config, "w_out", self.w_out)
-        self.w_out.flags.writeable = False
         for key in ("seed", "dataset_fingerprint"):
             if key not in self.provenance:
                 raise ValueError(f"model provenance must include {key!r}")
@@ -123,12 +133,23 @@ def _expect_payload(path, payload: memoryview, expected: int) -> None:
         )
 
 
+def _check_finite(path, what: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise IntegrityError(f"{what} of {path} contains non-finite values")
+
+
 def _write_container(path, magic: bytes, header: dict, arrays) -> None:
     """Write ``magic``, the version, the canonical JSON header and each
-    array's float64 LE bytes in turn; the mirror of ``_read_container``."""
+    2-D array's rows as float64 LE, ``_BAND`` rows at a time; the mirror
+    of ``_read_container``."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = [magic, FORMAT_VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
-    _atomic_write(path, chain(prefix, (np.ascontiguousarray(a, dtype="<f8") for a in arrays)))
+    bands = (
+        np.ascontiguousarray(a[i : i + _BAND], dtype="<f8")
+        for a in arrays
+        for i in range(0, len(a), _BAND)
+    )
+    _atomic_write(path, chain(prefix, bands))
 
 
 def save_model(artifact: ModelArtifact, path) -> None:
@@ -175,9 +196,8 @@ def load_model(path) -> ModelArtifact:
     matrices, offset = {}, 0
     for name, (rows, cols) in expected_shapes.items():
         arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        # w in the column-major layout a Reservoir keeps, in the one copy
-        order = "F" if name == "w" else "C"
-        matrices[name] = arr.reshape(rows, cols).astype(np.float64, order=order)
+        matrices[name] = arr.reshape(rows, cols)
+        _check_finite(path, f"matrix {name}", arr)
         offset += 8 * rows * cols
     try:
         return ModelArtifact(
@@ -218,11 +238,8 @@ def load_dataset(path) -> SequenceDataset:
         raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
     _expect_payload(path, payload, num * t * (k + l) * 8)
     blocks = np.frombuffer(payload, dtype="<f8").reshape(num, k + l, t)
-    return SequenceDataset(
-        inputs=blocks[:, :k].astype(np.float64),
-        targets=blocks[:, k:].astype(np.float64),
-        meta=meta,
-    )
+    _check_finite(path, "payload", blocks)
+    return SequenceDataset(inputs=blocks[:, :k], targets=blocks[:, k:], meta=meta)
 
 
 def file_fingerprint(path) -> str:

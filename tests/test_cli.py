@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -185,6 +186,20 @@ class TestTrain:
         assert run("--config", str(config_file), "train", dataset_path, "-o", str(by_config)) == 0
         assert by_flags.read_bytes() == by_config.read_bytes()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_non_finite_sample_exits_3(self, config_path, dataset_path, tmp_path, capsys, command):
+        model = tmp_path / "m.esn"
+        assert run("--config", config_path, "train", dataset_path, "-o", str(model)) == 0
+        data = bytearray(Path(dataset_path).read_bytes())
+        data[-8:] = struct.pack("<d", float("nan"))
+        Path(dataset_path).write_bytes(bytes(data))
+        capsys.readouterr()
+        argv = [dataset_path, "-o", str(model)] if command == "train" else [str(model), dataset_path]
+        assert run("--config", config_path, command, *argv) == 3
+        assert capsys.readouterr().err == (
+            f"error: payload of {dataset_path} contains non-finite values\n"
+        )
+
     def test_bad_init_flag_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "train", dataset_path, "-o", str(tmp_path / "m.esn"), "--init", "glorot")
         assert code == 2
@@ -241,6 +256,23 @@ class TestEvaluate:
     def test_missing_model_exits_3(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "evaluate", str(tmp_path / "no.esn"), dataset_path)
         assert code == 3
+
+    def test_non_finite_matrix_exits_3_before_stepping(
+        self, config_path, model_path, dataset_path, capsys, monkeypatch
+    ):
+        from echochan import evaluation
+
+        path = Path(model_path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * (2 * 40 + 40 * 2 + 40 * 40)  # the first value of w
+        data[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(evaluation, "state_blocks", None)  # never reached
+        code = run("--config", config_path, "evaluate", model_path, dataset_path)
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: matrix w of {model_path} contains non-finite values\n"
+        )
 
     @pytest.mark.parametrize("key", ["seed", "dataset_fingerprint"])
     def test_provenance_without_key_exits_3(self, config_path, model_path, dataset_path, capsys, key):
@@ -383,6 +415,40 @@ class TestTransfer:
         )
         assert code == 0
         assert len(solves) == 1
+
+    def test_direct_mode_is_a_source_fit(self, config_path, tmp_path):
+        # the source-trained readout scored on the target test set, nothing else
+        from echochan import seeding
+        from echochan.config import load_config
+        from echochan.evaluation import evaluate, write_csv
+        from echochan.readout import fit
+        from echochan.reservoir import build, with_seed
+
+        paths = {name: str(tmp_path / f"{name}.esd") for name in ("src", "tt", "te")}
+        for seed, (name, path) in enumerate(paths.items(), start=21):
+            run("--config", config_path, "--seed", str(seed), "generate", "--preset", "other",
+                "-n", "6", "-o", path)
+        out = tmp_path / "direct.csv"
+        code = run(
+            "--config", config_path, "transfer",
+            "--source", paths["src"], "--target-train", paths["tt"], "--target-test", paths["te"],
+            "--mode", "direct", "-o", str(out),
+        )
+        assert code == 0
+
+        config = load_config(config_path)
+        seed = seeding.child_seed(config.master_seed, seeding.STREAM_TRANSFER)
+        reservoir = build(with_seed(config.reservoir, seed))
+        model = fit(reservoir, load_dataset(paths["src"]), config.readout)
+        report = evaluate(reservoir, model, load_dataset(paths["te"]))
+        expected = tmp_path / "expected.csv"
+        row = ("direct", 0.0, paths["src"], paths["te"], report.mape_percent, report.mse, 0.0, seed)
+        write_csv(expected, "mode,alpha,source,target,mape_percent,mse,train_seconds,seed", [row])
+
+        def without_train_seconds(path):
+            return [line.split(",")[:6] + line.split(",")[7:] for line in path.read_text().splitlines()]
+
+        assert without_train_seconds(out) == without_train_seconds(expected)
 
     def test_invalid_alpha_exits_2(self, config_path, tmp_path):
         code = run(

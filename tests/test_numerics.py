@@ -301,6 +301,7 @@ class TestAddGramUpper:
         direct, fallback = gram_both_ways(monkeypatch, 40, blocks)
         assert direct.tobytes() == fallback.tobytes()
 
+    @pytest.mark.parametrize("dsyrk", ["present", "absent"])
     @pytest.mark.parametrize(
         "make",
         [
@@ -310,15 +311,30 @@ class TestAddGramUpper:
         ],
         ids=["column-major", "column-strided", "float32"],
     )
-    def test_other_layouts_take_the_fallback(self, monkeypatch, make):
-        x = make(np.random.default_rng(5).standard_normal((30, 20)))
+    def test_other_layouts_are_rejected(self, monkeypatch, make, dsyrk):
+        # one contract on every BLAS: no layout is folded by another path
         calls = []
-        monkeypatch.setattr(numerics, "_DSYRK", lambda *args: calls.append(args))
-        b, expected = np.ones((20, 20)), np.ones((20, 20))
-        add_gram_upper(b, x)
-        expected += x.T @ x
+        monkeypatch.setattr(
+            numerics, "_DSYRK", (lambda *args: calls.append(args)) if dsyrk == "present" else None
+        )
+        x = make(np.random.default_rng(5).standard_normal((30, 20)))
+        b = np.ones((20, 20))
+        with pytest.raises(ValueError, match="states must be a C-contiguous, aligned float64 array"):
+            add_gram_upper(b, x)
         assert not calls
-        assert b.tobytes() == expected.tobytes()
+        assert (b == 1.0).all()
+
+    @pytest.mark.parametrize("dsyrk", ["present", "absent"])
+    def test_gram_outside_the_contract_is_rejected(self, monkeypatch, dsyrk):
+        if dsyrk == "absent":
+            monkeypatch.setattr(numerics, "_DSYRK", None)
+        x = np.ones((3, 4))
+        with pytest.raises(ValueError, match="gram must be a C-contiguous"):
+            add_gram_upper(np.zeros((4, 4), order="F"), x)
+        read_only = np.zeros((4, 4))
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="gram must be writeable"):
+            add_gram_upper(read_only, x)
 
     def test_only_the_upper_triangle_is_written(self):
         if numerics._DSYRK is None:

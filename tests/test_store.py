@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -106,6 +107,30 @@ class TestModelRoundTrip:
         assert loaded.w.flags.f_contiguous
         assert state_blocks_peak(loaded) < loaded.w.nbytes // 2  # no N x N array
 
+    def test_save_writes_w_in_bands_without_an_n_by_n_copy(self, tmp_path):
+        reservoir = build(ReservoirConfig(input_dim=2, reservoir_size=300, output_dim=2, seed=61))
+        model = ReadoutModel(w_out=np.zeros((2, 300)), method=Ridge())
+        artifact = make_artifact(reservoir, model, {"seed": 61, "dataset_fingerprint": "0" * 64})
+        path = tmp_path / "model.esn"
+        tracemalloc.start()
+        try:
+            save_model(artifact, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reservoir.w.nbytes
+        assert load_model(path).w.tobytes() == reservoir.w.tobytes()
+
+    def test_loaded_matrices_own_their_data(self, tmp_path):
+        # no view keeps the file's payload bytes alive
+        path = tmp_path / "model.esn"
+        save_model(trained_artifact(seed=48), path)
+        loaded = load_model(path)
+        for name in ("w_in", "w", "w_fb", "w_out"):
+            assert getattr(loaded, name).flags.owndata, name
+        assert loaded.w.flags.f_contiguous
+        assert loaded.w_out.flags.c_contiguous
+
     def test_loaded_artifact_runs(self, tmp_path):
         artifact = trained_artifact(seed=59)
         path = tmp_path / "model.esn"
@@ -201,6 +226,18 @@ class TestModelCorruption:
         save_model(trained_artifact(seed=68), path)
         rewrite_header(path, ("matrices",), order)
         with pytest.raises(FormatError, match="payload order"):
+            load_model(path)
+
+    # payload values of the N=25 model: w_in 0-49, w 50-674, w_fb 675-724, w_out 725-774
+    @pytest.mark.parametrize("name, index", [("w_in", 3), ("w", 400), ("w_out", 774)])
+    def test_non_finite_matrix_names_file_and_matrix(self, tmp_path, name, index):
+        path = tmp_path / "model.esn"
+        save_model(trained_artifact(seed=69), path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 8 * (775 - index)
+        data[at : at + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match=rf"matrix {name} of {path} contains non-finite"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -312,6 +349,23 @@ class TestDatasetRoundTrip:
         rebuilt = data[:8] + len(header).to_bytes(8, "little") + header + data[16 + header_len :]
         path.write_bytes(rebuilt)
         with pytest.raises(ShapeError):
+            load_dataset(path)
+
+    def test_loaded_arrays_own_their_data(self, tmp_path):
+        path = tmp_path / "data.esd"
+        save_dataset(generate_dataset(wave(80), CHANNEL, 3), path)
+        loaded = load_dataset(path)
+        assert loaded.inputs.flags.owndata and loaded.targets.flags.owndata
+        assert loaded.inputs.flags.c_contiguous and loaded.targets.flags.c_contiguous
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sample_names_the_file(self, tmp_path, value):
+        path = tmp_path / "data.esd"
+        save_dataset(generate_dataset(wave(81), CHANNEL, 2), path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match=rf"payload of {path} contains non-finite"):
             load_dataset(path)
 
     def test_truncation(self, tmp_path):
