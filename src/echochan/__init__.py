@@ -75,10 +75,6 @@ from .store import (
     save_dataset,
     save_model,
 )
-from .transfer import (
-    direct_transfer_eval,
-    fine_tune,
-    pretrain,
-)
+from .transfer import direct_transfer_eval, fine_tune
 
 __all__ = [name for name in dir() if not name.startswith("_")]

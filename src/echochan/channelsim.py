@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import seeding
-from .errors import ShapeError
+from .errors import NonFiniteError, ShapeError
 from .numerics import as_matrix
 
 GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -162,7 +162,7 @@ class SequenceDataset:
                 f"sequence lengths differ: {self.inputs.shape[2]} vs {self.targets.shape[2]}"
             )
         if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
-            raise ShapeError("dataset contains non-finite samples")
+            raise NonFiniteError("dataset contains non-finite samples")
 
     @property
     def num_sequences(self) -> int:

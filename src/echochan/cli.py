@@ -28,7 +28,7 @@ from .evaluation import (
     write_csv,
     write_sweep_csv,
 )
-from .readout import accumulate_dataset, fit
+from .readout import fit
 from .reservoir import build, with_seed
 from .store import (
     file_fingerprint,
@@ -89,12 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
     p_sweep.add_argument("--repeats", type=int, default=None, help="override sweep repeats")
 
-    p_tr = sub.add_parser("transfer", help="pretrain on a source dataset, evaluate/fine-tune on a target")
+    p_tr = sub.add_parser("transfer", help="fit a readout on source/target data, score it on a target")
     p_tr.add_argument("--source", required=True, help="source-domain training dataset")
     p_tr.add_argument("--target-train", required=True, help="target-domain training dataset")
     p_tr.add_argument("--target-test", required=True, help="target-domain test dataset")
     p_tr.add_argument("--mode", choices=("direct", "finetune"), required=True)
-    p_tr.add_argument("--alpha", type=float, default=0.0, help="source blend weight for finetune (0..1)")
+    p_tr.add_argument("--alpha", type=float, default=0.0, help="source weight of finetune's blend (0..1); direct uses 1")
     p_tr.add_argument("-o", "--out", required=True, help="output CSV path")
     return parser
 
@@ -235,20 +235,17 @@ def cmd_transfer(args, config: RunConfig) -> int:
     seed = seeding.child_seed(config.master_seed, seeding.STREAM_TRANSFER)
     reservoir = build(with_seed(config.reservoir, seed))
 
+    alpha = 1.0 if args.mode == "direct" else args.alpha  # direct transfer is a source fit
     started = time.perf_counter()
-    if args.mode == "finetune":  # only the blended readout is solved
-        source_acc = accumulate_dataset(reservoir, source)
-        model = fine_tune(reservoir, source_acc, target_train, args.alpha, config.readout)
-    else:
-        model = fit(reservoir, source, config.readout)
+    model = fine_tune(reservoir, source, target_train, alpha, config.readout)
     train_seconds = time.perf_counter() - started
     report = direct_transfer_eval(reservoir, model, target_test)
 
-    row = (args.mode, args.alpha, args.source, args.target_test, report.mape_percent,
+    row = (args.mode, alpha, args.source, args.target_test, report.mape_percent,
            report.mse, train_seconds, seed)
     write_csv(args.out, TRANSFER_CSV_HEADER, [row])
     print(
-        f"{args.mode} (alpha={args.alpha}): target-test MAPE={report.mape_percent:.4f}% "
+        f"{args.mode} (alpha={alpha}): target-test MAPE={report.mape_percent:.4f}% "
         f"mse={report.mse:.6e}"
     )
     print(f"wrote {args.out}")

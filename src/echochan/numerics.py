@@ -85,6 +85,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
+def frozen(a, *requirements: str) -> np.ndarray:
+    """``a`` as a read-only float64 array that owns its data and meets
+    ``np.require``'s ``requirements``. ``a`` itself is kept only when it is
+    already read-only and all that, so the caller's arrays are never
+    shared with it or frozen; anything else is copied once."""
+    arr = np.require(a, np.float64, ["O", *requirements])
+    if arr is a and a.flags.writeable:
+        arr = np.array(a, order="K")
+    arr.flags.writeable = False
+    return arr
+
+
 def as_vector(a, name: str = "vector") -> np.ndarray:
     """Validate and return ``a`` as a finite 1-D float64 array."""
     arr = np.asarray(a, dtype=np.float64)

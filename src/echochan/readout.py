@@ -22,7 +22,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
-from .numerics import add_gram_upper, as_matrix, mirror_upper, solve_spd
+from .numerics import add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -94,14 +94,14 @@ class Accumulators:
 @dataclass(frozen=True)
 class ReadoutModel:
     """Trained output map; predictions are ``w_out @ state`` (identity
-    output activation, which is what the closed-form solve optimizes)."""
+    output activation, which is what the closed-form solve optimizes).
+    ``w_out`` is kept read-only by the ``numerics.frozen`` rule."""
 
     w_out: np.ndarray
     method: RegressionMethod
 
     def __post_init__(self):
-        object.__setattr__(self, "w_out", as_matrix(self.w_out, "w_out"))
-        self.w_out.flags.writeable = False
+        object.__setattr__(self, "w_out", frozen(as_matrix(self.w_out, "w_out")))
 
 
 def empty_accumulators(reservoir_size: int, output_dim: int) -> Accumulators:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import seeding
 from .errors import RescaleError, ShapeError
-from .numerics import as_vector, spectral_radius
+from .numerics import as_vector, frozen, spectral_radius
 
 # Default chunk width of ``state_blocks``: sequences stepped together as
 # one CHUNK x N by N x N product per time step. The training fold uses it,
@@ -113,8 +113,9 @@ class Reservoir:
 
     ``ORDERS`` is the one table of each matrix's memory order
     (``ModelArtifact`` adds ``w_out``): every matrix is float64 in that
-    order, owns its data (a view or a matrix in another layout is copied
-    once) and is marked read-only; only the readout layer is ever
+    order, owns its data and is read-only (``numerics.frozen``: a
+    caller's array is copied once unless it already is all of that, so the
+    caller's arrays stay writeable); only the readout layer is ever
     trained. ``w`` is column-major, so the ``w.T`` that ``state_blocks``
     steps with is a row-major view, not a copy.
     """
@@ -129,9 +130,8 @@ class Reservoir:
 
     def __post_init__(self):
         for name, order in self.ORDERS.items():
-            matrix = np.require(getattr(self, name), np.float64, [order, "O"])
+            matrix = frozen(getattr(self, name), order)
             check_shape(self.config, name, matrix)
-            matrix.flags.writeable = False
             object.__setattr__(self, name, matrix)
 
 

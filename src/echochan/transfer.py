@@ -1,10 +1,9 @@
-"""Transfer workflow: pretrain on a source channel, reuse on a target.
+"""Transfer workflow: one reservoir across channels, only the readout retrained.
 
-Only the readout is ever retrained; the reservoir weights are fixed at
-build time and shared across domains. Direct transfer evaluates the
-source-trained readout on target data as-is. Fine-tuning re-solves the
-readout on target data, optionally blending the source and target
-accumulators with a convex weight.
+``fine_tune`` solves the readout on ``alpha * source + (1 - alpha) *
+target`` statistics, so ``alpha = 1`` is direct transfer (a source fit)
+and ``alpha = 0`` a plain target fit. ``direct_transfer_eval`` scores a
+trained readout on target data as-is.
 """
 
 from __future__ import annotations
@@ -17,17 +16,10 @@ from .readout import (
     ReadoutModel,
     RegressionMethod,
     accumulate_dataset,
+    fit,
     solve,
 )
 from .reservoir import Reservoir
-
-
-def pretrain(
-    r: Reservoir, source: SequenceDataset, method: RegressionMethod
-) -> tuple[ReadoutModel, Accumulators]:
-    """Fit on the source domain, keeping the accumulators for blending."""
-    acc = accumulate_dataset(r, source)
-    return solve(acc, method), acc
 
 
 def direct_transfer_eval(
@@ -46,10 +38,6 @@ def blend_accumulators(source: Accumulators, target: Accumulators, alpha: float)
             f"cannot blend accumulators of shapes a {source.a.shape}/{target.a.shape}, "
             f"b {source.b.shape}/{target.b.shape}"
         )
-    if alpha == 0.0:
-        return target
-    if alpha == 1.0:
-        return source
     return Accumulators(
         a=alpha * source.a + (1.0 - alpha) * target.a,
         b=alpha * source.b + (1.0 - alpha) * target.b,
@@ -61,14 +49,18 @@ def blend_accumulators(source: Accumulators, target: Accumulators, alpha: float)
 
 def fine_tune(
     r: Reservoir,
-    source_acc: Accumulators,
+    source: SequenceDataset,
     target_train: SequenceDataset,
     alpha: float,
     method: RegressionMethod,
 ) -> ReadoutModel:
-    """Re-solve the readout on target data, blending in source statistics.
-
-    ``alpha = 0`` reproduces a plain fit on the target training set.
-    """
-    target_acc = accumulate_dataset(r, target_train)
-    return solve(blend_accumulators(source_acc, target_acc, alpha), method)
+    """Solve the readout on ``alpha * source + (1 - alpha) * target``
+    statistics, folding only a dataset whose weight is not 0."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if alpha in (0.0, 1.0):  # direct transfer or a plain target fit
+        return fit(r, source if alpha else target_train, method)
+    blended = blend_accumulators(
+        accumulate_dataset(r, source), accumulate_dataset(r, target_train), alpha
+    )
+    return solve(blended, method)

@@ -39,7 +39,7 @@ from echochan.reservoir import (
     init_matrix,
     with_seed,
 )
-from echochan.transfer import direct_transfer_eval, fine_tune, pretrain
+from echochan.transfer import direct_transfer_eval, fine_tune
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -264,9 +264,9 @@ def test_07_transfer_trend(shipped):
             input_dim=2, reservoir_size=150, output_dim=2, target_spectral_radius=0.5, seed=seed
         )
         r = build(base)
-        model, source_acc = pretrain(r, source, shipped.readout)
+        model = fit(r, source, shipped.readout)
         direct = direct_transfer_eval(r, model, target_test).mape_percent
-        tuned_model = fine_tune(r, source_acc, target_train, 0.0, shipped.readout)
+        tuned_model = fine_tune(r, source, target_train, 0.0, shipped.readout)
         tuned = evaluate(r, tuned_model, target_test).mape_percent
         directs.append(direct)
         tuneds.append(tuned)

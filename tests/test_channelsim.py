@@ -6,6 +6,7 @@ import pytest
 from echochan.channelsim import (
     Awgn,
     Multipath,
+    SequenceDataset,
     Tap,
     WaveformSpec,
     apply_channel,
@@ -13,7 +14,7 @@ from echochan.channelsim import (
     qpsk_modulate,
     raised_cosine_taps,
 )
-from echochan.errors import ShapeError
+from echochan.errors import NonFiniteError, ShapeError
 
 
 def small_wave(seed=0, bits=80, sps=2):
@@ -241,3 +242,13 @@ class TestGenerateDataset:
         assert ds.inputs.shape == (4, 2, 80)
         assert ds.targets.shape == (4, 2, 80)
         assert ds.input_dim == ds.output_dim == 2
+
+
+class TestSequenceDataset:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["inputs", "targets"])
+    def test_non_finite_sample_is_a_non_finite_error(self, name, value):
+        arrays = {"inputs": np.zeros((2, 2, 5)), "targets": np.zeros((2, 2, 5))}
+        arrays[name][1, 0, 3] = value
+        with pytest.raises(NonFiniteError, match="non-finite samples"):
+            SequenceDataset(**arrays)

@@ -442,13 +442,63 @@ class TestTransfer:
         model = fit(reservoir, load_dataset(paths["src"]), config.readout)
         report = evaluate(reservoir, model, load_dataset(paths["te"]))
         expected = tmp_path / "expected.csv"
-        row = ("direct", 0.0, paths["src"], paths["te"], report.mape_percent, report.mse, 0.0, seed)
+        row = ("direct", 1.0, paths["src"], paths["te"], report.mape_percent, report.mse, 0.0, seed)
         write_csv(expected, "mode,alpha,source,target,mape_percent,mse,train_seconds,seed", [row])
 
         def without_train_seconds(path):
             return [line.split(",")[:6] + line.split(",")[7:] for line in path.read_text().splitlines()]
 
         assert without_train_seconds(out) == without_train_seconds(expected)
+
+    @pytest.mark.parametrize(
+        "mode, alpha, folded",
+        [("finetune", "0", ["tt"]), ("finetune", "1", ["src"]),
+         ("finetune", "0.5", ["src", "tt"]), ("direct", "0.5", ["src"])],
+    )
+    def test_folds_only_weighted_datasets(self, config_path, tmp_path, monkeypatch, mode, alpha,
+                                          folded):
+        from echochan import readout, transfer
+
+        paths = {name: str(tmp_path / f"{name}.esd") for name in ("src", "tt", "te")}
+        sizes = {"src": 6, "tt": 5, "te": 4}  # a fold is known by its dataset's size
+        for seed, (name, path) in enumerate(paths.items(), start=12):
+            run("--config", config_path, "--seed", str(seed), "generate", "--preset", "echo",
+                "-n", str(sizes[name]), "-o", path)
+        folds = []
+        original = readout.accumulate_dataset
+
+        def counted(r, dataset):
+            folds.append(dataset.num_sequences)
+            return original(r, dataset)
+
+        monkeypatch.setattr(readout, "accumulate_dataset", counted)
+        monkeypatch.setattr(transfer, "accumulate_dataset", counted)
+        code = run(
+            "--config", config_path, "transfer",
+            "--source", paths["src"], "--target-train", paths["tt"], "--target-test", paths["te"],
+            "--mode", mode, "--alpha", alpha, "-o", str(tmp_path / "t.csv"),
+        )
+        assert code == 0
+        assert folds == [sizes[name] for name in folded]
+
+    def test_direct_row_is_the_alpha_one_finetune_row(self, config_path, tmp_path):
+        paths = {name: str(tmp_path / f"{name}.esd") for name in ("src", "tt", "te")}
+        for seed, (name, path) in enumerate(paths.items(), start=31):
+            run("--config", config_path, "--seed", str(seed), "generate", "--preset", "other",
+                "-n", "6", "-o", path)
+        rows = {}
+        for mode in ("direct", "finetune"):
+            out = tmp_path / f"{mode}.csv"
+            code = run(
+                "--config", config_path, "transfer",
+                "--source", paths["src"], "--target-train", paths["tt"],
+                "--target-test", paths["te"], "--mode", mode, "--alpha", "1", "-o", str(out),
+            )
+            assert code == 0
+            cells = out.read_text().splitlines()[1].split(",")
+            rows[mode] = cells[1:6] + cells[7:]  # all but mode and train_seconds
+        assert rows["direct"][0] == "1.0"
+        assert rows["direct"] == rows["finetune"]
 
     def test_invalid_alpha_exits_2(self, config_path, tmp_path):
         code = run(

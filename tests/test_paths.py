@@ -113,7 +113,10 @@ def test_sweep(work, feedback, request, capsys, axis, method):
 
 @pytest.mark.parametrize("mode", ["direct", "finetune"])
 def test_transfer(work, capsys, mode):
-    assert cli(work, "transfer", "--source", "source.esd", "--target-train", "target_train.esd",
-               "--target-test", "target_test.esd", "--mode", mode, "--alpha", "0.5",
-               "-o", f"transfer-{mode}.csv") == 0
-    assert_finite_scores(capsys.readouterr().out, work / f"transfer-{mode}.csv")
+    # finetune also at the two weights that fold only one of the datasets
+    for alpha in ["0.5"] if mode == "direct" else ["0", "0.5", "1"]:
+        out = f"transfer-{mode}-{alpha}.csv"
+        assert cli(work, "transfer", "--source", "source.esd", "--target-train", "target_train.esd",
+                   "--target-test", "target_test.esd", "--mode", mode, "--alpha", alpha,
+                   "-o", out) == 0
+        assert_finite_scores(capsys.readouterr().out, work / out)

@@ -11,6 +11,7 @@ from echochan.readout import (
     Accumulators,
     Lasso,
     Linear,
+    ReadoutModel,
     Ridge,
     accumulate,
     accumulate_dataset,
@@ -181,6 +182,16 @@ def linear_map_dataset(r, num_sequences, t, seed):
     for i in range(num_sequences):
         targets[i] = w_true @ harvest(r, inputs[i]).states
     return SequenceDataset(inputs=inputs, targets=targets), w_true
+
+
+class TestReadoutModel:
+    def test_callers_array_stays_writeable_and_unshared(self):
+        w_out = np.arange(6.0).reshape(2, 3)
+        model = ReadoutModel(w_out=w_out, method=Ridge())
+        assert w_out.flags.writeable
+        w_out[0, 0] = 9.0
+        assert model.w_out[0, 0] == 0.0
+        assert not model.w_out.flags.writeable
 
 
 class TestFit:

@@ -136,6 +136,15 @@ class TestBuild:
         with pytest.raises(ValueError):
             r.w[0, 0] = 1.0
 
+    def test_callers_arrays_stay_writeable_and_unshared(self):
+        r = build(small_config())
+        given = {"w_in": r.w_in.copy(), "w": r.w.copy(order="F"), "w_fb": r.w_fb.copy()}
+        kept = Reservoir(config=r.config, achieved_radius=r.achieved_radius, **given)
+        for name, matrix in given.items():
+            assert matrix.flags.writeable, name
+            matrix[0, 0] += 1.0
+            assert getattr(kept, name)[0, 0] == getattr(r, name)[0, 0], name
+
     @pytest.mark.parametrize(
         "name, expected", [("w_in", "50 x 2"), ("w", "50 x 50"), ("w_fb", "50 x 2")]
     )

@@ -168,6 +168,12 @@ class TestArtifactIsAReservoir:
         added = {f.name for f in fields(ModelArtifact)} - {f.name for f in fields(Reservoir)}
         assert added == {"w_out", "method", "provenance"}
 
+    def test_make_artifact_keeps_the_matrices_it_is_given(self):
+        artifact = trained_artifact(seed=47)
+        again = make_artifact(artifact, artifact.to_readout(), artifact.provenance)
+        for name in ("w_in", "w", "w_fb", "w_out"):
+            assert getattr(again, name) is getattr(artifact, name), name
+
     def test_loaded_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "model.esn"
         save_model(trained_artifact(seed=49), path)

@@ -7,12 +7,7 @@ from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import ShapeError
 from echochan.readout import Ridge, accumulate_dataset, fit, solve
 from echochan.reservoir import ReservoirConfig, build
-from echochan.transfer import (
-    blend_accumulators,
-    direct_transfer_eval,
-    fine_tune,
-    pretrain,
-)
+from echochan.transfer import blend_accumulators, direct_transfer_eval, fine_tune
 
 SOURCE_CHANNEL = Multipath(
     taps=(Tap(0, 0.8, 0.1), Tap(1, -0.3, 0.2), Tap(3, 0.15, -0.1)), snr_db=30.0
@@ -46,22 +41,9 @@ def target_test():
     return generate_dataset(wave(43), TARGET_CHANNEL, 8)
 
 
-class TestPretrain:
-    def test_matches_plain_fit(self, reservoir, source):
-        model, acc = pretrain(reservoir, source, Ridge())
-        plain = fit(reservoir, source, Ridge())
-        np.testing.assert_array_equal(model.w_out, plain.w_out)
-        assert acc.samples_seen == source.num_sequences * source.seq_len
-
-    def test_empty_source_rejected(self, reservoir):
-        empty = generate_dataset(wave(44), SOURCE_CHANNEL, 0)
-        with pytest.raises(ShapeError):
-            pretrain(reservoir, empty, Ridge())
-
-
 class TestDirectTransfer:
     def test_same_distribution_is_comparable(self, reservoir, source):
-        model, _ = pretrain(reservoir, source, Ridge())
+        model = fit(reservoir, source, Ridge())
         same_dist = generate_dataset(wave(45), SOURCE_CHANNEL, 8)
         in_domain = direct_transfer_eval(reservoir, model, same_dist)
         trained_on = direct_transfer_eval(reservoir, model, source)
@@ -70,14 +52,14 @@ class TestDirectTransfer:
     def test_cross_domain_is_worse_than_target_trained(
         self, reservoir, source, target_train, target_test
     ):
-        model, _ = pretrain(reservoir, source, Ridge())
+        model = fit(reservoir, source, Ridge())
         transferred = direct_transfer_eval(reservoir, model, target_test)
         target_model = fit(reservoir, target_train, Ridge())
         native = direct_transfer_eval(reservoir, target_model, target_test)
         assert transferred.mape_percent > native.mape_percent
 
     def test_deterministic(self, reservoir, source, target_test):
-        model, _ = pretrain(reservoir, source, Ridge())
+        model = fit(reservoir, source, Ridge())
         a = direct_transfer_eval(reservoir, model, target_test)
         b = direct_transfer_eval(reservoir, model, target_test)
         assert a.mape_percent == b.mape_percent
@@ -85,23 +67,20 @@ class TestDirectTransfer:
 
 class TestFineTune:
     def test_alpha_zero_equals_target_fit(self, reservoir, source, target_train):
-        _, source_acc = pretrain(reservoir, source, Ridge())
-        tuned = fine_tune(reservoir, source_acc, target_train, 0.0, Ridge())
+        tuned = fine_tune(reservoir, source, target_train, 0.0, Ridge())
         plain = fit(reservoir, target_train, Ridge())
         assert np.abs(tuned.w_out - plain.w_out).max() < 1e-12
 
     def test_alpha_one_equals_source_solve(self, reservoir, source, target_train):
-        _, source_acc = pretrain(reservoir, source, Ridge())
-        tuned = fine_tune(reservoir, source_acc, target_train, 1.0, Ridge())
-        source_only = solve(source_acc, Ridge())
+        tuned = fine_tune(reservoir, source, target_train, 1.0, Ridge())
+        source_only = solve(accumulate_dataset(reservoir, source), Ridge())
         np.testing.assert_array_equal(tuned.w_out, source_only.w_out)
 
     def test_half_blend_on_matched_domains_approximates_pooling(self, reservoir):
         # same distribution, equal sizes: blending halves both accumulators
         a = generate_dataset(wave(46), TARGET_CHANNEL, 16)
         b = generate_dataset(wave(47), TARGET_CHANNEL, 16)
-        _, acc_a = pretrain(reservoir, a, Ridge())
-        blended_model = fine_tune(reservoir, acc_a, b, 0.5, Ridge())
+        blended_model = fine_tune(reservoir, a, b, 0.5, Ridge())
         pooled = generate_dataset(wave(46), TARGET_CHANNEL, 16)
         acc_pooled = accumulate_dataset(reservoir, pooled)
         acc_pooled = blend_accumulators(
@@ -111,7 +90,7 @@ class TestFineTune:
         assert np.abs(blended_model.w_out - pooled_model.w_out).max() < 1e-6
 
     def test_blend_is_exact_convex_combination(self, reservoir, source, target_train):
-        _, acc_s = pretrain(reservoir, source, Ridge())
+        acc_s = accumulate_dataset(reservoir, source)
         acc_t = accumulate_dataset(reservoir, target_train)
         alpha = 0.3
         blended = blend_accumulators(acc_s, acc_t, alpha)
@@ -121,15 +100,26 @@ class TestFineTune:
     def test_reservoir_unchanged_by_transfer(self, reservoir, source, target_train):
         w_before = reservoir.w.copy()
         w_in_before = reservoir.w_in.copy()
-        model, acc = pretrain(reservoir, source, Ridge())
-        fine_tune(reservoir, acc, target_train, 0.0, Ridge())
+        fit(reservoir, source, Ridge())
+        fine_tune(reservoir, source, target_train, 0.0, Ridge())
         np.testing.assert_array_equal(reservoir.w, w_before)
         np.testing.assert_array_equal(reservoir.w_in, w_in_before)
 
     def test_invalid_alpha_rejected(self, reservoir, source, target_train):
-        _, acc = pretrain(reservoir, source, Ridge())
         with pytest.raises(ValueError):
-            fine_tune(reservoir, acc, target_train, 1.5, Ridge())
+            fine_tune(reservoir, source, target_train, 1.5, Ridge())
+
+    def test_invalid_alpha_rejected_before_any_fold(
+        self, reservoir, source, target_train, monkeypatch
+    ):
+        from echochan import readout, transfer
+
+        folds = []
+        monkeypatch.setattr(readout, "accumulate_dataset", lambda *args: folds.append(args))
+        monkeypatch.setattr(transfer, "accumulate_dataset", lambda *args: folds.append(args))
+        with pytest.raises(ValueError, match="alpha must be in"):
+            fine_tune(reservoir, source, target_train, 1.5, Ridge())
+        assert folds == []
 
 
 class TestPlan:
@@ -138,22 +128,22 @@ class TestPlan:
     def test_fine_tune_beats_direct_on_shifted_domain(
         self, reservoir, source, target_train, target_test
     ):
-        model, source_acc = pretrain(reservoir, source, Ridge())
+        model = fit(reservoir, source, Ridge())
         direct_report = direct_transfer_eval(reservoir, model, target_test)
-        tuned = fine_tune(reservoir, source_acc, target_train, 0.0, Ridge())
+        tuned = fine_tune(reservoir, source, target_train, 0.0, Ridge())
         tuned_report = direct_transfer_eval(reservoir, tuned, target_test)
         assert tuned_report.mape_percent <= direct_report.mape_percent
 
     def test_mismatched_dims_rejected(self, reservoir, source, target_train):
         bad = generate_dataset(wave(48), TARGET_CHANNEL, 4)
         bad = type(bad)(inputs=bad.inputs[:, :1, :], targets=bad.targets, meta=bad.meta)
-        model, source_acc = pretrain(reservoir, source, Ridge())
+        model = fit(reservoir, source, Ridge())
         with pytest.raises(ShapeError):
             direct_transfer_eval(reservoir, model, bad)
         with pytest.raises(ShapeError):
-            fine_tune(reservoir, source_acc, bad, 0.0, Ridge())
+            fine_tune(reservoir, source, bad, 0.0, Ridge())
 
     def test_invalid_blend_weight(self, reservoir, source):
-        _, acc = pretrain(reservoir, source, Ridge())
+        acc = accumulate_dataset(reservoir, source)
         with pytest.raises(ValueError):
             blend_accumulators(acc, acc, -0.1)
