@@ -18,7 +18,7 @@ import numpy as np
 
 from . import seeding
 from .errors import NonFiniteError, ShapeError
-from .numerics import as_matrix
+from .numerics import as_matrix, frozen
 
 GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
@@ -137,9 +137,11 @@ class SequenceDataset:
     """Batched transmitted/received I/Q sequences.
 
     ``inputs`` and ``targets`` are (num_sequences, dim, T) float64
-    arrays with row 0 = in-phase and row 1 = quadrature, row-major and
-    owning their data (a view or another layout is copied once).
-    ``meta`` records how the data was generated.
+    arrays with row 0 = in-phase and row 1 = quadrature, row-major,
+    owning their data and read-only (``numerics.frozen``: a caller's
+    array is copied once unless it already is all of that, so writing to
+    it later cannot get past the finiteness check). ``meta`` records how
+    the data was generated.
     """
 
     inputs: np.ndarray
@@ -148,8 +150,7 @@ class SequenceDataset:
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
-            array = np.require(getattr(self, name), np.float64, ["C", "O"])
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, frozen(getattr(self, name), "C"))
         if self.inputs.ndim != 3 or self.targets.ndim != 3:
             raise ShapeError("inputs and targets must be 3-D (sequence, dim, time)")
         if self.inputs.shape[0] != self.targets.shape[0]:
@@ -183,11 +184,10 @@ class SequenceDataset:
     def subset(self, indices) -> "SequenceDataset":
         """New dataset restricted to the given sequence indices."""
         idx = np.asarray(indices, dtype=np.intp)
-        return SequenceDataset(
-            inputs=self.inputs[idx],
-            targets=self.targets[idx],
-            meta=dict(self.meta, subset_size=int(idx.size)),
-        )
+        inputs, targets = self.inputs[idx], self.targets[idx]
+        # fresh copies, kept by the new dataset once read-only
+        inputs.flags.writeable = targets.flags.writeable = False
+        return SequenceDataset(inputs, targets, meta=dict(self.meta, subset_size=int(idx.size)))
 
 
 def qpsk_modulate(bits) -> np.ndarray:
@@ -349,6 +349,8 @@ def generate_dataset(
         "num_sequences": num_sequences,
         "empirical_snr_db": float(empirical_snr_db),
     }
+    # this function's own arrays, kept by the dataset once read-only
+    inputs.flags.writeable = targets.flags.writeable = False
     return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
 
 

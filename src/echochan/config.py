@@ -255,10 +255,12 @@ class RunConfig:
         return self.channels[name]
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader, also reading as floats the YAML 1.2 exponent forms
     that YAML 1.1 leaves strings: no decimal point or no exponent sign
-    (``1e-3``, ``1E+4``, ``2.5e7``). Quoted scalars stay strings."""
+    (``1e-3``, ``1E+4``, ``2.5e7``). Quoted scalars stay strings. It parses
+    with libyaml's C parser when PyYAML was built with it (several times
+    faster on the shipped config), else with the pure-Python one."""
 
 
 _Loader.add_implicit_resolver(

@@ -16,7 +16,13 @@ State update, with f the configured activation, stepped by
 States are handed out in blocks of at most ``CHUNK * BLOCK`` rows (chunk
 width x time steps). Training steps ``CHUNK`` sequences per chunk in
 ``BLOCK``-step blocks; evaluation steps all of its sequences in one chunk
-with blocks shortened to the same budget.
+with blocks shortened to the same budget. An open-loop evaluation of
+fewer than ``CHUNK // 2`` long sequences is stepped in time segments
+instead (``segmented_predictions``): each starts ``WARMUP`` steps early
+from the zero state, so all are stepped as one wider chunk, and the
+states where segments meet are compared before anything is returned.
+Training stays serial: a rounding change in the states moves ``w_out``
+through cond(B + lambda I), and a fold cannot be undone after a seam fails.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ CHUNK = 16
 # Time steps of a CHUNK-wide chunk held at once before they are handed
 # out; CHUNK * BLOCK is the state-row budget of a block at any width.
 BLOCK = 128
+# Steps a time segment of ``segmented_predictions`` is stepped from the
+# zero state before its first kept state; the echo state property makes it
+# forget that start.
+WARMUP = 64
+# Largest difference allowed at a seam between a segment's last warm-up
+# state and its predecessor's state at the same time, relative to
+# max(1, |state|); one larger makes the call fall back to serial stepping.
+SEAM_TOL = 1e-14
 
 
 class InitMethod(Enum):
@@ -322,11 +336,12 @@ def state_blocks(
         x0 = as_vector(initial_state, "initial state")
         if x0.shape[0] != n:
             raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
-    return _step_blocks(r, inputs, teacher, x0, w_out, width, rows // width)
+    return _step_blocks(r, inputs, teacher, x0, w_out, width, rows // width, washout)
 
 
-def _step_blocks(r, inputs, teacher, x0, w_out, width, steps):
-    """The generator behind ``state_blocks``, which checks its arguments first.
+def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
+    """The generator behind ``state_blocks``, which checks its arguments first;
+    it yields no state of a step before ``washout``.
 
     A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
     as input channels: a block's drive is one product of [u; y] with
@@ -365,9 +380,74 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps):
                     pre += (x @ w_out.T) @ w_fb_t
                 x = activation(pre)
                 block[:, j] = x
-            skip = max(r.config.washout - t0, 0)
+            skip = max(washout - t0, 0)
             if skip < b:
                 yield first, t0 + skip, block[:, skip:]
+
+
+def segmented_predictions(r: Reservoir, inputs, w_out):
+    """Open-loop readout predictions ``w_out @ x(t)`` of a few long sequences
+    (``inputs`` S x K x T, from the zero state), stepped in time segments:
+    an S x L x (T - washout) array, or None when the call is not split.
+
+    Arguments are checked as ``state_blocks`` checks them. None, before
+    any step, for a feedback reservoir (its drive is its own prediction),
+    for S >= ``CHUNK // 2`` (the chunk is wide already) or for a T too
+    short for 2 segments of at least ``WARMUP`` kept steps each; and None
+    after stepping when a seam fails its check. The caller then steps the
+    call serially, so a failed seam only costs time.
+
+    Each sequence is cut into P segments, S * P <= ``CHUNK``, laid out
+    segment-major (row p * S + s is segment p of sequence s) and stepped
+    as one chunk of W + L steps, W = ``WARMUP``: segment 0 keeps times
+    [0, W + L), and segment p >= 1 starts from the zero state at time
+    p * L and keeps [W + p * L, W + (p + 1) * L), its first W states
+    dropped; inputs past T are zero and their states dropped. So segment
+    p - 1 steps through segment p's warm-up, and both have a state at
+    time W + p * L - 1: that seam holds when they agree within
+    ``SEAM_TOL``. A block, with what stepping it in segments adds, holds
+    fewer values than an unsplit call's block of S * min(T, CHUNK * BLOCK
+    // S) state rows.
+    """
+    state_blocks(r, inputs, w_out=w_out)
+    inputs, w_out = np.asarray(inputs, dtype=np.float64), np.asarray(w_out, dtype=np.float64)
+    (count, k, total), (l, n) = inputs.shape, w_out.shape
+    parts = min(CHUNK // max(count, 1), (total - WARMUP) // WARMUP)
+    if r.config.use_feedback or not 0 < count < CHUNK // 2 or parts < 2:
+        return None
+    span = -(-(total - WARMUP) // parts)
+    width, window = parts * count, WARMUP + span
+    # The block (N + L values per row with its predictions), the step
+    # temporaries and seam copies (5 N per chunk row) and the segment
+    # inputs hold no more than an unsplit call's block of states.
+    budget = count * min(total, CHUNK * BLOCK // count) * n - width * (5 * n + k * window)
+    steps = budget // (width * (n + l))
+    if steps < 1:
+        return None
+    segments = np.zeros((width, k, window))
+    for p in range(parts):
+        piece = inputs[:, :, p * span : p * span + window]
+        segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
+    washout = r.config.washout
+    out = np.empty((count, l, total - washout))
+    x0 = np.zeros(n)
+    for _, t0, states in _step_blocks(r, segments, None, x0, None, width, steps, 0):
+        b = states.shape[1]
+        if t0 <= WARMUP - 1 < t0 + b:
+            warm = states[count:, WARMUP - 1 - t0].copy()
+        if t0 <= window - 1 < t0 + b:
+            last = states[:-count, window - 1 - t0].copy()
+        y = w_out @ states.transpose(0, 2, 1)
+        for p in range(parts):
+            # kept steps of segment p in this block, at times >= washout
+            j0 = max(0 if p == 0 else WARMUP, t0, washout - p * span)
+            j1 = min(t0 + b, total - p * span)
+            if j0 < j1:
+                t = p * span + j0 - washout
+                out[:, :, t : t + j1 - j0] = y[p * count : (p + 1) * count, :, j0 - t0 : j1 - t0]
+    if np.abs(warm - last).max() <= SEAM_TOL * max(1.0, np.abs(last).max()):
+        return out
+    return None
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

@@ -252,3 +252,22 @@ class TestSequenceDataset:
         arrays[name][1, 0, 3] = value
         with pytest.raises(NonFiniteError, match="non-finite samples"):
             SequenceDataset(**arrays)
+
+    def test_callers_arrays_do_not_reach_the_dataset(self):
+        inputs, targets = np.zeros((2, 2, 5)), np.zeros((2, 2, 5))
+        ds = SequenceDataset(inputs=inputs, targets=targets)
+        inputs[0, 0, 0] = targets[1, 1, 4] = np.nan  # after the finiteness check
+        assert np.isfinite(ds.inputs).all() and np.isfinite(ds.targets).all()
+        assert inputs.flags.writeable and targets.flags.writeable
+
+    def test_arrays_are_read_only(self):
+        generated = generate_dataset(small_wave(seed=8), Awgn(snr_db=20.0), 3)
+        for ds in (
+            SequenceDataset(inputs=np.zeros((2, 2, 5)), targets=np.zeros((2, 2, 5))),
+            generated,
+            generated.subset([0, 2]),
+        ):
+            for array in (ds.inputs, ds.targets):
+                assert not array.flags.writeable and array.flags.owndata
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0, 0] = np.nan

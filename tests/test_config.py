@@ -186,6 +186,73 @@ class TestStrictParsing:
         assert code == 2
         assert "readout.ridge_lambda must be a number, got '1e-3'" in capsys.readouterr().err
 
+    def test_syntax_error_exits_2(self, tmp_path, capsys):
+        from echochan.cli import main
+
+        path = tmp_path / "broken.yaml"
+        path.write_text("master_seed: [1, 2\nreservoir: {\n")
+        code = main(["--config", str(path), "generate", "--preset", "mp", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not valid YAML" in err
+
+
+class TestLoader:
+    """The config loader reads what the pure-Python safe loader, with the
+    same exponent resolver, reads."""
+
+    @staticmethod
+    def python_load(text):
+        import yaml
+
+        from echochan import config
+
+        class Reference(yaml.SafeLoader):
+            yaml_implicit_resolvers = config._Loader.yaml_implicit_resolvers
+
+        return yaml.load(text, Loader=Reference)
+
+    def test_uses_libyaml_when_built_with_it(self):
+        import yaml
+
+        from echochan import config
+
+        if yaml.__with_libyaml__:
+            assert issubclass(config._Loader, yaml.CSafeLoader)
+        else:
+            assert issubclass(config._Loader, yaml.SafeLoader)
+
+    def test_shipped_config_reads_the_same(self):
+        import yaml
+
+        from echochan import config
+
+        text = config.default_config_path().read_text()
+        assert yaml.load(text, Loader=config._Loader) == self.python_load(text)
+
+    @pytest.mark.parametrize(
+        "scalar, expected",
+        [
+            ("1e-3", 1e-3),
+            ("1E+4", 1e4),
+            ("2.5e7", 2.5e7),
+            ("'1e-3'", "1e-3"),
+            (".5e3", 500.0),
+            ("1_000e2", 1e5),
+            ("-1e-3", -1e-3),
+        ],
+    )
+    def test_exponent_forms_read_the_same(self, scalar, expected):
+        import yaml
+
+        from echochan import config
+
+        text = f"value: {scalar}\nlist: [{scalar}, 2]\n"
+        loaded = yaml.load(text, Loader=config._Loader)
+        assert loaded == self.python_load(text)
+        assert loaded["value"] == expected and type(loaded["value"]) is type(expected)
+
 
 class TestParsedValues:
     def test_channel_kinds(self):
