@@ -27,14 +27,7 @@ from . import seeding
 from .channelsim import SequenceDataset
 from .errors import DegenerateMetricError, NonFiniteError, ShapeError
 from .readout import ReadoutModel, RegressionMethod
-from .reservoir import (
-    Reservoir,
-    ReservoirConfig,
-    build,
-    segmented_predictions,
-    state_blocks,
-    with_seed,
-)
+from .reservoir import Reservoir, ReservoirConfig, build, predictions, with_seed
 
 # Relative floor under which an actual sample is excluded from MAPE.
 MAPE_EPSILON_REL = 1e-9
@@ -187,30 +180,17 @@ def mape(actual, predicted, epsilon: Optional[float] = None) -> MetricReport:
 def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> MetricReport:
     """Aggregate MAPE/MSE of the model over every sequence of a dataset.
 
-    Harvesting starts from the zero state per sequence. The readout goes
-    to ``state_blocks``, which checks its shape and, when the reservoir
-    has feedback, feeds the model's own previous prediction back (no
-    teacher forcing at evaluation time). The sequences are stepped as one
-    chunk (up to ``CHUNK * BLOCK`` of them), in blocks shortened to keep
-    the state-row budget of ``state_blocks``, except that an open-loop
-    set of fewer than ``CHUNK // 2`` long sequences is stepped in time
-    segments by ``segmented_predictions`` when all of its seams hold. All
-    predictions are scored together by ``mape``.
+    The predictions come from ``reservoir.predictions``, which steps every
+    sequence from the zero state, checks the readout's shape and, when the
+    reservoir has feedback, feeds the model's own previous prediction back
+    (no teacher forcing at evaluation time). It splits a few long
+    open-loop sequences into time segments, and a failed seam is stepped
+    again unsplit by ``reservoir.predictions``. All predictions are scored
+    together by ``mape``.
     """
-    config = r.config
-    readout_mod.check_dataset(config, dataset)
-    targets = dataset.targets[:, :, config.washout :]
-    predictions = segmented_predictions(r, dataset.inputs, model.w_out)
-    if predictions is None:
-        predictions = np.empty(targets.shape)
-        blocks = state_blocks(r, dataset.inputs, w_out=model.w_out, chunk=dataset.num_sequences)
-        for first, t0, states in blocks:
-            count, steps, _ = states.shape
-            start = t0 - config.washout
-            predictions[first : first + count, :, start : start + steps] = (
-                model.w_out @ states.transpose(0, 2, 1)
-            )
-    return mape(targets, predictions)
+    readout_mod.check_dataset(r.config, dataset)
+    targets = dataset.targets[:, :, r.config.washout :]
+    return mape(targets, predictions(r, dataset.inputs, model.w_out))
 
 
 def split_indices(

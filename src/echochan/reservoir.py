@@ -7,20 +7,22 @@ what makes the state dynamics forget initial conditions; the raw,
 unrescaled radii of the supported initializers can be inspected with
 ``allow_unstable``.
 
-State update, with f the configured activation, stepped by
-``state_blocks`` both teacher-forced (training) and closed-loop
-(evaluation), for a chunk of sequences at once:
+State update, with f the configured activation, stepped by one
+generator, ``_step_blocks``, for a chunk of sequences at once, both
+teacher-forced (training, through ``state_blocks``) and closed-loop
+(evaluation, through ``predictions``):
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 
 States are handed out in blocks of at most ``CHUNK * BLOCK`` rows (chunk
 width x time steps). Training steps ``CHUNK`` sequences per chunk in
-``BLOCK``-step blocks; evaluation steps all of its sequences in one chunk
-with blocks shortened to the same budget. An open-loop evaluation of
-fewer than ``CHUNK // 2`` long sequences is stepped in time segments
-instead (``segmented_predictions``): each starts ``WARMUP`` steps early
-from the zero state, so all are stepped as one wider chunk, and the
-states where segments meet are compared before anything is returned.
+``BLOCK``-step blocks. ``predictions`` is the one prediction path: it
+steps all of its sequences in one chunk with blocks shortened to the
+same budget, except that an open-loop call of fewer than ``CHUNK // 2``
+long sequences is stepped in time segments: each starts ``WARMUP`` steps
+early from the zero state, so all are stepped as one wider chunk, and
+the states where segments meet are compared before anything is
+returned; a failed seam is stepped again unsplit by ``predictions``.
 Training stays serial: a rounding change in the states moves ``w_out``
 through cond(B + lambda I), and a fold cannot be undone after a seam fails.
 """
@@ -37,20 +39,20 @@ from . import seeding
 from .errors import RescaleError, ShapeError
 from .numerics import as_vector, frozen, spectral_radius
 
-# Default chunk width of ``state_blocks``: sequences stepped together as
-# one CHUNK x N by N x N product per time step. The training fold uses it,
-# so fitted bytes do not depend on the dataset size.
+# Chunk width of ``state_blocks``: sequences stepped together as one
+# CHUNK x N by N x N product per time step. The training fold uses it, so
+# fitted bytes do not depend on the dataset size.
 CHUNK = 16
 # Time steps of a CHUNK-wide chunk held at once before they are handed
 # out; CHUNK * BLOCK is the state-row budget of a block at any width.
 BLOCK = 128
-# Steps a time segment of ``segmented_predictions`` is stepped from the
+# Steps a time segment of ``predictions`` is stepped from the
 # zero state before its first kept state; the echo state property makes it
 # forget that start.
 WARMUP = 64
 # Largest difference allowed at a seam between a segment's last warm-up
 # state and its predecessor's state at the same time, relative to
-# max(1, |state|); one larger makes the call fall back to serial stepping.
+# max(1, |state|); one larger makes ``predictions`` step the call unsplit.
 SEAM_TOL = 1e-14
 
 
@@ -276,20 +278,17 @@ def harvest(
     return StateTrajectory(states=states, t_offset=config.washout)
 
 
-def state_blocks(
-    r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None, chunk=None
-):
+def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None):
     """Step S sequences (``inputs`` S x K x T) and yield their states block by block.
 
-    The one copy of the state recurrence. Sequences are stepped ``chunk``
-    at a time (``CHUNK`` when not given, at most ``CHUNK * BLOCK``), so
-    each step is one C x N by N x N product; a block holds
-    ``CHUNK * BLOCK // chunk`` time steps, so a chunk's block never
-    exceeds ``CHUNK * BLOCK`` state rows whatever the width.
-    ``initial_state`` is shared by every sequence.
+    The state recurrence for training and ``harvest``. Sequences are
+    stepped ``CHUNK`` at a time, so each step is one C x N by N x N
+    product, in blocks of ``BLOCK`` time steps. ``initial_state`` is
+    shared by every sequence.
 
-    It owns the feedback decision and the ``w_out`` check: any ``w_out``
-    given must be L x N, feedback or not. When the reservoir uses feedback, exactly one
+    Its checks (``_checked``, shared with ``predictions``) own the feedback
+    decision and the ``w_out`` check: any ``w_out`` given must be L x N,
+    feedback or not. When the reservoir uses feedback, exactly one
     source of the fed-back output y(t-1) must be given, with y(0) = 0
     either way: ``teacher`` (S x L x T) forces it during training, and a
     trained readout ``w_out`` closes the loop with y(t-1) = w_out @
@@ -298,8 +297,18 @@ def state_blocks(
     C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
     for t0 + j >= washout only. It is a buffer the next block overwrites,
     so fold or copy it before asking for the next one; memory is
-    O(CHUNK * BLOCK * N) whatever S, T and ``chunk`` are.
+    O(CHUNK * BLOCK * N) whatever S and T are.
     """
+    inputs, teacher, x0, _, loop = _checked(r, inputs, teacher, initial_state, w_out)
+    return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, r.config.washout)
+
+
+def _checked(r, inputs, teacher, initial_state, w_out):
+    """The arguments of ``state_blocks`` or ``predictions``, checked before
+    any step as ``state_blocks`` documents them: ``(inputs, teacher, x0,
+    w_out, loop)`` as float64 arrays, where ``loop`` is the readout that
+    closes the loop (``w_out`` with feedback, else None) and ``teacher``
+    is None without feedback."""
     config = r.config
     n, washout = config.reservoir_size, config.washout
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -310,15 +319,11 @@ def state_blocks(
     count, _, total = inputs.shape
     if total <= washout:
         raise ShapeError(f"sequence length {total} leaves no states after washout {washout}")
-    rows = CHUNK * BLOCK
-    width = CHUNK if chunk is None else min(chunk, rows)
-    if width < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if w_out is not None:
         w_out = np.asarray(w_out, dtype=np.float64)
         check_shape(config, "w_out", w_out)
     if not config.use_feedback:
-        teacher = w_out = None
+        teacher = None
     elif (teacher is None) == (w_out is None):
         raise ShapeError(
             "reservoir uses feedback: give either a teacher sequence or a readout w_out"
@@ -336,12 +341,13 @@ def state_blocks(
         x0 = as_vector(initial_state, "initial state")
         if x0.shape[0] != n:
             raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
-    return _step_blocks(r, inputs, teacher, x0, w_out, width, rows // width, washout)
+    return inputs, teacher, x0, w_out, w_out if config.use_feedback else None
 
 
 def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
-    """The generator behind ``state_blocks``, which checks its arguments first;
-    it yields no state of a step before ``washout``.
+    """The generator behind ``state_blocks`` and ``predictions``, which check
+    its arguments first: ``width`` sequences per chunk in blocks of
+    ``steps`` time steps; it yields no state of a step before ``washout``.
 
     A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
     as input channels: a block's drive is one product of [u; y] with
@@ -385,69 +391,74 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
                 yield first, t0 + skip, block[:, skip:]
 
 
-def segmented_predictions(r: Reservoir, inputs, w_out):
-    """Open-loop readout predictions ``w_out @ x(t)`` of a few long sequences
-    (``inputs`` S x K x T, from the zero state), stepped in time segments:
-    an S x L x (T - washout) array, or None when the call is not split.
+def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
+    """Readout predictions ``w_out @ x(t)`` of S sequences (``inputs`` S x K
+    x T) stepped from the zero state: an S x L x (T - washout) array.
 
-    Arguments are checked as ``state_blocks`` checks them. None, before
-    any step, for a feedback reservoir (its drive is its own prediction),
-    for S >= ``CHUNK // 2`` (the chunk is wide already) or for a T too
-    short for 2 segments of at least ``WARMUP`` kept steps each; and None
-    after stepping when a seam fails its check. The caller then steps the
-    call serially, so a failed seam only costs time.
+    Arguments are checked as ``state_blocks`` checks them, before any
+    step; with feedback the loop is closed through ``w_out``. The call is
+    stepped in P time segments per sequence. P = 1 (no split) for a
+    feedback reservoir (its drive is its own prediction), for S >=
+    ``CHUNK // 2`` (the chunk is wide already) and for a T too short for
+    2 segments of at least ``WARMUP`` kept steps each: the sequences are
+    stepped as chunks of S rows (at most ``CHUNK * BLOCK``) in blocks of
+    ``CHUNK * BLOCK // S`` steps.
 
-    Each sequence is cut into P segments, S * P <= ``CHUNK``, laid out
-    segment-major (row p * S + s is segment p of sequence s) and stepped
-    as one chunk of W + L steps, W = ``WARMUP``: segment 0 keeps times
-    [0, W + L), and segment p >= 1 starts from the zero state at time
-    p * L and keeps [W + p * L, W + (p + 1) * L), its first W states
+    Otherwise each sequence is cut into P segments, S * P <= ``CHUNK``,
+    laid out segment-major (row p * S + s is segment p of sequence s) and
+    stepped as one chunk of W + L steps, W = ``WARMUP``: segment 0 keeps
+    times [0, W + L), and segment p >= 1 starts from the zero state at
+    time p * L and keeps [W + p * L, W + (p + 1) * L), its first W states
     dropped; inputs past T are zero and their states dropped. So segment
     p - 1 steps through segment p's warm-up, and both have a state at
     time W + p * L - 1: that seam holds when they agree within
-    ``SEAM_TOL``. A block, with what stepping it in segments adds, holds
-    fewer values than an unsplit call's block of S * min(T, CHUNK * BLOCK
-    // S) state rows.
+    ``SEAM_TOL``. When a seam fails, the call is stepped again with P =
+    1, so a failed seam only costs time. A block, with what stepping it
+    in segments adds, holds fewer values than the unsplit block of S *
+    min(T, CHUNK * BLOCK // S) state rows.
     """
-    state_blocks(r, inputs, w_out=w_out)
-    inputs, w_out = np.asarray(inputs, dtype=np.float64), np.asarray(w_out, dtype=np.float64)
+    inputs, _, x0, w_out, loop = _checked(r, inputs, None, None, w_out)
     (count, k, total), (l, n) = inputs.shape, w_out.shape
-    parts = min(CHUNK // max(count, 1), (total - WARMUP) // WARMUP)
-    if r.config.use_feedback or not 0 < count < CHUNK // 2 or parts < 2:
-        return None
-    span = -(-(total - WARMUP) // parts)
-    width, window = parts * count, WARMUP + span
-    # The block (N + L values per row with its predictions), the step
-    # temporaries and seam copies (5 N per chunk row) and the segment
-    # inputs hold no more than an unsplit call's block of states.
-    budget = count * min(total, CHUNK * BLOCK // count) * n - width * (5 * n + k * window)
-    steps = budget // (width * (n + l))
-    if steps < 1:
-        return None
-    segments = np.zeros((width, k, window))
-    for p in range(parts):
-        piece = inputs[:, :, p * span : p * span + window]
-        segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
-    washout = r.config.washout
+    washout, rows = r.config.washout, CHUNK * BLOCK
     out = np.empty((count, l, total - washout))
-    x0 = np.zeros(n)
-    for _, t0, states in _step_blocks(r, segments, None, x0, None, width, steps, 0):
-        b = states.shape[1]
-        if t0 <= WARMUP - 1 < t0 + b:
-            warm = states[count:, WARMUP - 1 - t0].copy()
-        if t0 <= window - 1 < t0 + b:
-            last = states[:-count, window - 1 - t0].copy()
-        y = w_out @ states.transpose(0, 2, 1)
-        for p in range(parts):
-            # kept steps of segment p in this block, at times >= washout
-            j0 = max(0 if p == 0 else WARMUP, t0, washout - p * span)
-            j1 = min(t0 + b, total - p * span)
-            if j0 < j1:
-                t = p * span + j0 - washout
-                out[:, :, t : t + j1 - j0] = y[p * count : (p + 1) * count, :, j0 - t0 : j1 - t0]
-    if np.abs(warm - last).max() <= SEAM_TOL * max(1.0, np.abs(last).max()):
-        return out
-    return None
+    parts = 1
+    if not r.config.use_feedback and 0 < count < CHUNK // 2:
+        parts = min(CHUNK // count, (total - WARMUP) // WARMUP)
+    while True:
+        if parts > 1:
+            span = -(-(total - WARMUP) // parts)
+            width, window = parts * count, WARMUP + span
+            # The block (N + L values per row with its predictions), the
+            # step temporaries and seam copies (5 N per chunk row) and the
+            # segment inputs hold no more than an unsplit block of states.
+            budget = count * min(total, rows // count) * n - width * (5 * n + k * window)
+            steps = budget // (width * (n + l))
+        if parts < 2 or steps < 1:
+            parts, span, width = 1, total, min(max(count, 1), rows)
+            steps, segments, skip = rows // width, inputs, washout
+        else:
+            segments, skip = np.zeros((width, k, window)), 0
+            for p in range(parts):
+                piece = inputs[:, :, p * span : p * span + window]
+                segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
+        for first, t0, states in _step_blocks(r, segments, None, x0, loop, width, steps, skip):
+            b = states.shape[1]
+            if parts > 1 and t0 <= WARMUP - 1 < t0 + b:
+                warm = states[count:, WARMUP - 1 - t0].copy()
+            if parts > 1 and t0 <= window - 1 < t0 + b:
+                last = states[:-count, window - 1 - t0].copy()
+            y = w_out @ states.transpose(0, 2, 1)
+            for p in range(parts):
+                # kept steps of segment p in this block, at times >= washout
+                j0 = max(0 if p == 0 else WARMUP, t0, washout - p * span)
+                j1 = min(t0 + b, total - p * span)
+                if j0 < j1:
+                    t = p * span + j0 - washout
+                    kept = y[p * count : (p + 1) * count, :, j0 - t0 : j1 - t0]
+                    out[first : first + len(kept), :, t : t + j1 - j0] = kept
+        if parts == 1 or np.abs(warm - last).max() <= SEAM_TOL * max(1.0, np.abs(last).max()):
+            return out
+        parts = 1
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

@@ -1,9 +1,10 @@
 """Shared test helpers: relay acceptance PASS/FAIL lines to the summary,
-and measure what stepping a reservoir allocates."""
+measure what stepping a reservoir allocates, and record how it is stepped."""
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -32,3 +33,24 @@ def state_blocks_peak(r, sequences=1, steps=20) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def step_calls(monkeypatch) -> list:
+    """Every call of ``reservoir._step_blocks`` made during the test, as
+    ``(width, steps, blocks)``: its chunk width and block steps, and the
+    ``(t0, shape)`` of each block it yields, which it steps as before."""
+    from echochan import reservoir
+
+    calls = []
+    step = reservoir._step_blocks
+
+    def recorded(r, inputs, teacher, x0, w_out, width, steps, washout):
+        blocks = []
+        calls.append((width, steps, blocks))
+        for first, t0, states in step(r, inputs, teacher, x0, w_out, width, steps, washout):
+            blocks.append((t0, states.shape))
+            yield first, t0, states
+
+    monkeypatch.setattr(reservoir, "_step_blocks", recorded)
+    return calls

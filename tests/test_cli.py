@@ -260,14 +260,14 @@ class TestEvaluate:
     def test_non_finite_matrix_exits_3_before_stepping(
         self, config_path, model_path, dataset_path, capsys, monkeypatch
     ):
-        from echochan import evaluation
+        from echochan import reservoir
 
         path = Path(model_path)
         data = bytearray(path.read_bytes())
         at = len(data) - 8 * (2 * 40 + 40 * 2 + 40 * 40)  # the first value of w
         data[at : at + 8] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(data))
-        monkeypatch.setattr(evaluation, "state_blocks", None)  # never reached
+        monkeypatch.setattr(reservoir, "_step_blocks", None)  # never reached
         code = run("--config", config_path, "evaluate", model_path, dataset_path)
         assert code == 3
         assert capsys.readouterr().err == (

@@ -14,6 +14,7 @@ from echochan.reservoir import (
     build,
     harvest,
     init_matrix,
+    predictions,
     state_blocks,
 )
 
@@ -376,19 +377,23 @@ class TestStateBlocks:
 
     def check(self, r, inputs, teacher=None, initial_state=None, w_out=None):
         kwargs = dict(initial_state=initial_state, w_out=w_out)
-        # the default width, and the one-chunk width that evaluate uses
-        runs = [
-            all_states(r, inputs, teacher=teacher, chunk=c, **kwargs) for c in (None, len(inputs))
-        ]
+        batched = all_states(r, inputs, teacher=teacher, **kwargs)
+        # the prediction path, on every sequence at once (no teacher, from
+        # the zero state): its open-loop readout is any L x N matrix
+        readout = np.random.default_rng(41).uniform(-1, 1, size=(2, 50)) if w_out is None else w_out
+        predicted = None
+        if teacher is None and initial_state is None:
+            predicted = predictions(r, inputs, readout)
         for i in range(inputs.shape[0]):
             y = None if teacher is None else teacher[i]
             single = harvest(r, inputs[i], teacher=y, **kwargs)
             assert single.t_offset == r.config.washout
             expected = stepped(r, inputs[i], teacher=y, **kwargs)
-            for batched in runs:
-                assert np.isfinite(batched[i]).all()
-                np.testing.assert_allclose(batched[i], single.states, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(batched[i], expected, rtol=0, atol=1e-12)
+            assert np.isfinite(batched[i]).all()
+            np.testing.assert_allclose(batched[i], single.states, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[i], expected, rtol=0, atol=1e-12)
+            if predicted is not None:
+                np.testing.assert_allclose(predicted[i], readout @ expected, rtol=0, atol=1e-12)
 
     def inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -436,10 +441,10 @@ class TestStateBlocks:
         fb = build(small_config(use_feedback=True))
         with pytest.raises(ShapeError, match="teacher must be 3 x 2 x 30"):
             state_blocks(fb, np.zeros((3, 2, 30)), teacher=np.zeros((2, 2, 30)))
-        with pytest.raises(ValueError, match="chunk must be >= 1, got 0"):
-            state_blocks(r, np.zeros((3, 2, 30)), chunk=0)
         with pytest.raises(ShapeError, match=r"w_out must be 2 x 50, got shape \(50, 2\)"):
             state_blocks(r, np.zeros((3, 2, 30)), w_out=np.zeros((50, 2)))
+        with pytest.raises(ShapeError, match="length 20 leaves no states after washout 20"):
+            predictions(r, np.zeros((3, 2, 20)), np.zeros((2, 50)))
 
     def test_steps_without_copying_w(self):
         from conftest import state_blocks_peak
@@ -449,19 +454,32 @@ class TestStateBlocks:
         assert state_blocks_peak(r) < r.w.nbytes // 2  # no N x N array
 
     @pytest.mark.parametrize("chunk", [None, 1, 4096])
-    def test_empty_stack_yields_nothing(self, chunking, chunk):
+    def test_empty_stack_yields_nothing(self, chunking, monkeypatch, chunk):
+        # at the fixture's chunk width, or at CHUNK = 1 or 4096
+        if chunk is not None:
+            monkeypatch.setattr(reservoir_mod, "CHUNK", chunk)
         r = build(small_config())
-        assert list(state_blocks(r, np.zeros((0, 2, 10)), chunk=chunk)) == []
+        assert list(state_blocks(r, np.zeros((0, 2, 10)))) == []
+        assert predictions(r, np.zeros((0, 2, 10)), np.zeros((2, 50))).shape == (0, 2, 10)
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7, 10**6])
-    def test_blocks_keep_the_row_budget(self, chunking, chunk):
+    def test_training_chunks(self, chunking, step_calls):
         r = build(small_config())
+        widths = {block.shape[0] for _, _, block in state_blocks(r, self.inputs(40))}
+        assert [call[:2] for call in step_calls] == [(reservoir_mod.CHUNK, reservoir_mod.BLOCK)]
+        assert max(widths) == min(reservoir_mod.CHUNK, self.SEQUENCES)
+
+    @pytest.mark.parametrize("sequences", [1, 3, 7, 10**6])
+    def test_blocks_keep_the_row_budget(self, chunking, step_calls, sequences):
+        # an unsplit prediction call (feedback is never split) steps all of
+        # its sequences as one chunk of at most the row budget, in blocks
+        # shortened to the same budget; a million sequences get 2 steps each
+        r = build(small_config(use_feedback=True))
         rows = reservoir_mod.CHUNK * reservoir_mod.BLOCK
-        widths, starts = set(), set()
-        for _, t0, block in state_blocks(r, self.inputs(40), chunk=chunk):
-            assert block.shape[0] * block.shape[1] <= rows
-            widths.add(block.shape[0])
-            starts.add(t0)
-        assert max(widths) == min(chunk, rows, self.SEQUENCES)
-        steps = rows // min(chunk, rows)
-        assert sorted(starts) == list(range(0, self.STEPS, steps))
+        total = self.STEPS if sequences < rows else 2
+        inputs = np.broadcast_to(self.inputs(40)[:1, :, :total], (sequences, 2, total))
+        predictions(r, inputs, np.full((2, 50), 0.01))
+        [(width, steps, blocks)] = step_calls
+        assert (width, steps) == (min(sequences, rows), rows // min(sequences, rows))
+        assert all(shape[0] * shape[1] <= rows for _, shape in blocks)
+        assert max(shape[0] for _, shape in blocks) == width
+        assert sorted({t0 for t0, _ in blocks}) == list(range(0, total, steps))

@@ -1,30 +1,23 @@
-"""Open-loop evaluation of a few long sequences in time segments.
+"""How ``reservoir.predictions`` plans a call: split in time segments or not.
 
-``reservoir.segmented_predictions`` steps every sequence as P warmed-up
-segments in one chunk and checks each seam; ``evaluation.evaluate`` falls
-back to serial stepping when it returns None. Seam rounding depends on the
-BLAS thread count, so CI runs this file on one thread as well.
+An open-loop call of a few long sequences is stepped as P warmed-up
+segments per sequence in one chunk, and each seam is checked; when a seam
+fails, the call is stepped again unsplit. The tests observe the plan
+through the ``_step_blocks`` calls it makes (the ``step_calls`` fixture).
+Seam rounding depends on the BLAS thread count, so CI runs this file on
+one thread as well.
 """
 
 import numpy as np
 import pytest
 from test_evaluation import traced_peak
 
-from echochan import evaluation
 from echochan import reservoir as reservoir_mod
 from echochan.channelsim import SequenceDataset
 from echochan.errors import ShapeError
 from echochan.evaluation import evaluate, mape
 from echochan.readout import ReadoutModel, Ridge
-from echochan.reservoir import (
-    CHUNK,
-    WARMUP,
-    Activation,
-    ReservoirConfig,
-    build,
-    segmented_predictions,
-    state_blocks,
-)
+from echochan.reservoir import CHUNK, WARMUP, Activation, ReservoirConfig, build, predictions
 
 # 937 = T - WARMUP is prime, so no segment count divides it
 STEPS = 1001
@@ -47,15 +40,22 @@ def readout(n, seed=13):
     return np.random.default_rng(seed).uniform(-1, 1, size=(2, n))
 
 
+def split_width(sequences, steps=STEPS):
+    """S * P, the chunk width of an open-loop call split in P segments."""
+    warmup = reservoir_mod.WARMUP
+    return sequences * min(CHUNK // sequences, (steps - warmup) // warmup)
+
+
+def widths(step_calls):
+    return [width for width, _, _ in step_calls]
+
+
 def serial_predictions(r, u, w_out):
-    """What ``evaluate`` predicts without segments: one chunk, by blocks."""
-    washout = r.config.washout
-    out = np.empty((u.shape[0], w_out.shape[0], u.shape[2] - washout))
-    for first, t0, states in state_blocks(r, u, w_out=w_out, chunk=len(u)):
-        count, steps, _ = states.shape
-        start = t0 - washout
-        out[first : first + count, :, start : start + steps] = w_out @ states.transpose(0, 2, 1)
-    return out
+    """``predictions`` unsplit: a ``WARMUP`` as long as the sequences
+    leaves no room for 2 segments."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reservoir_mod, "WARMUP", u.shape[2])
+        return predictions(r, u, w_out)
 
 
 def serial_report(r, model, dataset):
@@ -73,82 +73,93 @@ class TestMatchesSerial:
     @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
     @pytest.mark.parametrize("washout", [0, 150])
     @pytest.mark.parametrize("activation", list(Activation))
-    def test_predictions(self, activation, washout, sequences):
+    def test_predictions(self, step_calls, activation, washout, sequences):
         r = build(config(activation=activation, washout=washout))
         u, w_out = inputs(sequences), readout(60)
-        segmented = segmented_predictions(r, u, w_out)
-        assert segmented is not None, "the call was not split or a seam failed"
+        segmented = predictions(r, u, w_out)
+        # one pass, split, with every seam holding
+        assert split_width(sequences) > sequences
+        assert widths(step_calls) == [split_width(sequences)]
         expected = serial_predictions(r, u, w_out)
+        assert widths(step_calls) == [split_width(sequences), sequences]
         assert segmented.shape == expected.shape == (sequences, 2, STEPS - washout)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(segmented, expected, rtol=0, atol=PREDICTION_RTOL * scale)
 
-    def test_evaluate_scores_the_segments(self):
+    def test_evaluate_scores_the_segments(self, step_calls):
         r = build(config())
         model = ReadoutModel(w_out=readout(60), method=Ridge())
         data = dataset(2)
         report = evaluate(r, model, data)
-        expected = mape(data.targets, segmented_predictions(r, data.inputs, model.w_out))
-        assert report == expected
+        assert widths(step_calls) == [split_width(2)]
+        assert report == mape(data.targets, predictions(r, data.inputs, model.w_out))
         serial = serial_report(r, model, data)
         assert report.mape_percent == pytest.approx(serial.mape_percent, rel=1e-12, abs=0)
         assert report.mse == pytest.approx(serial.mse, rel=1e-12, abs=0)
 
 
 class TestStaysSerial:
-    def test_too_short_to_split(self):
+    def test_too_short_to_split(self, step_calls):
         # 2 segments need WARMUP warm-up steps and at least WARMUP kept steps each
         r = build(config())
-        assert segmented_predictions(r, inputs(1, steps=3 * WARMUP - 1), readout(60)) is None
-        assert segmented_predictions(r, inputs(1, steps=3 * WARMUP), readout(60)) is not None
+        predictions(r, inputs(1, steps=3 * WARMUP - 1), readout(60))
+        assert widths(step_calls) == [1]
+        predictions(r, inputs(1, steps=3 * WARMUP), readout(60))
+        assert widths(step_calls) == [1, 2]
 
-    def test_wide_sets_are_not_split(self):
+    def test_wide_sets_are_not_split(self, step_calls):
         r = build(config())
-        assert segmented_predictions(r, inputs(CHUNK // 2), readout(60)) is None
+        predictions(r, inputs(CHUNK // 2), readout(60))
+        assert widths(step_calls) == [CHUNK // 2]
 
-    def test_arguments_checked_before_stepping(self):
+    def test_arguments_checked_before_stepping(self, step_calls):
         r = build(config())
         with pytest.raises(ShapeError, match="w_out must be 2 x 60"):
-            segmented_predictions(r, inputs(1), readout(61))
+            predictions(r, inputs(1), readout(61))
+        assert step_calls == []
 
     @pytest.mark.parametrize("sequences", [1, 2])
-    def test_feedback_is_never_split(self, sequences):
+    def test_feedback_is_never_split(self, step_calls, sequences):
         r = build(config(use_feedback=True))
         model = ReadoutModel(w_out=readout(60) * 0.05, method=Ridge())
         data = dataset(sequences)
-        assert segmented_predictions(r, data.inputs, model.w_out) is None
-        # the bytes of the unsplit closed loop
-        assert evaluate(r, model, data) == serial_report(r, model, data)
+        report = evaluate(r, model, data)
+        assert widths(step_calls) == [sequences]
+        assert report == serial_report(r, model, data)
 
     @pytest.mark.parametrize(
         "patch", [("WARMUP", 2), ("SEAM_TOL", -1.0)], ids=["short-warmup", "no-tolerance"]
     )
     @pytest.mark.parametrize("washout", [0, 150])
-    def test_failed_seam_gives_serial_bytes(self, monkeypatch, patch, washout):
+    def test_failed_seam_gives_serial_bytes(self, monkeypatch, step_calls, patch, washout):
         monkeypatch.setattr(reservoir_mod, *patch)
         r = build(config(washout=washout))
         model = ReadoutModel(w_out=readout(60), method=Ridge())
         data = dataset(2)
-        assert segmented_predictions(r, data.inputs, model.w_out) is None
-        assert evaluate(r, model, data) == serial_report(r, model, data)
+        report = evaluate(r, model, data)
+        # the split pass, then the same call stepped again unsplit
+        assert widths(step_calls) == [split_width(2), 2]
+        assert report == serial_report(r, model, data)
 
 
 class TestMemory:
-    """Segments hold no more at once than one serial chunk of states."""
+    """Segments hold no more at once than one unsplit chunk of states."""
 
     N = 300
 
     @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
     @pytest.mark.parametrize("steps", [578, 4000])
-    def test_peak_no_higher_than_serial(self, monkeypatch, sequences, steps):
+    def test_peak_no_higher_than_serial(self, monkeypatch, step_calls, sequences, steps):
         r = build(config(reservoir_size=self.N))
         model = ReadoutModel(w_out=readout(self.N) * 0.05, method=Ridge())
         data = dataset(sequences, steps=steps)
-        assert segmented_predictions(r, data.inputs, model.w_out) is not None
-        # each path runs once untraced, so one-time allocations count for neither
+        width = split_width(sequences, steps)
+        # each plan runs once untraced, so one-time allocations count for neither
         evaluate(r, model, data)
         segmented = traced_peak(lambda: evaluate(r, model, data))
-        monkeypatch.setattr(evaluation, "segmented_predictions", lambda *args: None)
+        # no room for 2 segments
+        monkeypatch.setattr(reservoir_mod, "WARMUP", steps)
         evaluate(r, model, data)
         serial = traced_peak(lambda: evaluate(r, model, data))
+        assert widths(step_calls) == [width] * 2 + [sequences] * 2
         assert segmented <= serial, f"segmented peak {segmented} bytes, serial {serial}"

@@ -85,6 +85,20 @@ def test_one_state_stepping_function():
     assert len(users) == 1, f"the activation is applied in {sorted(users) or 'no function'}"
 
 
+def test_one_prediction_loop():
+    # states are stepped from two functions: `state_blocks` for training and
+    # harvests, and `predictions`, the one loop that turns them into outputs
+    def steps_blocks(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == "_step_blocks") or (
+            isinstance(func, ast.Attribute) and func.attr == "_step_blocks"
+        )
+
+    callers = _owners(steps_blocks)
+    expected = {"reservoir.py:state_blocks", "reservoir.py:predictions"}
+    assert callers == expected, f"_step_blocks is called from {sorted(callers)}"
+
+
 def test_one_csv_writer():
     # every CSV report is written through one function
     def is_csv_writer(node):
