@@ -11,12 +11,14 @@ scipy is not a runtime dependency. Three routines are called through
 ``ctypes`` in the OpenBLAS that numpy itself loaded. The fold's
 ``b += x.T @ x`` is one in-place ``dsyrk`` on b's upper triangle
 (``add_gram_upper``); numpy's own ``x.T @ x`` would mirror the triangle
-into a fresh N x N array on every call. ``solve_spd`` makes one N x N
-working copy and factors and solves it in place with ``dpotrf`` and
-``dpotrs``; ``np.linalg.cholesky`` would add a Fortran-order copy and a
-separate factor. With any other BLAS, the update is ``b += x.T @ x``
-and the solve ``np.linalg.cholesky``; the update's layout contract is
-the same on every BLAS.
+into a fresh N x N array on every call. ``solve_spd`` factors and solves
+with ``dpotrf`` and ``dpotrs``, which touch one triangle and the
+diagonal only: an exactly symmetric, writeable, row-major input is
+solved in place and restored from its other triangle, anything else in
+one N x N working copy; ``np.linalg.cholesky`` would add a Fortran-order
+copy and a separate factor. With any other BLAS, the update is
+``b += x.T @ x`` and the solve ``np.linalg.cholesky`` on a working copy;
+the update's layout contract is the same on every BLAS.
 """
 
 from __future__ import annotations
@@ -30,8 +32,10 @@ from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeEr
 # Relative asymmetry above which solve_spd rejects its input instead of
 # silently symmetrizing (a symmetrized solve would hide accumulator bugs).
 SYMMETRY_RTOL = 1e-9
-# Rows of m compared with its columns at a time by the symmetry check.
-_SYMMETRY_ROWS = 64
+# Rows of an N x N array handled at a time wherever a whole-array
+# expression would make an N x N temporary: the symmetry check, the
+# accumulator blend and the container codec.
+BAND = 64
 
 # CBLAS enum values: row-major, upper triangle, C = A^T A.
 _ROW_MAJOR, _UPPER, _TRANS = 101, 121, 112
@@ -113,10 +117,13 @@ def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
     ``m`` must be symmetric to within ``SYMMETRY_RTOL`` (relative to its
     largest entry); asymmetric inputs are rejected rather than symmetrized.
     Raises ``DefinitenessError`` when the Cholesky factorization fails.
-    Neither ``m`` nor ``rhs`` is changed. The only N x N array made is one
-    working copy of ``m`` with ``shift`` added to its diagonal; numpy's
-    OpenBLAS factors and solves it in place (``dpotrf``/``dpotrs``). On
-    any other BLAS, ``np.linalg.cholesky`` and row substitutions solve it.
+    Neither ``m`` nor ``rhs`` is changed. numpy's OpenBLAS factors and
+    solves ``m + shift * I`` in one buffer (``dpotrf``/``dpotrs``): ``m``
+    itself when it is writeable, C-contiguous and byte-for-byte symmetric
+    (its diagonal and the upper triangle LAPACK overwrites are restored
+    from the saved diagonal and the untouched lower triangle, on success
+    and on failure), otherwise one working copy. On any other BLAS,
+    ``np.linalg.cholesky`` and row substitutions solve a working copy.
     """
     m = as_matrix(m, "matrix")
     rhs_arr = np.asarray(rhs, dtype=np.float64)
@@ -133,31 +140,36 @@ def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
             f"right-hand side rows {rhs_arr.shape} do not match matrix shape {m.shape}"
         )
 
+    asym, exact = _asymmetry(m)
     scale = max(m.max(), -m.min())
-    if scale > 0.0:
-        # |m - m.T| is symmetric, so rows i0:i1 against columns i0: of
-        # m.T cover every pair, a band at a time instead of two N x N copies
-        asym = max(
-            np.abs(m[i0 : i0 + _SYMMETRY_ROWS, i0:] - m[i0:, i0 : i0 + _SYMMETRY_ROWS].T).max()
-            for i0 in range(0, n, _SYMMETRY_ROWS)
+    if asym > SYMMETRY_RTOL * scale:
+        raise DefinitenessError(
+            f"matrix is asymmetric beyond tolerance (relative asymmetry {asym / scale:.3e})"
         )
-        if asym > SYMMETRY_RTOL * scale:
-            raise DefinitenessError(
-                f"matrix is asymmetric beyond tolerance (relative asymmetry {asym / scale:.3e})"
-            )
 
-    work = np.array(m, order="C")
-    work.flat[:: n + 1] += shift
-    if _DPOTRF is not None and _DPOTRS is not None:
-        # The row-major copy read column-major is its transpose, so the
+    lapack = _DPOTRF is not None and _DPOTRS is not None
+    # dpotrf/dpotrs touch one triangle and the diagonal only, so an exactly
+    # symmetric m is its own work buffer, restored from the other triangle
+    in_place = lapack and exact and m.flags.c_contiguous and m.flags.writeable
+    work = m if in_place else np.array(m, order="C")
+    if lapack:
+        # The row-major work read column-major is its transpose, so the
         # "L" triangle LAPACK reads is m's upper one, which the fold writes.
         sol = np.array(rhs_arr, order="F")
-        info = _cholesky_solve_in_place(work, sol)
+        diagonal = m.diagonal().copy()
+        work.flat[:: n + 1] += shift
+        try:
+            info = _cholesky_solve_in_place(work, sol)
+        finally:
+            if in_place:  # m's lower triangle back over the factor, then its diagonal
+                mirror_upper(m.T)
+                m.flat[:: n + 1] = diagonal
         if info > 0:
             raise DefinitenessError(
                 f"matrix is not positive definite: leading minor of order {info} is not positive"
             )
     else:
+        work.flat[:: n + 1] += shift
         try:
             lower = np.linalg.cholesky(work)
         except np.linalg.LinAlgError as exc:
@@ -173,6 +185,27 @@ def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
     if not np.isfinite(sol).all():
         raise NonFiniteError("solve produced non-finite values")
     return sol[:, 0] if rhs_was_vector else sol
+
+
+def _asymmetry(m: np.ndarray) -> tuple[float, bool]:
+    """Largest ``|m - m.T|`` of square ``m``, and whether ``m`` equals
+    ``m.T`` byte for byte (a +0.0/-0.0 pair is equal, not the same bytes).
+    ``|m - m.T|`` is symmetric, so rows i0:i1 against columns i0: of
+    ``m.T`` cover every pair, a band at a time. Each band of ``m.T`` is
+    copied into the front of one flat buffer, so it is contiguous and
+    the difference can be taken in place: nothing N x N is made.
+    """
+    n = m.shape[0]
+    asym, exact = 0.0, True
+    buffer = np.empty(min(BAND, n) * n)
+    for i0 in range(0, n, BAND):
+        upper = m[i0 : i0 + BAND, i0:]
+        lower = buffer[: upper.size].reshape(upper.shape)
+        np.copyto(lower, m[i0:, i0 : i0 + BAND].T)
+        exact = exact and np.array_equal(upper.view(np.int64), lower.view(np.int64))
+        diff = np.subtract(upper, lower, out=lower)
+        asym = max(asym, np.abs(diff, out=diff).max())
+    return asym, exact
 
 
 def _cholesky_solve_in_place(work: np.ndarray, sol: np.ndarray) -> int:

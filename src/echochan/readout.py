@@ -11,7 +11,9 @@ partition and merged; the result changes only by rounding. Each state
 block goes into b's upper triangle in place (``numerics.add_gram_upper``,
 whose contract is C-contiguous float64 rows and a C-contiguous b, as
 ``state_blocks`` and the fold make them), and b is mirrored once at the
-end.
+end. So b is exactly symmetric, and on numpy's OpenBLAS the ridge and
+linear solves factor it in place and restore it (``numerics.solve_spd``):
+a fit holds b, the state block and O(N * L), and no second N x N array.
 """
 
 from __future__ import annotations

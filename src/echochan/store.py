@@ -11,10 +11,12 @@ carry the provenance (specs, seeds, fingerprints) needed to regenerate
 the contents. Writes go to a temporary file in the destination directory
 followed by an atomic rename, so readers never observe partial files.
 
-This module is a codec only. It writes any array in row bands and reads
-views of the payload; the types that own the arrays (``Reservoir``,
-``ModelArtifact``, ``SequenceDataset``) take their own copies in the
-layout they keep.
+This module is a codec only. It writes any array in row bands, and reads
+the payload straight into arrays in the layout their owners
+(``Reservoir``, ``ModelArtifact``, ``SequenceDataset``) keep, marked
+read-only so the owner keeps them without a copy: a row-major array is
+read in place, a column-major one (``w``) through one band of rows. A
+load holds the payload once, plus one band.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from itertools import chain
@@ -43,15 +46,13 @@ from .config import (
     regression_method,
 )
 from .errors import FormatError, IntegrityError, ShapeError, VersionError
+from .numerics import BAND
 from .readout import ReadoutModel, RegressionMethod
 from .reservoir import Reservoir, ReservoirConfig, matrix_shapes
 
 MODEL_MAGIC = b"ESN1"
 DATASET_MAGIC = b"ESD1"
 FORMAT_VERSION = 1
-# Rows of an array encoded at a time, so a save copies at most this many
-# rows of a matrix kept column-major, never a whole N x N transpose.
-_BAND = 64
 
 
 @dataclass(frozen=True)
@@ -100,54 +101,79 @@ def _atomic_write(path, chunks) -> None:
         raise
 
 
-def _read_container(path, magic: bytes) -> tuple[dict, memoryview]:
-    data = Path(path).read_bytes()
-    if len(data) < 16:
-        raise IntegrityError(f"file {path} has {len(data)} bytes, smaller than any header")
-    if data[:4] != magic:
-        raise FormatError(
-            f"bad magic in {path}: expected {magic.decode('ascii')!r}, got {data[:4]!r}"
-        )
-    version = int.from_bytes(data[4:8], "little")
-    if version != FORMAT_VERSION:
-        raise VersionError(
-            f"file {path} has format version {version}; this build supports {FORMAT_VERSION}"
-        )
-    header_len = int.from_bytes(data[8:16], "little")
-    if 16 + header_len > len(data):
-        raise IntegrityError(
-            f"header of {path} claims {header_len} bytes but only "
-            f"{len(data) - 16} follow the fixed fields"
-        )
-    try:
-        header = json.loads(data[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable header in {path}: {exc}") from exc
-    return header, memoryview(data)[16 + header_len :]
+@contextmanager
+def _open_container(path, magic: bytes):
+    """Open a container and check its fixed fields and header in the order
+    docs/FORMATS.md gives. Yields the header, the payload's size in
+    bytes, which the caller checks (``_expect_payload``) before it
+    allocates anything, and ``fill``, which reads the payload into the
+    caller's arrays; the mirror of ``_write_container``."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < 16:
+            raise IntegrityError(f"file {path} has {size} bytes, smaller than any header")
+        fixed = handle.read(16)
+        if fixed[:4] != magic:
+            raise FormatError(
+                f"bad magic in {path}: expected {magic.decode('ascii')!r}, got {fixed[:4]!r}"
+            )
+        version = int.from_bytes(fixed[4:8], "little")
+        if version != FORMAT_VERSION:
+            raise VersionError(
+                f"file {path} has format version {version}; this build supports {FORMAT_VERSION}"
+            )
+        header_len = int.from_bytes(fixed[8:16], "little")
+        if 16 + header_len > size:
+            raise IntegrityError(
+                f"header of {path} claims {header_len} bytes but only "
+                f"{size - 16} follow the fixed fields"
+            )
+        try:
+            header = json.loads(handle.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"unreadable header in {path}: {exc}") from exc
+
+        def fill(blocks) -> None:
+            """Read the payload into ``blocks``, ``(what, array)`` pairs in
+            payload order (``what`` names the values in an error), each a
+            writeable ``<f8`` array filled ``BAND`` rows at a time; a
+            column-major array takes its rows through one band buffer. A
+            file that ends early is an ``IntegrityError``."""
+            for what, array in blocks:
+                buffer = None
+                for i in range(0, len(array), BAND):
+                    rows = array[i : i + BAND]
+                    if rows.flags.c_contiguous:
+                        band = rows
+                    else:
+                        if buffer is None:
+                            buffer = np.empty((min(BAND, len(array)), *array.shape[1:]), "<f8")
+                        band = buffer[: len(rows)]
+                    if handle.readinto(band) != band.nbytes:
+                        raise IntegrityError(f"file {path} ended while reading its {what}")
+                    if not np.isfinite(band).all():
+                        raise IntegrityError(f"{what} of {path} contains non-finite values")
+                    if band is not rows:
+                        rows[...] = band
+
+        yield header, size - 16 - header_len, fill
 
 
-def _expect_payload(path, payload: memoryview, expected: int) -> None:
-    if len(payload) != expected:
-        raise IntegrityError(
-            f"payload of {path} has {len(payload)} bytes, expected {expected}"
-        )
-
-
-def _check_finite(path, what: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise IntegrityError(f"{what} of {path} contains non-finite values")
+def _expect_payload(path, payload: int, expected: int) -> None:
+    if payload != expected:
+        raise IntegrityError(f"payload of {path} has {payload} bytes, expected {expected}")
 
 
 def _write_container(path, magic: bytes, header: dict, arrays) -> None:
     """Write ``magic``, the version, the canonical JSON header and each
-    2-D array's rows as float64 LE, ``_BAND`` rows at a time; the mirror
-    of ``_read_container``."""
+    2-D array's rows as float64 LE, ``BAND`` rows at a time; the mirror
+    of ``_open_container``."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = [magic, FORMAT_VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
     bands = (
-        np.ascontiguousarray(a[i : i + _BAND], dtype="<f8")
+        np.ascontiguousarray(a[i : i + BAND], dtype="<f8")
         for a in arrays
-        for i in range(0, len(a), _BAND)
+        for i in range(0, len(a), BAND)
     )
     _atomic_write(path, chain(prefix, bands))
 
@@ -171,34 +197,38 @@ def save_model(artifact: ModelArtifact, path) -> None:
 
 
 def load_model(path) -> ModelArtifact:
-    header, payload = _read_container(path, MODEL_MAGIC)
-    try:
-        cfg = mapping(header["config"], "config")
-        config = ReservoirConfig(**_read(cfg, MODEL_CONFIG_KEYS, "config"))
-        order = header["matrices"]
-        shapes = {name: tuple(dims) for name, dims in header["shapes"].items()}
-        settings = dict(mapping(header["method"], "method"))
-        method = regression_method(settings.pop("kind", None), settings, "method")
-        achieved = number(header["achieved_radius"], "achieved_radius")
-        provenance = mapping(header["provenance"], "provenance")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"model header of {path} is malformed: {exc}") from exc
+    with _open_container(path, MODEL_MAGIC) as (header, payload, fill):
+        try:
+            cfg = mapping(header["config"], "config")
+            config = ReservoirConfig(**_read(cfg, MODEL_CONFIG_KEYS, "config"))
+            order = header["matrices"]
+            shapes = {name: tuple(dims) for name, dims in header["shapes"].items()}
+            settings = dict(mapping(header["method"], "method"))
+            method = regression_method(settings.pop("kind", None), settings, "method")
+            achieved = number(header["achieved_radius"], "achieved_radius")
+            provenance = mapping(header["provenance"], "provenance")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
-    expected_shapes = matrix_shapes(config)
-    if order != list(expected_shapes):
-        raise FormatError(f"payload order in {path} is {order}, expected {list(expected_shapes)}")
-    if shapes != expected_shapes:
-        raise ShapeError(
-            f"matrix shapes in {path} are inconsistent with the stored config: "
-            f"{shapes} vs {expected_shapes}"
-        )
-    _expect_payload(path, payload, 8 * sum(rows * cols for rows, cols in expected_shapes.values()))
-    matrices, offset = {}, 0
-    for name, (rows, cols) in expected_shapes.items():
-        arr = np.frombuffer(payload, dtype="<f8", count=rows * cols, offset=offset)
-        matrices[name] = arr.reshape(rows, cols)
-        _check_finite(path, f"matrix {name}", arr)
-        offset += 8 * rows * cols
+        expected_shapes = matrix_shapes(config)
+        if order != list(expected_shapes):
+            raise FormatError(
+                f"payload order in {path} is {order}, expected {list(expected_shapes)}"
+            )
+        if shapes != expected_shapes:
+            raise ShapeError(
+                f"matrix shapes in {path} are inconsistent with the stored config: "
+                f"{shapes} vs {expected_shapes}"
+            )
+        _expect_payload(path, payload, 8 * sum(rows * cols for rows, cols in expected_shapes.values()))
+        # read in the layout the artifact keeps, so it keeps them without a copy
+        matrices = {
+            name: np.empty(shape, "<f8", order=ModelArtifact.ORDERS[name])
+            for name, shape in expected_shapes.items()
+        }
+        fill([(f"matrix {name}", matrix) for name, matrix in matrices.items()])
+    for matrix in matrices.values():
+        matrix.flags.writeable = False
     try:
         return ModelArtifact(
             config=config, achieved_radius=achieved, method=method, provenance=provenance, **matrices
@@ -221,25 +251,27 @@ def save_dataset(ds: SequenceDataset, path) -> None:
 
 
 def load_dataset(path) -> SequenceDataset:
-    header, payload = _read_container(path, DATASET_MAGIC)
-    try:
-        num = integer(header["num_sequences"], "num_sequences")
-        t = integer(header["seq_len"], "seq_len")
-        k = integer(header["input_dim"], "input_dim")
-        l = integer(header["output_dim"], "output_dim")
-        meta = mapping(header["meta"], "meta")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"dataset header of {path} is malformed: {exc}") from exc
-    if k != 2 or l != 2:
-        raise ShapeError(
-            f"dataset {path} declares K={k}, L={l}; this format carries I/Q pairs (K=L=2)"
-        )
-    if num < 0 or t < 1:
-        raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
-    _expect_payload(path, payload, num * t * (k + l) * 8)
-    blocks = np.frombuffer(payload, dtype="<f8").reshape(num, k + l, t)
-    _check_finite(path, "payload", blocks)
-    return SequenceDataset(inputs=blocks[:, :k], targets=blocks[:, k:], meta=meta)
+    with _open_container(path, DATASET_MAGIC) as (header, payload, fill):
+        try:
+            num = integer(header["num_sequences"], "num_sequences")
+            t = integer(header["seq_len"], "seq_len")
+            k = integer(header["input_dim"], "input_dim")
+            l = integer(header["output_dim"], "output_dim")
+            meta = mapping(header["meta"], "meta")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"dataset header of {path} is malformed: {exc}") from exc
+        if k != 2 or l != 2:
+            raise ShapeError(
+                f"dataset {path} declares K={k}, L={l}; this format carries I/Q pairs (K=L=2)"
+            )
+        if num < 0 or t < 1:
+            raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
+        _expect_payload(path, payload, num * t * (k + l) * 8)
+        # each sequence's input and target blocks go straight into the kept arrays
+        inputs, targets = np.empty((num, k, t), "<f8"), np.empty((num, l, t), "<f8")
+        fill([("payload", block) for pair in zip(inputs, targets) for block in pair])
+    inputs.flags.writeable = targets.flags.writeable = False
+    return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
 
 
 def file_fingerprint(path) -> str:

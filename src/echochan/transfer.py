@@ -8,9 +8,12 @@ trained readout on target data as-is.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .channelsim import SequenceDataset
 from .errors import ShapeError
 from .evaluation import MetricReport, evaluate
+from .numerics import BAND
 from .readout import (
     Accumulators,
     ReadoutModel,
@@ -38,9 +41,14 @@ def blend_accumulators(source: Accumulators, target: Accumulators, alpha: float)
             f"cannot blend accumulators of shapes a {source.a.shape}/{target.a.shape}, "
             f"b {source.b.shape}/{target.b.shape}"
         )
+    # (1 - alpha) * target.b, then alpha * source.b added a band at a time:
+    # one new N x N array, the same bytes as the sum written out
+    b = np.multiply(target.b, 1.0 - alpha)
+    for i0 in range(0, len(b), BAND):
+        b[i0 : i0 + BAND] += alpha * source.b[i0 : i0 + BAND]
     return Accumulators(
         a=alpha * source.a + (1.0 - alpha) * target.a,
-        b=alpha * source.b + (1.0 - alpha) * target.b,
+        b=b,
         samples_seen=int(
             round(alpha * source.samples_seen + (1.0 - alpha) * target.samples_seen)
         ),

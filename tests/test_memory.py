@@ -1,0 +1,88 @@
+"""Peak memory of each stage at N=300, as ``tracemalloc`` sees it.
+
+Each N x N array is held once: the ridge solve works in B itself, the
+blend makes only the blended B, and a load reads the file straight into
+the arrays that the model or dataset keeps. CI runs this file on one
+BLAS thread as well, so the in-place solve also runs on OpenBLAS's
+single-thread kernels.
+"""
+
+import numpy as np
+import pytest
+from conftest import state_blocks_peak
+from test_evaluation import traced_peak
+from test_numerics import ridge_like
+
+from echochan import numerics
+from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
+from echochan.numerics import BAND, solve_spd
+from echochan.readout import Accumulators, ReadoutModel, Ridge, fit
+from echochan.reservoir import ReservoirConfig, build
+from echochan.store import load_dataset, load_model, make_artifact, save_dataset, save_model
+from echochan.transfer import blend_accumulators
+
+N = 300
+# one band of N x N rows, and the boolean mask a check makes of it
+BAND_BYTES = BAND * N * 8
+MASK_BYTES = BAND * N
+# the buffer numpy's ufunc machinery takes for a strided operand (8,192
+# values, whatever N), headers, small Python objects and bookkeeping
+SLACK = 8192 * 8 + 16384
+
+needs_dpotrf = pytest.mark.skipif(
+    numerics._DPOTRF is None, reason="numpy's LAPACK has no dpotrf to call"
+)
+
+
+def reservoir(seed=70):
+    return build(ReservoirConfig(input_dim=2, reservoir_size=N, output_dim=2, seed=seed))
+
+
+def dataset(sequences, bits=60, seed=71):
+    wave = WaveformSpec(
+        bits_per_sequence=bits, samples_per_symbol=2, sequence_length=bits, seed=seed
+    )
+    return generate_dataset(wave, Multipath(taps=(Tap(0, 0.9, 0.2),), snr_db=25.0), sequences)
+
+
+@needs_dpotrf
+def test_ridge_solve_makes_no_n_by_n_array():
+    b, rhs, shift = ridge_like(n=N)
+    peak = traced_peak(lambda: solve_spd(b, rhs, shift=shift))
+    assert peak <= BAND_BYTES + MASK_BYTES + 4 * rhs.nbytes + SLACK
+
+
+@needs_dpotrf
+def test_fit_holds_b_the_states_and_the_readout():
+    r, data = reservoir(), dataset(2)
+    stepping = state_blocks_peak(r, sequences=2, steps=data.seq_len)
+    peak = traced_peak(lambda: fit(r, data, Ridge()))
+    assert peak <= N * N * 8 + stepping + BAND_BYTES + MASK_BYTES + SLACK
+
+
+def test_blend_makes_one_n_by_n_array():
+    rng = np.random.default_rng(72)
+    source, target = (
+        Accumulators(a=rng.standard_normal((2, N)), b=rng.standard_normal((N, N)), samples_seen=9)
+        for _ in range(2)
+    )
+    peak = traced_peak(lambda: blend_accumulators(source, target, 0.3))
+    assert peak <= N * N * 8 + BAND_BYTES + SLACK
+
+
+def test_load_model_holds_w_once(tmp_path):
+    r = reservoir(seed=73)
+    model = ReadoutModel(w_out=np.ones((2, N)), method=Ridge())
+    path = tmp_path / "model.esn"
+    save_model(make_artifact(r, model, {"seed": 73, "dataset_fingerprint": "0" * 64}), path)
+    peak = traced_peak(lambda: load_model(path))
+    assert peak <= N * N * 8 + BAND_BYTES + MASK_BYTES + SLACK
+
+
+def test_load_dataset_holds_the_payload_once(tmp_path):
+    path = tmp_path / "data.esd"
+    save_dataset(dataset(40, bits=300, seed=74), path)
+    payload = 40 * 4 * 300 * 8
+    # the dataset's own finiteness check masks its inputs: 1 byte per value
+    peak = traced_peak(lambda: load_dataset(path))
+    assert peak <= payload + payload // 16 + SLACK

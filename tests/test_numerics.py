@@ -223,6 +223,86 @@ class TestSolveSpdPaths:
         assert peak <= b.nbytes + 8 * rhs.size * 4 + 8192
 
 
+def factored_buffers(monkeypatch) -> list:
+    """Address of every buffer ``dpotrf`` factors during the test."""
+    addresses = []
+
+    def recorded(uplo, n, a, lda, info, length):
+        addresses.append(a)
+        BUILT_DPOTRF(uplo, n, a, lda, info, length)
+
+    monkeypatch.setattr(numerics, "_DPOTRF", recorded)
+    return addresses
+
+
+def with_negative_eigenvalue(n=120, seed=31):
+    """An exactly symmetric matrix with eigenvalues 1 .. 0.1 and one -1."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    m = (q * np.r_[np.linspace(1.0, 0.1, n - 1), -1.0]) @ q.T
+    return (m + m.T) / 2
+
+
+@pytest.mark.skipif(BUILT_DPOTRF is None, reason="numpy's LAPACK has no dpotrf to call")
+class TestSolveInPlace:
+    """An exactly symmetric, writeable, row-major B is factored in place
+    and comes back byte for byte; anything else is solved in a copy."""
+
+    def test_same_bytes_as_a_copy_and_b_restored(self, monkeypatch):
+        b, rhs, shift = ridge_like()
+        before = b.tobytes()
+        frozen_b = b.copy()
+        frozen_b.flags.writeable = False
+        factored = factored_buffers(monkeypatch)
+        in_place, copied = solve_spd(b, rhs, shift), solve_spd(frozen_b, rhs, shift)
+        assert factored[0] == b.ctypes.data and factored[1] != frozen_b.ctypes.data
+        assert in_place.tobytes() == copied.tobytes()
+        assert b.tobytes() == before
+
+    def test_b_restored_after_definiteness_error(self, monkeypatch):
+        b, rhs, _ = ridge_like(n=100)
+        before = b.tobytes()
+        factored = factored_buffers(monkeypatch)
+        with pytest.raises(DefinitenessError, match="not positive definite"):
+            solve_spd(b, rhs, shift=-1e-3)
+        assert factored == [b.ctypes.data]
+        assert b.tobytes() == before
+
+    def test_b_restored_after_linear_rank_error(self, monkeypatch):
+        from echochan.errors import RankError
+        from echochan.readout import Accumulators, Linear, solve
+
+        b = with_negative_eigenvalue()
+        before = b.tobytes()
+        acc = Accumulators(a=np.ones((2, 120)), b=b, samples_seen=1)
+        factored = factored_buffers(monkeypatch)
+        with pytest.raises(RankError):
+            solve(acc, Linear())
+        assert factored == [b.ctypes.data]
+        assert b.tobytes() == before
+
+    @pytest.mark.parametrize("kind", ["read-only", "F", "asymmetric", "signed-zero"])
+    def test_other_inputs_take_a_copy_and_stay_unchanged(self, monkeypatch, kind):
+        b, rhs, _ = ridge_like(n=120)
+        shift = 0.1  # stays definite with one pair of entries zeroed
+        expected = solve_spd(b, rhs, shift)
+        if kind == "read-only":
+            b.flags.writeable = False
+        elif kind == "F":
+            b = np.asfortranarray(b)
+        elif kind == "asymmetric":  # within SYMMETRY_RTOL, so it is solved
+            b[3, 7] = np.nextafter(b[3, 7], np.inf)
+        else:  # equal values, different bytes
+            b[3, 7], b[7, 3] = 0.0, -0.0
+            expected = solve_spd(np.where(b == 0.0, 0.0, b), rhs, shift)
+        before = b.tobytes(order="A")
+        factored = factored_buffers(monkeypatch)
+        sol = solve_spd(b, rhs, shift)
+        assert len(factored) == 1 and factored[0] != b.ctypes.data
+        assert b.tobytes(order="A") == before
+        if kind != "asymmetric":
+            assert sol.tobytes() == expected.tobytes()
+
+
 class TestSpectralRadius:
     def test_identity(self):
         assert spectral_radius(np.eye(3)) == pytest.approx(1.0)

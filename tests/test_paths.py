@@ -23,6 +23,8 @@ from echochan.config import default_config_path
 PRESETS = ["awgn", "data1", "data2", "data3", "data4", "bellhop_like"]
 AXES = ["init", "radius", "size", "activation"]
 METHODS = ["ridge", "linear", "lasso"]
+INITS = ["random", "xavier", "normalized_xavier", "he"]
+ACTIVATIONS = ["tanh", "relu", "sigmoid"]
 SCORES = ("mape_percent", "mse", "train_seconds")
 
 
@@ -49,11 +51,11 @@ def work(feedback, tmp_path_factory):
     return directory
 
 
-def cli(directory: Path, *argv: str) -> int:
-    """``echochan --config <directory>/config.yaml *argv``, file names
-    taken relative to ``directory``."""
+def cli(directory: Path, *argv: str, config: str = "config.yaml") -> int:
+    """``echochan --config <directory>/<config> *argv``, file names taken
+    relative to ``directory``."""
     paths = [str(directory / a) if a.endswith((".esd", ".esn", ".csv")) else a for a in argv]
-    return main(["--config", str(directory / "config.yaml"), *paths])
+    return main(["--config", str(directory / config), *paths])
 
 
 def expect_lasso_failure(request, feedback: bool, method: str) -> None:
@@ -91,6 +93,27 @@ def test_train_and_evaluate(work, feedback, request, capsys, method):
     assert cli(work, "train", "train.esd", "-o", model, "--regression", method) == 0
     assert cli(work, "evaluate", model, "test.esd", "--csv", f"{method}.csv") == 0
     assert_finite_scores(capsys.readouterr().out, work / f"{method}.csv")
+
+
+@pytest.mark.parametrize("init", INITS)
+def test_train_and_evaluate_each_init(work, capsys, init):
+    model = f"init-{init}.esn"
+    assert cli(work, "train", "train.esd", "-o", model, "--init", init) == 0
+    assert cli(work, "evaluate", model, "test.esd", "--csv", f"init-{init}.csv") == 0
+    assert_finite_scores(capsys.readouterr().out, work / f"init-{init}.csv")
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_train_and_evaluate_each_activation(work, capsys, activation):
+    # the activation has no train flag: it is set through the config
+    raw = yaml.safe_load((work / "config.yaml").read_text())
+    raw["reservoir"]["activation"] = activation
+    config = f"config-{activation}.yaml"
+    (work / config).write_text(yaml.safe_dump(raw))
+    model, report = f"activation-{activation}.esn", f"activation-{activation}.csv"
+    assert cli(work, "train", "train.esd", "-o", model, config=config) == 0
+    assert cli(work, "evaluate", model, "test.esd", "--csv", report, config=config) == 0
+    assert_finite_scores(capsys.readouterr().out, work / report)
 
 
 @pytest.mark.parametrize(

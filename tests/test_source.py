@@ -128,6 +128,24 @@ def test_one_container_writer():
     assert len(writers) == 1, f"the format version is written in {sorted(writers) or 'no function'}"
 
 
+def test_one_container_reader():
+    # both containers read their payload into the owners' arrays through
+    # one function, and no loader keeps a view of a bytes payload
+    def reads_payload(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return isinstance(func, ast.Attribute) and func.attr == "readinto"
+
+    readers = _owners(reads_payload)
+    assert len(readers) == 1, f"payload bytes are read in {sorted(readers) or 'no function'}"
+    store = ast.parse((PACKAGE / "store.py").read_text())
+    views = [
+        node.lineno
+        for node in ast.walk(store)
+        if isinstance(node, ast.Attribute) and node.attr == "frombuffer"
+    ]
+    assert not views, f"store.py makes frombuffer views at lines {views}"
+
+
 def test_feedback_decided_in_reservoir():
     # whether a run feeds its output back is read only where states are stepped
     def reads_feedback(node):

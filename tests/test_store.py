@@ -246,6 +246,29 @@ class TestModelCorruption:
         with pytest.raises(IntegrityError, match=rf"matrix {name} of {path} contains non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind", ["model", "dataset"])
+    def test_short_read_is_an_integrity_error(self, tmp_path, monkeypatch, kind):
+        # the file loses its last value after its size was checked
+        import os
+
+        from echochan import store
+
+        path = tmp_path / f"file.{kind}"
+        if kind == "model":
+            save_model(trained_artifact(seed=66), path)
+        else:
+            save_dataset(generate_dataset(wave(67), CHANNEL, 2), path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            return os.stat_result((*real_fstat(fd)[:6], size, *real_fstat(fd)[7:]))
+
+        monkeypatch.setattr(store.os, "fstat", stale_fstat)
+        with pytest.raises(IntegrityError, match="ended while reading its"):
+            (load_model if kind == "model" else load_dataset)(path)
+
     def test_trailing_garbage(self, tmp_path):
         artifact = trained_artifact(seed=65)
         path = tmp_path / "model.esn"
