@@ -34,7 +34,7 @@ from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeEr
 SYMMETRY_RTOL = 1e-9
 # Rows of an N x N array handled at a time wherever a whole-array
 # expression would make an N x N temporary: the symmetry check, the
-# accumulator blend and the container codec.
+# accumulator merge and the container codec.
 BAND = 64
 
 # CBLAS enum values: row-major, upper triangle, C = A^T A.

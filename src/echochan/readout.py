@@ -5,15 +5,18 @@ Training folds harvested states and targets into two accumulators,
     a = sum_i targets_i @ states_i.T        (L x N)
     b = sum_i states_i @ states_i.T         (N x N)
 
-and solves ``w_out @ (b + lam*I) = a`` once at the end. The fold is
-associative and commutative, so sequences can be accumulated in any
-partition and merged; the result changes only by rounding. Each state
-block goes into b's upper triangle in place (``numerics.add_gram_upper``,
-whose contract is C-contiguous float64 rows and a C-contiguous b, as
-``state_blocks`` and the fold make them), and b is mirrored once at the
-end. So b is exactly symmetric, and on numpy's OpenBLAS the ridge and
-linear solves factor it in place and restore it (``numerics.solve_spd``):
-a fit holds b, the state block and O(N * L), and no second N x N array.
+and solves ``w_out @ (b + lam*I) = a`` once at the end. Every
+accumulator comes from one fold (``_fold``) or one combine (``merge``).
+The fold is associative and commutative, so sequences can be
+accumulated in any partition and merged; the result changes only by
+rounding. ``merge`` also takes weights, which is how ``fine_tune``
+blends source and target statistics. ``_fold`` adds each state block to
+b's upper triangle in place (``numerics.add_gram_upper``, whose contract
+is C-contiguous float64 rows and a C-contiguous b) and mirrors b once at
+the end. So b is exactly symmetric, and on numpy's OpenBLAS the ridge
+and linear solves factor it in place and restore it
+(``numerics.solve_spd``): a fit holds b, the state block and O(N * L),
+and no second N x N array.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
-from .numerics import add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
+from .numerics import BAND, add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
 DEFAULT_RIDGE_LAMBDA = 1e-6
@@ -106,16 +109,26 @@ class ReadoutModel:
         object.__setattr__(self, "w_out", frozen(as_matrix(self.w_out, "w_out")))
 
 
+def _fold(n: int, l: int, pairs) -> Accumulators:
+    """Fold ``(x, y)`` pairs, x a C-contiguous (steps, N) block of states
+    and y the (L, steps) targets, into new accumulators: x goes into b's
+    upper triangle in place, ``y @ x`` into a, and b is mirrored once at
+    the end."""
+    a, b, samples = np.zeros((l, n)), np.zeros((n, n)), 0
+    for x, y in pairs:
+        add_gram_upper(b, x)
+        a += y @ x
+        samples += x.shape[0]
+    mirror_upper(b)
+    return Accumulators(a=a, b=b, samples_seen=samples)
+
+
 def empty_accumulators(reservoir_size: int, output_dim: int) -> Accumulators:
     if reservoir_size < 1 or output_dim < 1:
         raise ShapeError(
             f"dimensions must be >= 1, got ({reservoir_size}, {output_dim})"
         )
-    return Accumulators(
-        a=np.zeros((output_dim, reservoir_size)),
-        b=np.zeros((reservoir_size, reservoir_size)),
-        samples_seen=0,
-    )
+    return _fold(reservoir_size, output_dim, [])
 
 
 def accumulate(acc: Accumulators, states: StateTrajectory, targets) -> Accumulators:
@@ -131,24 +144,28 @@ def accumulate(acc: Accumulators, states: StateTrajectory, targets) -> Accumulat
         raise ShapeError(
             f"targets have {y.shape[1]} columns but states have {x.shape[1]}"
         )
-    return Accumulators(
-        a=acc.a + y @ x.T,
-        b=acc.b + x @ x.T,
-        samples_seen=acc.samples_seen + x.shape[1],
-    )
+    return merge(acc, _fold(n, l, [(np.ascontiguousarray(x.T), y)]))
 
 
-def merge(first: Accumulators, second: Accumulators) -> Accumulators:
-    """Combine two independently computed accumulators."""
+def merge(first: Accumulators, second: Accumulators, weights=(1.0, 1.0)) -> Accumulators:
+    """``weights[0] * first + weights[1] * second``: at the default weights
+    the plain sum of two independently computed accumulators, and at
+    ``(alpha, 1 - alpha)`` the transfer blend of ``fine_tune``."""
     if first.a.shape != second.a.shape or first.b.shape != second.b.shape:
         raise ShapeError(
             f"cannot merge accumulators of shapes a {first.a.shape}/{second.a.shape}, "
             f"b {first.b.shape}/{second.b.shape}"
         )
+    w_first, w_second = weights
+    # the second b weighted, then the first added a band at a time: one new
+    # N x N array, the same bytes as the sum written out
+    b = np.multiply(second.b, w_second)
+    for i0 in range(0, len(b), BAND):
+        b[i0 : i0 + BAND] += w_first * first.b[i0 : i0 + BAND]
     return Accumulators(
-        a=first.a + second.a,
-        b=first.b + second.b,
-        samples_seen=first.samples_seen + second.samples_seen,
+        a=w_first * first.a + w_second * second.a,
+        b=b,
+        samples_seen=int(round(w_first * first.samples_seen + w_second * second.samples_seen)),
     )
 
 
@@ -229,25 +246,19 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
-    Each sequence's rows of a block are added to b's upper triangle in
-    place by ``add_gram_upper``, and the triangle is mirrored once at the
-    end.
+    Each sequence's rows of a block are one pair of ``_fold``.
     The targets are always passed as the teacher; ``state_blocks`` uses
     them only when the reservoir has feedback.
     """
     config = r.config
     check_dataset(config, dataset)
-    n = config.reservoir_size
-    a, b, samples = np.zeros((config.output_dim, n)), np.zeros((n, n)), 0
-    for first, t0, states in state_blocks(r, dataset.inputs, teacher=dataset.targets):
-        count, steps, _ = states.shape
-        targets = dataset.targets[first : first + count, :, t0 : t0 + steps]
-        for x, y in zip(states, targets):
-            add_gram_upper(b, x)
-            a += y @ x
-        samples += count * steps
-    mirror_upper(b)
-    return Accumulators(a=a, b=b, samples_seen=samples)
+    blocks = state_blocks(r, dataset.inputs, teacher=dataset.targets)
+    pairs = (
+        (x, dataset.targets[first + i, :, t0 : t0 + len(x)])
+        for first, t0, states in blocks
+        for i, x in enumerate(states)
+    )
+    return _fold(config.reservoir_size, config.output_dim, pairs)
 
 
 def fit(r: Reservoir, dataset, method: RegressionMethod = Ridge()) -> ReadoutModel:

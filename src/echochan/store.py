@@ -8,8 +8,9 @@ Both formats share one layout (byte-exact details in docs/FORMATS.md):
 Matrix payloads are row-major; dataset payloads are sequence-major with
 the input block before the target block inside each sequence. Headers
 carry the provenance (specs, seeds, fingerprints) needed to regenerate
-the contents. Writes go to a temporary file in the destination directory
-followed by an atomic rename, so readers never observe partial files.
+the contents. Writes go to a temporary file in the destination directory,
+created with the mode the umask gives any new file, followed by an atomic
+rename, so readers never observe partial files.
 
 This module is a codec only. It writes any array in row bands, and reads
 the payload straight into arrays in the layout their owners
@@ -24,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
@@ -88,16 +88,16 @@ def make_artifact(r: Reservoir, model: ReadoutModel, provenance: dict) -> ModelA
 
 def _atomic_write(path, chunks) -> None:
     path = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        mode="wb", dir=path.parent, prefix=f".{path.name}.", delete=False
-    )
+    # a new file's mode under the umask, as for every other file written
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    handle = open(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb")
     try:
         with handle:
             for chunk in chunks:
                 handle.write(chunk)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except BaseException:
-        os.unlink(handle.name)
+        os.unlink(temp)
         raise
 
 

@@ -1,10 +1,10 @@
 """Peak memory of each stage at N=300, as ``tracemalloc`` sees it.
 
-Each N x N array is held once: the ridge solve works in B itself, the
-blend makes only the blended B, and a load reads the file straight into
-the arrays that the model or dataset keeps. CI runs this file on one
-BLAS thread as well, so the in-place solve also runs on OpenBLAS's
-single-thread kernels.
+Each N x N array is held once: the ridge solve works in B itself, a
+merge, weighted or not, makes only the merged B, and a load reads the
+file straight into the arrays that the model or dataset keeps. CI runs
+this file on one BLAS thread as well, so the in-place solve also runs
+on OpenBLAS's single-thread kernels.
 """
 
 import numpy as np
@@ -16,10 +16,9 @@ from test_numerics import ridge_like
 from echochan import numerics
 from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.numerics import BAND, solve_spd
-from echochan.readout import Accumulators, ReadoutModel, Ridge, fit
+from echochan.readout import Accumulators, ReadoutModel, Ridge, fit, merge
 from echochan.reservoir import ReservoirConfig, build
 from echochan.store import load_dataset, load_model, make_artifact, save_dataset, save_model
-from echochan.transfer import blend_accumulators
 
 N = 300
 # one band of N x N rows, and the boolean mask a check makes of it
@@ -60,13 +59,23 @@ def test_fit_holds_b_the_states_and_the_readout():
     assert peak <= N * N * 8 + stepping + BAND_BYTES + MASK_BYTES + SLACK
 
 
+def random_accumulators(rng):
+    return Accumulators(
+        a=rng.standard_normal((2, N)), b=rng.standard_normal((N, N)), samples_seen=9
+    )
+
+
 def test_blend_makes_one_n_by_n_array():
     rng = np.random.default_rng(72)
-    source, target = (
-        Accumulators(a=rng.standard_normal((2, N)), b=rng.standard_normal((N, N)), samples_seen=9)
-        for _ in range(2)
-    )
-    peak = traced_peak(lambda: blend_accumulators(source, target, 0.3))
+    source, target = random_accumulators(rng), random_accumulators(rng)
+    peak = traced_peak(lambda: merge(source, target, (0.3, 1 - 0.3)))
+    assert peak <= N * N * 8 + BAND_BYTES + SLACK
+
+
+def test_merge_makes_one_n_by_n_array():
+    rng = np.random.default_rng(75)
+    first, second = random_accumulators(rng), random_accumulators(rng)
+    peak = traced_peak(lambda: merge(first, second))
     assert peak <= N * N * 8 + BAND_BYTES + SLACK
 
 

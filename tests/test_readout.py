@@ -79,6 +79,22 @@ class TestAccumulate:
         with pytest.raises(ShapeError):
             accumulate(empty_accumulators(2, 1), traj(np.ones((2, 3))), np.ones((1, 4)))
 
+    def test_merge_at_default_weights_is_the_plain_sum(self):
+        rng = np.random.default_rng(3)
+        first, second = (
+            Accumulators(
+                a=rng.standard_normal((2, 70)), b=rng.standard_normal((70, 70)), samples_seen=s
+            )
+            for s in (2**40 + 3, 11)
+        )
+        copies = [(acc.a.copy(), acc.b.copy()) for acc in (first, second)]
+        merged = merge(first, second)
+        assert merged.a.tobytes() == (first.a + second.a).tobytes()
+        assert merged.b.tobytes() == (first.b + second.b).tobytes()
+        assert merged.samples_seen == 2**40 + 14
+        for acc, (a, b) in zip((first, second), copies):
+            assert acc.a.tobytes() == a.tobytes() and acc.b.tobytes() == b.tobytes()
+
 
 class TestSolve:
     def test_exact_line_linear(self):

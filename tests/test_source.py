@@ -146,6 +146,26 @@ def test_one_container_reader():
     assert not views, f"store.py makes frombuffer views at lines {views}"
 
 
+def _callers(name: str) -> set[str]:
+    """``module:function`` of every call of ``name``, bare or as an attribute."""
+
+    def calls(node):
+        func = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return _owners(calls)
+
+
+def test_one_fold_and_one_merge():
+    # b is built by one Gram rule, and every set of accumulators the package
+    # makes comes from the one fold or the one (weighted) merge
+    assert _callers("add_gram_upper") == {"readout.py:_fold"}
+    assert _callers("mirror_upper") == {"readout.py:_fold", "numerics.py:solve_spd"}
+    assert _callers("Accumulators") == {"readout.py:_fold", "readout.py:merge"}
+
+
 def test_feedback_decided_in_reservoir():
     # whether a run feeds its output back is read only where states are stepped
     def reads_feedback(node):

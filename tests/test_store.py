@@ -1,6 +1,8 @@
 """On-disk format tests: round trips, corruption, versioning."""
 
 import json
+import os
+import stat
 import struct
 import tracemalloc
 from dataclasses import fields
@@ -8,9 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from echochan import store
 from echochan.channelsim import Awgn, Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import FormatError, IntegrityError, ShapeError, VersionError
-from echochan.evaluation import evaluate
+from echochan.evaluation import evaluate, write_csv
 from echochan.readout import Lasso, Linear, ReadoutModel, Ridge, fit
 from echochan.reservoir import Activation, InitMethod, Reservoir, ReservoirConfig, build
 from echochan.store import (
@@ -452,3 +455,35 @@ class TestFingerprints:
             file_fingerprint(path)
             == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+
+class TestAtomicWrite:
+    def test_containers_get_the_mode_of_any_new_file(self, tmp_path):
+        artifact, dataset = trained_artifact(seed=80), generate_dataset(wave(81), CHANNEL, 2)
+        names = ("m.esn", "d.esd", "e.csv")
+        for umask in (0o022, 0o077):
+            previous = os.umask(umask)
+            try:
+                save_model(artifact, tmp_path / "m.esn")
+                save_dataset(dataset, tmp_path / "d.esd")
+                write_csv(tmp_path / "e.csv", "a,b", [(1, 2)])
+            finally:
+                os.umask(previous)
+            modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in names}
+            assert modes == dict.fromkeys(names, 0o666 & ~umask), oct(umask)
+            for name in names:
+                os.unlink(tmp_path / name)
+
+    def test_failed_write_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path = tmp_path / "m.esn"
+        save_model(trained_artifact(seed=82), path)
+        before = path.read_bytes()
+
+        def chunks():
+            yield b"partial"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            store._atomic_write(path, chunks())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.esn"]

@@ -5,9 +5,9 @@ import pytest
 
 from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import ShapeError
-from echochan.readout import Ridge, accumulate_dataset, fit, solve
+from echochan.readout import Ridge, accumulate_dataset, fit, merge, solve
 from echochan.reservoir import ReservoirConfig, build
-from echochan.transfer import blend_accumulators, direct_transfer_eval, fine_tune
+from echochan.transfer import direct_transfer_eval, fine_tune
 
 SOURCE_CHANNEL = Multipath(
     taps=(Tap(0, 0.8, 0.1), Tap(1, -0.3, 0.2), Tap(3, 0.15, -0.1)), snr_db=30.0
@@ -83,9 +83,7 @@ class TestFineTune:
         blended_model = fine_tune(reservoir, a, b, 0.5, Ridge())
         pooled = generate_dataset(wave(46), TARGET_CHANNEL, 16)
         acc_pooled = accumulate_dataset(reservoir, pooled)
-        acc_pooled = blend_accumulators(
-            acc_pooled, accumulate_dataset(reservoir, b), 0.5
-        )
+        acc_pooled = merge(acc_pooled, accumulate_dataset(reservoir, b), (0.5, 0.5))
         pooled_model = solve(acc_pooled, Ridge())
         assert np.abs(blended_model.w_out - pooled_model.w_out).max() < 1e-6
 
@@ -93,7 +91,7 @@ class TestFineTune:
         acc_s = accumulate_dataset(reservoir, source)
         acc_t = accumulate_dataset(reservoir, target_train)
         alpha = 0.3
-        blended = blend_accumulators(acc_s, acc_t, alpha)
+        blended = merge(acc_s, acc_t, (alpha, 1 - alpha))
         np.testing.assert_array_equal(blended.a, alpha * acc_s.a + (1 - alpha) * acc_t.a)
         np.testing.assert_array_equal(blended.b, alpha * acc_s.b + (1 - alpha) * acc_t.b)
 
@@ -142,8 +140,3 @@ class TestPlan:
             direct_transfer_eval(reservoir, model, bad)
         with pytest.raises(ShapeError):
             fine_tune(reservoir, source, bad, 0.0, Ridge())
-
-    def test_invalid_blend_weight(self, reservoir, source):
-        acc = accumulate_dataset(reservoir, source)
-        with pytest.raises(ValueError):
-            blend_accumulators(acc, acc, -0.1)
