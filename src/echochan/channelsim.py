@@ -21,6 +21,9 @@ from .errors import NonFiniteError, ShapeError
 from .numerics import as_matrix, frozen
 
 GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
+# Rows of a sample, in-phase then quadrature: the width (K = L) of every
+# dataset generated or stored and of every reservoir a config builds.
+IQ = 2
 
 
 @dataclass(frozen=True)
@@ -290,10 +293,10 @@ def _add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
 
 def apply_channel(spec: ChannelSpec, tx, seed: int) -> np.ndarray:
-    """Push a 2 x T I/Q sequence through the channel; returns 2 x T."""
+    """Push an IQ x T sequence through the channel; returns IQ x T."""
     tx = as_matrix(tx, "transmitted sequence")
-    if tx.shape[0] != 2:
-        raise ShapeError(f"transmitted sequence must be 2 x T, got shape {tx.shape}")
+    if tx.shape[0] != IQ:
+        raise ShapeError(f"transmitted sequence must be {IQ} x T, got shape {tx.shape}")
     clean = _propagate(spec, tx, seed)
     return _to_rows(_add_noise(clean, spec.snr_db, seed))
 
@@ -327,8 +330,8 @@ def generate_dataset(
     if num_sequences < 0:
         raise ValueError(f"num_sequences must be >= 0, got {num_sequences}")
     t = wave.sequence_length
-    inputs = np.empty((num_sequences, 2, t))
-    targets = np.empty((num_sequences, 2, t))
+    inputs = np.empty((num_sequences, IQ, t))
+    targets = np.empty((num_sequences, IQ, t))
     clean_power = 0.0
     noise_power = 0.0
     for i in range(num_sequences):

@@ -28,8 +28,8 @@ from .evaluation import (
     write_csv,
     write_sweep_csv,
 )
-from .readout import fit
-from .reservoir import build, with_seed
+from .readout import METHODS, fit
+from .reservoir import InitMethod, build, with_seed
 from .store import (
     file_fingerprint,
     load_dataset,
@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("-o", "--out", required=True, help="output model path (.esn)")
     p_train.add_argument("--radius", type=float, default=None, help="override reservoir spectral radius")
     p_train.add_argument("--size", type=int, default=None, help="override reservoir size")
-    p_train.add_argument("--init", default=None, help="override init method (random|xavier|normalized_xavier|he)")
-    p_train.add_argument("--regression", default=None, help="override regression method (ridge|linear|lasso)")
+    inits, methods = "|".join(m.value for m in InitMethod), "|".join(METHODS)
+    p_train.add_argument("--init", default=None, help=f"override init method ({inits})")
+    p_train.add_argument("--regression", default=None, help=f"override regression method ({methods})")
 
     p_eval = sub.add_parser("evaluate", help="evaluate a model file on a dataset file")
     p_eval.add_argument("model", help="model path")
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--csv", default=None, metavar="PATH", help="also write the report as CSV")
 
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter axis over datasets")
-    p_sweep.add_argument("--axis", required=True, help="init | radius | size | activation | regression")
+    p_sweep.add_argument("--axis", required=True, help=" | ".join(a.value for a in SweepAxis))
     p_sweep.add_argument("--data", required=True, nargs="+", help="dataset path(s)")
     p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
     p_sweep.add_argument("--repeats", type=int, default=None, help="override sweep repeats")

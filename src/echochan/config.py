@@ -27,7 +27,7 @@ from typing import Optional
 
 import yaml
 
-from .channelsim import Awgn, ChannelSpec, Multipath, Tap, WaveformSpec
+from .channelsim import IQ, Awgn, ChannelSpec, Multipath, Tap, WaveformSpec
 from .errors import ConfigError
 from .readout import METHODS, RegressionMethod
 from .reservoir import Activation, InitMethod, ReservoirConfig
@@ -147,9 +147,7 @@ _MULTIPATH = {
     "disturbance_period": (integer, 200),
 }
 _RESERVOIR = {
-    "input_dim": (integer, 2),
     "reservoir_size": (integer, _REQUIRED),
-    "output_dim": (integer, 2),
     "init": (one_of(InitMethod), _REQUIRED),
     "sparsity": (number, 1.0),
     "spectral_radius": (number, _REQUIRED),
@@ -172,15 +170,18 @@ _SWEEP = {
     "repeats": (_at_least(1), 5),
     "radius_values": (_list_of(number), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
     "size_values": (_list_of(integer), [50, 100, 150, 300, 578, 600, 1200, 2400]),
-    "init_values": (_list_of(one_of(InitMethod)), ["random", "xavier", "normalized_xavier", "he"]),
-    "activation_values": (_list_of(one_of(Activation)), ["tanh", "relu", "sigmoid"]),
+    "init_values": (_list_of(one_of(InitMethod)), [m.value for m in InitMethod]),
+    "activation_values": (_list_of(one_of(Activation)), [a.value for a in Activation]),
     "regression_values": (_list_of(_method_name), list(METHODS)),
 }
 # The .esn header's config block: every ReservoirConfig field, typed like
 # the key it is read from. The radius is the reservoir section's
-# spectral_radius, and the seed is master_seed.
+# spectral_radius, the seed is master_seed, and the I/Q widths, which no
+# key sets, are integers.
 _FIELD_KINDS = {
     **_RESERVOIR,
+    "input_dim": (integer, IQ),
+    "output_dim": (integer, IQ),
     "target_spectral_radius": _RESERVOIR["spectral_radius"],
     "seed": _TOP["master_seed"],
 }
@@ -335,7 +336,7 @@ def parse_config(raw: dict) -> RunConfig:
     reservoir = _read(top["reservoir"], _RESERVOIR, "reservoir")
     reservoir["target_spectral_radius"] = reservoir.pop("spectral_radius")
     try:
-        reservoir_config = ReservoirConfig(**reservoir, seed=top["master_seed"])
+        reservoir_config = ReservoirConfig(**reservoir, input_dim=IQ, output_dim=IQ, seed=top["master_seed"])
     except ValueError as exc:
         raise ConfigError(f"invalid reservoir section: {exc}") from exc
 

@@ -125,23 +125,22 @@ def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
     and on failure), otherwise one working copy. On any other BLAS,
     ``np.linalg.cholesky`` and row substitutions solve a working copy.
     """
-    m = as_matrix(m, "matrix")
+    m = np.asarray(m, dtype=np.float64)
     rhs_arr = np.asarray(rhs, dtype=np.float64)
     rhs_was_vector = rhs_arr.ndim == 1
     if rhs_was_vector:
         rhs_arr = rhs_arr[:, None]
     rhs_arr = as_matrix(rhs_arr, "right-hand side")
 
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"matrix must be square, got shape {m.shape}")
+    n = m.shape[0]
     if rhs_arr.shape[0] != n:
         raise ShapeError(
             f"right-hand side rows {rhs_arr.shape} do not match matrix shape {m.shape}"
         )
 
-    asym, exact = _asymmetry(m)
-    scale = max(m.max(), -m.min())
+    asym, scale, exact = _asymmetry(m)
     if asym > SYMMETRY_RTOL * scale:
         raise DefinitenessError(
             f"matrix is asymmetric beyond tolerance (relative asymmetry {asym / scale:.3e})"
@@ -187,25 +186,30 @@ def solve_spd(m, rhs, shift: float = 0.0) -> np.ndarray:
     return sol[:, 0] if rhs_was_vector else sol
 
 
-def _asymmetry(m: np.ndarray) -> tuple[float, bool]:
-    """Largest ``|m - m.T|`` of square ``m``, and whether ``m`` equals
-    ``m.T`` byte for byte (a +0.0/-0.0 pair is equal, not the same bytes).
+def _asymmetry(m: np.ndarray) -> tuple[float, float, bool]:
+    """Largest ``|m - m.T|`` and largest ``|m|`` of square ``m``, and
+    whether ``m`` equals ``m.T`` byte for byte (a +0.0/-0.0 pair is equal,
+    not the same bytes); a non-finite entry is a ``NonFiniteError``.
     ``|m - m.T|`` is symmetric, so rows i0:i1 against columns i0: of
-    ``m.T`` cover every pair, a band at a time. Each band of ``m.T`` is
-    copied into the front of one flat buffer, so it is contiguous and
-    the difference can be taken in place: nothing N x N is made.
+    ``m.T`` cover every pair and entry, a band at a time. Each band of
+    ``m.T`` is copied into the front of one flat buffer, so it is
+    contiguous and the difference can be taken in place: nothing N x N is made.
     """
     n = m.shape[0]
-    asym, exact = 0.0, True
+    asym, scale, exact = 0.0, 0.0, True
     buffer = np.empty(min(BAND, n) * n)
     for i0 in range(0, n, BAND):
         upper = m[i0 : i0 + BAND, i0:]
         lower = buffer[: upper.size].reshape(upper.shape)
         np.copyto(lower, m[i0:, i0 : i0 + BAND].T)
+        extremes = (upper.max(), -upper.min(), lower.max(), -lower.min())
+        if not np.isfinite(extremes).all():
+            raise NonFiniteError("matrix contains non-finite entries")
+        scale = max(scale, *extremes)
         exact = exact and np.array_equal(upper.view(np.int64), lower.view(np.int64))
         diff = np.subtract(upper, lower, out=lower)
         asym = max(asym, np.abs(diff, out=diff).max())
-    return asym, exact
+    return asym, scale, exact
 
 
 def _cholesky_solve_in_place(work: np.ndarray, sol: np.ndarray) -> int:

@@ -5,18 +5,27 @@ All randomness in the package flows through PCG64 generators keyed by
 every consumer, so any part of a run can be regenerated in isolation and
 parallel execution cannot change the drawn values.
 
-Substream registry (path prefix -> consumer):
+Derivation tree. ``child(s, p...)`` is ``child_seed(s, p...)``, an
+integer seed handed on; ``sub(s, p...)`` is ``substream(s, p...)``, a
+generator drawn from; a path element in capitals is ``STREAM_<NAME>``,
+and ``.`` is the seed one level up.
 
-==============  =====================================================
-``(0, k)``      reservoir matrices of a build: k=0 w_in, k=1 w, k=2 w_fb
-``(1, i, 0)``   payload bits of dataset sequence i
-``(1, i, 1)``   channel randomness of dataset sequence i
-``(2, 0)``      channel tap modulation phases within apply_channel
-``(2, 1)``      additive noise within apply_channel
-``(3,)``        train/test sequence split
-``(4, ...)``    sweep cells (value index, dataset index, repeat)
-``(5, ...)``    transfer repeats
-==============  =====================================================
+master seed (``master_seed``, or ``--seed``)
+    sub(master, SPLIT)               train/test split of ``train``
+    child(master, SWEEP, d)          split seed of sweep dataset d
+        sub(., SPLIT)                its train/test split
+    child(master, SWEEP, v, d, r)    reservoir seed of the sweep cell at
+                                     value v, dataset d, repeat r
+    child(master, TRANSFER)          reservoir seed of ``transfer``
+reservoir seed (``ReservoirConfig.seed``; ``train`` uses the master seed)
+    child(seed, W_IN | W | W_FB)     seed of that matrix
+        sub(.)                       its entries (``init_matrix``)
+dataset seed (``WaveformSpec.seed``; ``generate`` uses the master seed)
+    child(seed, SEQUENCE, i)         seed of sequence i (``generate_sequence``)
+        sub(., BITS)                 its payload bits
+        child(., CHANNEL)            its channel seed (``apply_channel``'s)
+            sub(., PHASES)           tap modulation phases
+            sub(., NOISE)            additive noise
 """
 
 from __future__ import annotations

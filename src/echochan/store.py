@@ -35,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__
-from .channelsim import SequenceDataset
+from .channelsim import IQ, SequenceDataset
 from .config import (
     MODEL_CONFIG_KEYS,
     _read,
@@ -237,8 +237,14 @@ def load_model(path) -> ModelArtifact:
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
 
+def _check_iq(path, k: int, l: int) -> None:
+    if k != IQ or l != IQ:
+        raise ShapeError(f"dataset {path} declares K={k}, L={l}; this format carries I/Q pairs (K=L={IQ})")
+
+
 def save_dataset(ds: SequenceDataset, path) -> None:
     """Write a dataset container; see docs/FORMATS.md for the byte layout."""
+    _check_iq(path, ds.input_dim, ds.output_dim)
     header = {
         "num_sequences": ds.num_sequences,
         "seq_len": ds.seq_len,
@@ -260,10 +266,7 @@ def load_dataset(path) -> SequenceDataset:
             meta = mapping(header["meta"], "meta")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"dataset header of {path} is malformed: {exc}") from exc
-        if k != 2 or l != 2:
-            raise ShapeError(
-                f"dataset {path} declares K={k}, L={l}; this format carries I/Q pairs (K=L=2)"
-            )
+        _check_iq(path, k, l)
         if num < 0 or t < 1:
             raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
         _expect_payload(path, payload, num * t * (k + l) * 8)

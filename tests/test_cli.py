@@ -40,9 +40,7 @@ SMALL_CONFIG = {
         },
     },
     "reservoir": {
-        "input_dim": 2,
         "reservoir_size": 40,
-        "output_dim": 2,
         "init": "xavier",
         "sparsity": 1.0,
         "spectral_radius": 0.5,

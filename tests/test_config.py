@@ -45,6 +45,10 @@ class TestShippedDefaults:
         assert isinstance(config.readout, Ridge)
         assert config.waveform.sequence_length == 578
 
+    def test_reservoir_is_iq_wide(self):
+        config = load_config()
+        assert (config.reservoir.input_dim, config.reservoir.output_dim) == (2, 2)
+
     def test_all_presets_defined(self):
         config = load_config()
         for name in ("awgn", "data1", "data2", "data3", "data4", "bellhop_like"):
@@ -78,6 +82,22 @@ class TestStrictParsing:
         raw["reservoir"]["spectal_radius"] = 0.5
         with pytest.raises(ConfigError, match="spectal_radius"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("key", ["input_dim", "output_dim"])
+    def test_iq_width_is_not_a_key(self, tmp_path, capsys, key):
+        # every dataset is I/Q, so no key sets the reservoir's input or output
+        # width: an old copy of the shipped config that still has one exits 2
+        from echochan.cli import main
+        from echochan.config import default_config_path
+
+        path = tmp_path / "old.yaml"
+        text = default_config_path().read_text()
+        path.write_text(text.replace("  reservoir_size:", f"  {key}: 2\n  reservoir_size:", 1))
+        code = main(["--config", str(path), "generate", "--preset", "awgn", "-n", "1",
+                     "-o", str(tmp_path / "out.esd")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown key(s) in reservoir: {key}\n"
+        assert not (tmp_path / "out.esd").exists()
 
     def test_unknown_channel_key(self):
         raw = minimal_raw()

@@ -1,4 +1,5 @@
-"""Peak memory of each stage at N=300, as ``tracemalloc`` sees it.
+"""Peak memory of each stage at N=300 (the solve at N=1024 too), as
+``tracemalloc`` sees it.
 
 Each N x N array is held once: the ridge solve works in B itself, a
 merge, weighted or not, makes only the merged B, and a load reads the
@@ -45,10 +46,11 @@ def dataset(sequences, bits=60, seed=71):
 
 
 @needs_dpotrf
-def test_ridge_solve_makes_no_n_by_n_array():
-    b, rhs, shift = ridge_like(n=N)
+@pytest.mark.parametrize("n", [N, 1024])  # at 1024 an N x N mask is larger than a band
+def test_ridge_solve_makes_no_n_by_n_array(n):
+    b, rhs, shift = ridge_like(n=n)
     peak = traced_peak(lambda: solve_spd(b, rhs, shift=shift))
-    assert peak <= BAND_BYTES + MASK_BYTES + 4 * rhs.nbytes + SLACK
+    assert peak <= BAND * n * 8 + BAND * n + 4 * rhs.nbytes + SLACK
 
 
 @needs_dpotrf

@@ -1,6 +1,8 @@
-"""Static checks over the package source, using only the stdlib ``ast``."""
+"""Static checks over the package source, using only the stdlib ``ast``
+(and, for the names-once check, the names the package declares)."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "echochan"
@@ -236,3 +238,45 @@ def test_regression_names_in_one_module():
         )
     )
     assert len(modules) <= 1, f"regression method names are written in {modules}"
+
+
+def _strings(path: Path) -> list[tuple[int, str]]:
+    """``(line, text)`` of every string constant in ``path`` but its docstrings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings
+    ]
+
+
+def test_method_and_enum_names_spelled_where_declared():
+    # a regression method, initializer or activation name is written only in
+    # the module that declares it; help text, defaults and messages elsewhere
+    # are built from the declaration, so a new member cannot be left out
+    from echochan.readout import METHODS
+    from echochan.reservoir import Activation, InitMethod
+
+    declared = {
+        "readout.py": list(METHODS),
+        "reservoir.py": [member.value for enum in (InitMethod, Activation) for member in enum],
+    }
+    spelled = []
+    for owner, names in declared.items():
+        word = re.compile(r"\b(?:" + "|".join(map(re.escape, names)) + r")\b")
+        spelled += [
+            f"{path.name}:{line}: {text!r}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != owner
+            for line, text in _strings(path)
+            if word.search(text)
+        ]
+    assert not spelled, "names spelled outside their declaring module:\n" + "\n".join(spelled)

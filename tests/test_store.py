@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from echochan import store
-from echochan.channelsim import Awgn, Multipath, Tap, WaveformSpec, generate_dataset
+from echochan.channelsim import Awgn, Multipath, SequenceDataset, Tap, WaveformSpec, generate_dataset
 from echochan.errors import FormatError, IntegrityError, ShapeError, VersionError
 from echochan.evaluation import evaluate, write_csv
 from echochan.readout import Lasso, Linear, ReadoutModel, Ridge, fit
@@ -312,6 +312,8 @@ class TestHeaderTypes:
             (("method", "max_iter"), 100),
             (("method",), {"kind": "lasso", "lambda": 1e-3, "max_iter": 100}),
             (("method", "kind"), "ols"),
+            (("config", "input_dim"), 2.0),
+            (("config", "output_dim"), "2"),
         ],
     )
     def test_mistyped_model_field(self, tmp_path, keys, value):
@@ -382,6 +384,14 @@ class TestDatasetRoundTrip:
         path.write_bytes(rebuilt)
         with pytest.raises(ShapeError):
             load_dataset(path)
+
+    def test_non_iq_dataset_is_refused_before_any_file(self, tmp_path):
+        # the writer refuses what the reader refuses, and creates nothing
+        rng = np.random.default_rng(78)
+        dataset = SequenceDataset(rng.standard_normal((2, 3, 10)), rng.standard_normal((2, 1, 10)))
+        with pytest.raises(ShapeError, match=r"declares K=3, L=1; this format carries I/Q pairs \(K=L=2\)"):
+            save_dataset(dataset, tmp_path / "data.esd")
+        assert list(tmp_path.iterdir()) == []
 
     def test_loaded_arrays_own_their_data(self, tmp_path):
         path = tmp_path / "data.esd"
