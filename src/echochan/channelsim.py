@@ -165,8 +165,10 @@ class SequenceDataset:
             raise ShapeError(
                 f"sequence lengths differ: {self.inputs.shape[2]} vs {self.targets.shape[2]}"
             )
-        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
-            raise NonFiniteError("dataset contains non-finite samples")
+        # a sequence at a time, so no mask the size of the payload is made
+        for sequences in (self.inputs, self.targets):
+            if not all(np.isfinite(sequence).all() for sequence in sequences):
+                raise NonFiniteError("dataset contains non-finite samples")
 
     @property
     def num_sequences(self) -> int:

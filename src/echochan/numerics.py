@@ -251,10 +251,13 @@ def spectral_radius(m) -> float:
 def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
     """Add ``x.T @ x`` (``x`` K x N) to the upper triangle of ``b`` (N x N) in place.
 
-    Both must be C-contiguous, aligned float64 arrays and ``b`` writeable,
-    as the fold's own B and the row blocks ``state_blocks`` hands out are;
-    anything else is a ``ValueError``, whatever BLAS numpy has. One
-    ``dsyrk`` (row-major, upper, transposed, beta = 1) in numpy's own
+    ``b`` must be a C-contiguous, aligned, writeable float64 array, as the
+    fold's own B is. ``x`` must be aligned float64 rows of unit column
+    stride, at a row stride of at least N: C-contiguous, or a row slice
+    of a larger row-major buffer, as the states of one sequence in a
+    time-major block of ``state_blocks`` are. Anything else is a
+    ``ValueError``, whatever BLAS numpy has. One ``dsyrk`` (row-major,
+    upper, transposed, beta = 1, the row stride as ``lda``) in numpy's own
     OpenBLAS, or ``b += x.T @ x`` on a BLAS without it. Only the upper
     triangle is defined afterwards: finish with ``mirror_upper``. The two
     give identical bytes as long as K fits in one K-panel of the BLAS
@@ -264,18 +267,24 @@ def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
     k, n = x.shape
     if b.shape != (n, n):
         raise ShapeError(f"gram of {x.shape} states cannot update a {b.shape} matrix")
-    for name, arr in (("states", x), ("gram", b)):
-        if arr.dtype != np.float64 or not (arr.flags.c_contiguous and arr.flags.aligned):
-            raise ValueError(
-                f"{name} must be a C-contiguous, aligned float64 array, "
-                f"got {arr.dtype} with strides {arr.strides}"
-            )
+    # numpy's contiguity flags ignore the stride of a length-1 axis, and so does this
+    lda = x.strides[0] // 8 if k > 1 else n
+    if x.dtype != np.float64 or not x.flags.aligned or (n > 1 and x.strides[1] != 8) or lda < n:
+        raise ValueError(
+            "states must be a C-contiguous, aligned float64 array, or rows of one at a row "
+            f"stride of at least N, got {x.dtype} with strides {x.strides}"
+        )
+    if b.dtype != np.float64 or not (b.flags.c_contiguous and b.flags.aligned):
+        raise ValueError(
+            f"gram must be a C-contiguous, aligned float64 array, "
+            f"got {b.dtype} with strides {b.strides}"
+        )
     if not b.flags.writeable:
         raise ValueError("gram must be writeable")
     if _DSYRK is None:
         b += x.T @ x
     else:
-        _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, n, 1.0, b.ctypes.data, n)
+        _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, lda, 1.0, b.ctypes.data, n)
 
 
 def mirror_upper(b: np.ndarray) -> None:

@@ -12,11 +12,12 @@ accumulated in any partition and merged; the result changes only by
 rounding. ``merge`` also takes weights, which is how ``fine_tune``
 blends source and target statistics. ``_fold`` adds each state block to
 b's upper triangle in place (``numerics.add_gram_upper``, whose contract
-is C-contiguous float64 rows and a C-contiguous b) and mirrors b once at
-the end. So b is exactly symmetric, and on numpy's OpenBLAS the ridge
-and linear solves factor it in place and restore it
-(``numerics.solve_spd``): a fit holds b, the state block and O(N * L),
-and no second N x N array.
+is float64 rows of unit column stride at a row stride of at least N, as
+one sequence's rows of a time-major block of ``state_blocks`` are, and a
+C-contiguous b) and mirrors b once at the end. So b is exactly
+symmetric, and on numpy's OpenBLAS the ridge and linear solves factor it
+in place and restore it (``numerics.solve_spd``): a fit holds b, the
+state block and O(N * L), and no second N x N array.
 """
 
 from __future__ import annotations
@@ -110,10 +111,11 @@ class ReadoutModel:
 
 
 def _fold(n: int, l: int, pairs) -> Accumulators:
-    """Fold ``(x, y)`` pairs, x a C-contiguous (steps, N) block of states
-    and y the (L, steps) targets, into new accumulators: x goes into b's
-    upper triangle in place, ``y @ x`` into a, and b is mirrored once at
-    the end."""
+    """Fold ``(x, y)`` pairs, x a (steps, N) block of states (C-contiguous,
+    or one sequence's rows of a time-major block, ``C * N`` apart) and y
+    the (L, steps) targets, into new accumulators: x goes into b's upper
+    triangle in place, ``y @ x`` into a, and b is mirrored once at the
+    end."""
     a, b, samples = np.zeros((l, n)), np.zeros((n, n)), 0
     for x, y in pairs:
         add_gram_upper(b, x)

@@ -15,14 +15,18 @@ teacher-forced (training, through ``state_blocks``) and closed-loop
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 
 States are handed out in blocks of at most ``CHUNK * BLOCK`` rows (chunk
-width x time steps). Training steps ``CHUNK`` sequences per chunk in
-``BLOCK``-step blocks. ``predictions`` is the one prediction path: it
-steps all of its sequences in one chunk with blocks shortened to the
-same budget, except that an open-loop call of fewer than ``CHUNK // 2``
-long sequences is stepped in time segments: each starts ``WARMUP`` steps
-early from the zero state, so all are stepped as one wider chunk, and
-the states where segments meet are compared before anything is
-returned; a failed seam is stepped again unsplit by ``predictions``.
+width x time steps). A block is stepped time-major, steps x width x N, so
+the states of one step are one contiguous slab, and is handed out as a
+width x steps x N view of it: each sequence's states are rows ``width *
+N`` apart, which ``numerics.add_gram_upper`` folds without a copy.
+Training steps ``CHUNK`` sequences per chunk in ``BLOCK``-step blocks.
+``predictions`` is the one prediction path: it steps all of its
+sequences in one chunk with blocks shortened to the same budget, except
+that an open-loop call of fewer than ``CHUNK // 2`` long sequences is
+stepped in time segments: each starts ``WARMUP`` steps early from the
+zero state, so all are stepped as one wider chunk, and the states where
+segments meet are compared before anything is returned; a failed seam is
+stepped again unsplit by ``predictions``.
 Training stays serial: a rounding change in the states moves ``w_out``
 through cond(B + lambda I), and a fold cannot be undone after a seam fails.
 """
@@ -44,8 +48,11 @@ from .numerics import as_vector, frozen, spectral_radius
 # fitted bytes do not depend on the dataset size.
 CHUNK = 16
 # Time steps of a CHUNK-wide chunk held at once before they are handed
-# out; CHUNK * BLOCK is the state-row budget of a block at any width.
-BLOCK = 128
+# out; CHUNK * BLOCK is the state-row budget of a block at any width, so
+# it sizes every stepping buffer. Shorter blocks cost the fold per row: a
+# dsyrk of a sequence's 64 rows costs 7-10% more per row than of 128 at
+# N = 578 and 1,200, and of 32 rows 16-18% more again.
+BLOCK = 64
 # Steps a time segment of ``predictions`` is stepped from the
 # zero state before its first kept state; the echo state property makes it
 # forget that start.
@@ -295,9 +302,11 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     x(t-1). Without feedback both are dropped. Yields
     ``(first, t0, states)`` in sequence-then-time order: ``states`` is a
     C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
-    for t0 + j >= washout only. It is a buffer the next block overwrites,
-    so fold or copy it before asking for the next one; memory is
-    O(CHUNK * BLOCK * N) whatever S and T are.
+    for t0 + j >= washout only. It is a view of a time-major b x C x N
+    buffer, so ``states[c]`` is b rows of N values ``C * N`` apart (not
+    C-contiguous, but what ``numerics.add_gram_upper`` takes). The next
+    block overwrites it, so fold or copy it before asking for the next
+    one; memory is O(CHUNK * BLOCK * N) whatever S and T are.
     """
     inputs, teacher, x0, _, loop = _checked(r, inputs, teacher, initial_state, w_out)
     return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, r.config.washout)
@@ -351,7 +360,11 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
 
     A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
     as input channels: a block's drive is one product of [u; y] with
-    [w_in | w_fb]. Only the closed loop feeds back inside the step loop.
+    [w_in | w_fb] per sequence, written into the time-major block. Step j
+    then adds ``x @ w.T`` (and, closing the loop, the fed-back readout)
+    to its contiguous C x N slab ``block[j]``, applies the activation and
+    writes the states back. It yields ``block.transpose(1, 0, 2)`` past
+    the washout.
     """
     activation = r.config.activation.apply
     count, _, total = inputs.shape
@@ -361,14 +374,14 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
     # chunks.
     w_t, w_fb_t = r.w.T, r.w_fb.T
     w_drive_t = (r.w_in if teacher is None else np.hstack([r.w_in, r.w_fb])).T
-    buffer = np.empty((min(width, count), min(steps, total), r.config.reservoir_size))
+    buffer = np.empty((min(steps, total), min(width, count), r.config.reservoir_size))
     for first in range(0, count, width):
         u = inputs[first : first + width]
         y = None if teacher is None else teacher[first : first + width]
         x = np.tile(x0, (u.shape[0], 1))
         for t0 in range(0, total, steps):
-            block = buffer[: u.shape[0], : min(steps, total - t0)]
-            b = block.shape[1]
+            block = buffer[: min(steps, total - t0), : u.shape[0]]
+            b = block.shape[0]
             drive = u[:, :, t0 : t0 + b]
             if y is not None:
                 # y(t - 1) for every t of the block, with y(-1) = 0
@@ -376,19 +389,19 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
                 start = max(t0 - 1, 0)
                 y_prev[:, :, start + 1 - t0 :] = y[:, :, start : t0 + b - 1]
                 drive = np.concatenate([drive, y_prev], axis=1)
-            # The drive of the whole block in one product; each step then
-            # overwrites its row with the state.
-            np.matmul(drive.transpose(0, 2, 1), w_drive_t, out=block)
+            # The drive of the whole block, one product per sequence; each
+            # step then overwrites its slab with the states.
+            np.matmul(drive.transpose(0, 2, 1), w_drive_t, out=block.transpose(1, 0, 2))
             for j in range(b):
-                pre = block[:, j]
+                pre = block[j]
                 pre += x @ w_t
                 if w_out is not None and t0 + j > 0:
                     pre += (x @ w_out.T) @ w_fb_t
                 x = activation(pre)
-                block[:, j] = x
+                block[j] = x
             skip = max(washout - t0, 0)
             if skip < b:
-                yield first, t0 + skip, block[:, skip:]
+                yield first, t0 + skip, block[skip:].transpose(1, 0, 2)
 
 
 def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:

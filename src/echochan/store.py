@@ -45,7 +45,7 @@ from .config import (
     number,
     regression_method,
 )
-from .errors import FormatError, IntegrityError, ShapeError, VersionError
+from .errors import FormatError, IntegrityError, NonFiniteError, ShapeError, VersionError
 from .numerics import BAND
 from .readout import ReadoutModel, RegressionMethod
 from .reservoir import Reservoir, ReservoirConfig, matrix_shapes
@@ -133,12 +133,14 @@ def _open_container(path, magic: bytes):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unreadable header in {path}: {exc}") from exc
 
-        def fill(blocks) -> None:
+        def fill(blocks, finite: bool = True) -> None:
             """Read the payload into ``blocks``, ``(what, array)`` pairs in
             payload order (``what`` names the values in an error), each a
             writeable ``<f8`` array filled ``BAND`` rows at a time; a
             column-major array takes its rows through one band buffer. A
-            file that ends early is an ``IntegrityError``."""
+            file that ends early is an ``IntegrityError``, and so is a
+            non-finite band unless ``finite`` is off (for an owner that
+            checks its own values)."""
             for what, array in blocks:
                 buffer = None
                 for i in range(0, len(array), BAND):
@@ -151,7 +153,7 @@ def _open_container(path, magic: bytes):
                         band = buffer[: len(rows)]
                     if handle.readinto(band) != band.nbytes:
                         raise IntegrityError(f"file {path} ended while reading its {what}")
-                    if not np.isfinite(band).all():
+                    if finite and not np.isfinite(band).all():
                         raise IntegrityError(f"{what} of {path} contains non-finite values")
                     if band is not rows:
                         rows[...] = band
@@ -270,11 +272,15 @@ def load_dataset(path) -> SequenceDataset:
         if num < 0 or t < 1:
             raise FormatError(f"dataset header of {path} has invalid counts ({num}, {t})")
         _expect_payload(path, payload, num * t * (k + l) * 8)
-        # each sequence's input and target blocks go straight into the kept arrays
+        # each sequence's input and target blocks go straight into the kept
+        # arrays; the dataset checks each value once
         inputs, targets = np.empty((num, k, t), "<f8"), np.empty((num, l, t), "<f8")
-        fill([("payload", block) for pair in zip(inputs, targets) for block in pair])
+        fill((("payload", block) for pair in zip(inputs, targets) for block in pair), finite=False)
     inputs.flags.writeable = targets.flags.writeable = False
-    return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
+    try:
+        return SequenceDataset(inputs=inputs, targets=targets, meta=meta)
+    except NonFiniteError as exc:
+        raise IntegrityError(f"payload of {path} contains non-finite values") from exc
 
 
 def file_fingerprint(path) -> str:

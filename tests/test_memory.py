@@ -3,7 +3,9 @@
 
 Each N x N array is held once: the ridge solve works in B itself, a
 merge, weighted or not, makes only the merged B, and a load reads the
-file straight into the arrays that the model or dataset keeps. CI runs
+file straight into the arrays that the model or dataset keeps. The fold
+holds B and one time-major block of states, and a dataset load checks
+each value once, a sequence at a time. CI runs
 this file on one BLAS thread as well, so the in-place solve also runs
 on OpenBLAS's single-thread kernels.
 """
@@ -15,19 +17,21 @@ from test_evaluation import traced_peak
 from test_numerics import ridge_like
 
 from echochan import numerics
-from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
+from echochan.channelsim import IQ, Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.numerics import BAND, solve_spd
-from echochan.readout import Accumulators, ReadoutModel, Ridge, fit, merge
-from echochan.reservoir import ReservoirConfig, build
+from echochan.readout import Accumulators, ReadoutModel, Ridge, accumulate_dataset, fit, merge
+from echochan.reservoir import BLOCK, CHUNK, ReservoirConfig, build
 from echochan.store import load_dataset, load_model, make_artifact, save_dataset, save_model
 
 N = 300
 # one band of N x N rows, and the boolean mask a check makes of it
 BAND_BYTES = BAND * N * 8
 MASK_BYTES = BAND * N
-# the buffer numpy's ufunc machinery takes for a strided operand (8,192
-# values, whatever N), headers, small Python objects and bookkeeping
-SLACK = 8192 * 8 + 16384
+# headers, small Python objects and bookkeeping
+OBJECTS = 16384
+# and the buffer numpy's ufunc machinery takes for a strided operand
+# (8,192 values, whatever N)
+SLACK = 8192 * 8 + OBJECTS
 
 needs_dpotrf = pytest.mark.skipif(
     numerics._DPOTRF is None, reason="numpy's LAPACK has no dpotrf to call"
@@ -59,6 +63,18 @@ def test_fit_holds_b_the_states_and_the_readout():
     stepping = state_blocks_peak(r, sequences=2, steps=data.seq_len)
     peak = traced_peak(lambda: fit(r, data, Ridge()))
     assert peak <= N * N * 8 + stepping + BAND_BYTES + MASK_BYTES + SLACK
+
+
+def test_fold_holds_b_and_one_time_major_block():
+    # CHUNK + 1 sequences cross a chunk, and T > BLOCK fills a whole block;
+    # the slack (a, the step's C x N temporaries, the drive) is O(N * (L +
+    # CHUNK)), too small to hide a second block
+    r, data = reservoir(seed=76), dataset(CHUNK + 1, bits=2 * BLOCK + 10, seed=77)
+    block = CHUNK * BLOCK * N * 8
+    slack = 8 * N * (IQ + CHUNK) * 8
+    assert slack + SLACK < block
+    peak = traced_peak(lambda: accumulate_dataset(r, data))
+    assert peak <= N * N * 8 + block + slack + SLACK
 
 
 def random_accumulators(rng):
@@ -94,6 +110,15 @@ def test_load_dataset_holds_the_payload_once(tmp_path):
     path = tmp_path / "data.esd"
     save_dataset(dataset(40, bits=300, seed=74), path)
     payload = 40 * 4 * 300 * 8
-    # the dataset's own finiteness check masks its inputs: 1 byte per value
     peak = traced_peak(lambda: load_dataset(path))
     assert peak <= payload + payload // 16 + SLACK
+
+
+def test_load_dataset_checks_each_value_once(tmp_path):
+    # the load reads the payload unchecked and the dataset checks it one
+    # sequence at a time, so the only mask is one sequence's I/Q block
+    path = tmp_path / "data.esd"
+    save_dataset(dataset(40, bits=300, seed=78), path)
+    payload, band = 40 * 4 * 300 * 8, IQ * 300 * 8
+    peak = traced_peak(lambda: load_dataset(path))
+    assert peak <= payload + band + OBJECTS

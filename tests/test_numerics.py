@@ -382,6 +382,33 @@ class TestAddGramUpper:
         assert direct.tobytes() == fallback.tobytes()
 
     @pytest.mark.parametrize("dsyrk", ["present", "absent"])
+    def test_row_slices_of_a_time_major_buffer(self, monkeypatch, dsyrk):
+        # a sequence's states in a time-major (steps, C, N) block are rows
+        # C * N apart: past a washout at K > N, and a block at K < N
+        if dsyrk == "absent":
+            monkeypatch.setattr(numerics, "_DSYRK", None)
+        buffer = np.random.default_rng(6).standard_normal((130, 4, 40))
+        blocks = [buffer[5:, c] for c in range(4)] + [buffer[:20, c] for c in range(4)]
+        assert not any(x.flags.c_contiguous for x in blocks)
+        folded = []
+        for xs in (blocks, [np.ascontiguousarray(x) for x in blocks]):
+            b = np.zeros((40, 40))
+            for x in xs:
+                add_gram_upper(b, x)
+            folded.append(b)
+        assert folded[0].tobytes() == folded[1].tobytes()
+
+    @pytest.mark.parametrize("dsyrk", ["present", "absent"])
+    def test_overlapping_rows_are_rejected(self, monkeypatch, dsyrk):
+        if dsyrk == "absent":
+            monkeypatch.setattr(numerics, "_DSYRK", None)
+        x = np.lib.stride_tricks.as_strided(np.zeros(200), shape=(5, 20), strides=(80, 8))
+        b = np.ones((20, 20))
+        with pytest.raises(ValueError, match="row stride of at least N"):
+            add_gram_upper(b, x)
+        assert (b == 1.0).all()
+
+    @pytest.mark.parametrize("dsyrk", ["present", "absent"])
     @pytest.mark.parametrize(
         "make",
         [
