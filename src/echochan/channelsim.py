@@ -26,6 +26,12 @@ GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 IQ = 2
 
 
+def _check_snr(snr_db: float) -> None:
+    """The SNR rule of every channel: a real value, or +inf for no noise."""
+    if np.isnan(snr_db) or np.isneginf(snr_db):
+        raise ValueError(f"snr_db must be a real value or +inf, got {snr_db}")
+
+
 @dataclass(frozen=True)
 class Awgn:
     """Additive white Gaussian noise channel at a given SNR.
@@ -36,8 +42,7 @@ class Awgn:
     snr_db: float
 
     def __post_init__(self):
-        if np.isnan(self.snr_db) or np.isneginf(self.snr_db):
-            raise ValueError(f"snr_db must be a real value or +inf, got {self.snr_db}")
+        _check_snr(self.snr_db)
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,24 @@ class Multipath:
             raise ValueError(
                 f"disturbance_period must be >= 1, got {self.disturbance_period}"
             )
-        if np.isnan(self.snr_db) or np.isneginf(self.snr_db):
-            raise ValueError(f"snr_db must be a real value or +inf, got {self.snr_db}")
+        _check_snr(self.snr_db)
 
 
 ChannelSpec = Union[Awgn, Multipath]
+
+
+def _check_pulse(rolloff: float, filter_span: int, samples_per_symbol: int) -> None:
+    """The pulse rule of ``WaveformSpec`` and ``raised_cosine_taps``."""
+    if samples_per_symbol < 1:
+        raise ValueError(f"samples_per_symbol must be >= 1, got {samples_per_symbol}")
+    if not 0.0 < rolloff <= 1.0:
+        raise ValueError(f"rolloff must be in (0, 1], got {rolloff}")
+    if filter_span < 2:
+        raise ValueError(f"filter_span must be >= 2, got {filter_span}")
+    if (filter_span * samples_per_symbol) % 2 != 0:
+        raise ValueError(
+            "filter_span * samples_per_symbol must be even so the filter has a center tap"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,18 +132,7 @@ class WaveformSpec:
             raise ValueError(
                 f"bits_per_sequence must be a positive even count, got {self.bits_per_sequence}"
             )
-        if self.samples_per_symbol < 1:
-            raise ValueError(
-                f"samples_per_symbol must be >= 1, got {self.samples_per_symbol}"
-            )
-        if not 0.0 < self.rolloff <= 1.0:
-            raise ValueError(f"rolloff must be in (0, 1], got {self.rolloff}")
-        if self.filter_span < 2:
-            raise ValueError(f"filter_span must be >= 2, got {self.filter_span}")
-        if (self.filter_span * self.samples_per_symbol) % 2 != 0:
-            raise ValueError(
-                "filter_span * samples_per_symbol must be even so the filter has a center tap"
-            )
+        _check_pulse(self.rolloff, self.filter_span, self.samples_per_symbol)
         expected = (self.bits_per_sequence // 2) * self.samples_per_symbol
         if self.sequence_length != expected:
             raise ValueError(
@@ -220,14 +227,7 @@ def raised_cosine_taps(beta: float, span: int, sps: int) -> np.ndarray:
     removable singularity at t = Ts/(2*beta) evaluated by its limit
     (pi/4) * sinc(1/(2*beta)).
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must be in (0, 1], got {beta}")
-    if span < 2:
-        raise ValueError(f"span must be >= 2, got {span}")
-    if sps < 1:
-        raise ValueError(f"sps must be >= 1, got {sps}")
-    if (span * sps) % 2 != 0:
-        raise ValueError("span * sps must be even so the filter has a center tap")
+    _check_pulse(beta, span, sps)
     half = span * sps // 2
     t = np.arange(-half, half + 1) / sps  # in symbol periods
     denom = 1.0 - (2.0 * beta * t) ** 2

@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__, seeding
 from .channelsim import generate_dataset
-from .config import RunConfig, one_of, parse_config, read_raw_config
+from .config import ENV_CONFIG, RunConfig, one_of, parse_config, read_raw_config
 from .errors import ConfigError, EchoChanError, StoreError
 from .evaluation import (
     SWEEP_CSV_HEADER,
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--config",
         metavar="PATH",
         default=None,
-        help="config file (default: $ECHOCHAN_CONFIG, then the packaged defaults)",
+        help=f"config file (default: ${ENV_CONFIG}, then the packaged defaults)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, metavar="U64", help="override the config master seed"

@@ -7,8 +7,9 @@ value lists. ``default_config.yaml`` ships inside the package and is
 used when neither ``--config`` nor ``$ECHOCHAN_CONFIG`` names a file.
 
 Every key of every section is declared once below with its kind and
-its default (or ``_REQUIRED``). A kind is a function ``(value, name)``
-that returns the value if its type is right and otherwise raises
+its default (or ``_REQUIRED``), which is read from the type that owns
+it unless no type does. A kind is a function ``(value, name)`` that
+returns the value if its type is right and otherwise raises
 ``ConfigError`` naming the key; nothing is cast. An integer is an
 ``int`` but not a ``bool``; a number is an ``int`` or ``float`` but not
 a ``bool``, returned as a float. The store reads the ``.esn`` header's
@@ -29,7 +30,8 @@ import yaml
 
 from .channelsim import IQ, Awgn, ChannelSpec, Multipath, Tap, WaveformSpec
 from .errors import ConfigError
-from .readout import METHODS, RegressionMethod
+from .evaluation import SweepSpec
+from .readout import METHODS, Lasso, RegressionMethod, Ridge
 from .reservoir import Activation, InitMethod, ReservoirConfig
 
 ENV_CONFIG = "ECHOCHAN_CONFIG"
@@ -119,6 +121,12 @@ def _tap(value, name: str) -> tuple[int, float, float]:
 
 _REQUIRED = object()
 
+
+def _default(owner, name: str):
+    """The default that dataclass ``owner`` states for its field ``name``."""
+    return {f.name: f.default for f in fields(owner)}[name]
+
+
 _TOP = {
     "master_seed": (_at_least(0), 0),
     "threads": (_optional(_at_least(1)), None),
@@ -143,31 +151,31 @@ _AWGN = {
 _MULTIPATH = {
     **_AWGN,
     "taps": (_list_of(_tap), _REQUIRED),
-    "disturbance": (number, 0.0),
-    "disturbance_period": (integer, 200),
+    "disturbance": (number, _default(Multipath, "disturbance")),
+    "disturbance_period": (integer, _default(Multipath, "disturbance_period")),
 }
 _RESERVOIR = {
     "reservoir_size": (integer, _REQUIRED),
     "init": (one_of(InitMethod), _REQUIRED),
-    "sparsity": (number, 1.0),
+    "sparsity": (number, _default(ReservoirConfig, "sparsity")),
     "spectral_radius": (number, _REQUIRED),
     "activation": (one_of(Activation), _REQUIRED),
-    "use_feedback": (boolean, False),
-    "washout": (integer, 0),
-    "allow_unstable": (boolean, False),
+    "use_feedback": (boolean, _default(ReservoirConfig, "use_feedback")),
+    "washout": (integer, _default(ReservoirConfig, "washout")),
+    "allow_unstable": (boolean, _default(ReservoirConfig, "allow_unstable")),
 }
 _READOUT = {
     "method": (_method_name, _REQUIRED),
-    "ridge_lambda": (number, 1e-6),
-    "lasso_lambda": (number, 1e-4),
-    "lasso_max_iter": (integer, 10_000),
-    "lasso_tol": (number, 1e-8),
+    "ridge_lambda": (number, _default(Ridge, "lam")),
+    "lasso_lambda": (number, _default(Lasso, "lam")),
+    "lasso_max_iter": (integer, _default(Lasso, "max_iter")),
+    "lasso_tol": (number, _default(Lasso, "tol")),
 }
 _SPLIT = {
-    "train_fraction": (_fraction, 0.8),
+    "train_fraction": (_fraction, _default(SweepSpec, "train_fraction")),
 }
 _SWEEP = {
-    "repeats": (_at_least(1), 5),
+    "repeats": (_at_least(1), _default(SweepSpec, "repeats")),
     "radius_values": (_list_of(number), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
     "size_values": (_list_of(integer), [50, 100, 150, 300, 578, 600, 1200, 2400]),
     "init_values": (_list_of(one_of(InitMethod)), [m.value for m in InitMethod]),

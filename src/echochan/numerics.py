@@ -79,11 +79,12 @@ _DPOTRS = _numpy_openblas(
 )
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D float64 array."""
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Validate and return ``a`` as a finite float64 array of ``ndim``
+    dimensions: a matrix, or with ``ndim`` 1 a vector."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
@@ -98,16 +99,6 @@ def frozen(a, *requirements: str) -> np.ndarray:
     if arr is a and a.flags.writeable:
         arr = np.array(a, order="K")
     arr.flags.writeable = False
-    return arr
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and return ``a`` as a finite 1-D float64 array."""
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
 
 

@@ -31,15 +31,13 @@ from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
 from .numerics import BAND, add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
-DEFAULT_RIDGE_LAMBDA = 1e-6
-
 
 @dataclass(frozen=True)
 class Ridge:
     """Tikhonov-regularized least squares with penalty ``lam``."""
 
     name: ClassVar[str] = "ridge"
-    lam: float = DEFAULT_RIDGE_LAMBDA
+    lam: float = 1e-6
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0.0:
@@ -58,7 +56,7 @@ class Lasso:
     """L1-penalized least squares solved by cyclic coordinate descent."""
 
     name: ClassVar[str] = "lasso"
-    lam: float
+    lam: float = 1e-4
     max_iter: int = 10_000
     tol: float = 1e-8
 
@@ -126,10 +124,7 @@ def _fold(n: int, l: int, pairs) -> Accumulators:
 
 
 def empty_accumulators(reservoir_size: int, output_dim: int) -> Accumulators:
-    if reservoir_size < 1 or output_dim < 1:
-        raise ShapeError(
-            f"dimensions must be >= 1, got ({reservoir_size}, {output_dim})"
-        )
+    """Zero accumulators, for sizes as ``ReservoirConfig`` checks them."""
     return _fold(reservoir_size, output_dim, [])
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import seeding
 from .errors import RescaleError, ShapeError
-from .numerics import as_vector, frozen, spectral_radius
+from .numerics import as_matrix, frozen, spectral_radius
 
 # Chunk width of ``state_blocks``: sequences stepped together as one
 # CHUNK x N by N x N product per time step. The training fold uses it, so
@@ -266,19 +266,14 @@ def harvest(
     columns dropped. ``teacher`` (L x T) forces the fed-back output
     y(t-1) during training and a readout ``w_out`` (L x N) closes the
     loop; ``state_blocks`` owns the feedback decision and checks both.
-    This is ``state_blocks`` for one sequence.
+    This is ``state_blocks`` for one sequence (S = 1), checked by it.
     """
     config = r.config
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[0] != config.input_dim:
-        raise ShapeError(
-            f"inputs must be {config.input_dim} x T, got shape {inputs.shape}"
-        )
-    total = inputs.shape[1]
     if teacher is not None:
         teacher = np.asarray(teacher, dtype=np.float64)[None]
     blocks = state_blocks(r, inputs[None], teacher, initial_state, w_out)
-    states = np.empty((config.reservoir_size, total - config.washout))
+    states = np.empty((config.reservoir_size, inputs.shape[1] - config.washout))
     for _, t0, block in blocks:
         start = t0 - config.washout
         states[:, start : start + block.shape[1]] = block[0].T
@@ -347,7 +342,7 @@ def _checked(r, inputs, teacher, initial_state, w_out):
     if initial_state is None:
         x0 = np.zeros(n)
     else:
-        x0 = as_vector(initial_state, "initial state")
+        x0 = as_matrix(initial_state, "initial state", 1)
         if x0.shape[0] != n:
             raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
     return inputs, teacher, x0, w_out, w_out if config.use_feedback else None

@@ -153,8 +153,8 @@ def _open_container(path, magic: bytes):
                         band = buffer[: len(rows)]
                     if handle.readinto(band) != band.nbytes:
                         raise IntegrityError(f"file {path} ended while reading its {what}")
-                    if finite and not np.isfinite(band).all():
-                        raise IntegrityError(f"{what} of {path} contains non-finite values")
+                    if finite:
+                        _finite(path, what, band)
                     if band is not rows:
                         rows[...] = band
 
@@ -166,16 +166,23 @@ def _expect_payload(path, payload: int, expected: int) -> None:
         raise IntegrityError(f"payload of {path} has {payload} bytes, expected {expected}")
 
 
-def _write_container(path, magic: bytes, header: dict, arrays) -> None:
-    """Write ``magic``, the version, the canonical JSON header and each
-    2-D array's rows as float64 LE, ``BAND`` rows at a time; the mirror
-    of ``_open_container``."""
+def _finite(path, what: str, band):
+    """``band`` of a payload, written or read, unless a value is not finite."""
+    if not np.isfinite(band).all():
+        raise IntegrityError(f"{what} of {path} contains non-finite values")
+    return band
+
+
+def _write_container(path, magic: bytes, header: dict, blocks) -> None:
+    """Write ``magic``, the version, the canonical JSON header and the rows
+    of each ``(what, array)`` pair of ``blocks`` as float64 LE, ``BAND`` at
+    a time, each band checked by ``_finite``; the mirror of ``_open_container``."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix = [magic, FORMAT_VERSION.to_bytes(4, "little"), len(head).to_bytes(8, "little"), head]
     bands = (
-        np.ascontiguousarray(a[i : i + BAND], dtype="<f8")
-        for a in arrays
-        for i in range(0, len(a), BAND)
+        _finite(path, what, np.ascontiguousarray(array[i : i + BAND], dtype="<f8"))
+        for what, array in blocks
+        for i in range(0, len(array), BAND)
     )
     _atomic_write(path, chain(prefix, bands))
 
@@ -195,7 +202,8 @@ def save_model(artifact: ModelArtifact, path) -> None:
         "shapes": shapes,
         "provenance": artifact.provenance,
     }
-    _write_container(path, MODEL_MAGIC, header, (getattr(artifact, name) for name in shapes))
+    blocks = ((f"matrix {name}", getattr(artifact, name)) for name in shapes)
+    _write_container(path, MODEL_MAGIC, header, blocks)
 
 
 def load_model(path) -> ModelArtifact:
@@ -254,7 +262,7 @@ def save_dataset(ds: SequenceDataset, path) -> None:
         "output_dim": ds.output_dim,
         "meta": ds.meta,
     }
-    blocks = (block for pair in zip(ds.inputs, ds.targets) for block in pair)
+    blocks = (("payload", block) for pair in zip(ds.inputs, ds.targets) for block in pair)
     _write_container(path, DATASET_MAGIC, header, blocks)
 
 

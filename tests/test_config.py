@@ -61,6 +61,29 @@ class TestShippedDefaults:
         )
         assert config.sweep.size_values == (50, 100, 150, 300, 578, 600, 1200, 2400)
 
+    def test_optional_keys_hold_the_owners_defaults(self):
+        # the shipped file with every optional key deleted parses to an
+        # equal config: its optional values are the defaults the owning
+        # types state. The seed stays, and so do the presets, whose
+        # disturbances are preset data, not defaults.
+        from echochan import config
+
+        def required(section: dict, keys: dict) -> dict:
+            return {k: v for k, v in section.items() if keys[k][1] is config._REQUIRED}
+
+        raw = config.read_raw_config()
+        stripped = {
+            **required(raw, config._TOP),
+            "master_seed": raw["master_seed"],
+            "channels": raw["channels"],
+            "waveform": required(raw["waveform"], config._WAVEFORM),
+            "reservoir": required(raw["reservoir"], config._RESERVOIR),
+            "readout": required(raw["readout"], config._READOUT),
+        }
+        assert set(stripped) < set(raw)
+        assert stripped["readout"] == {"method": "ridge"}
+        assert parse_config(stripped) == parse_config(raw)
+
     def test_disturbance_gradient(self):
         config = load_config()
         assert config.channels["data1"].disturbance == 0.0

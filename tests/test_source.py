@@ -280,3 +280,40 @@ def test_method_and_enum_names_spelled_where_declared():
             if word.search(text)
         ]
     assert not spelled, "names spelled outside their declaring module:\n" + "\n".join(spelled)
+
+
+# Defaults that no type owns: the master seed, the thread count and the
+# sweep's value lists.
+_CONFIG_OWNED_DEFAULTS = {
+    "master_seed",
+    "threads",
+    "radius_values",
+    "size_values",
+    "init_values",
+    "activation_values",
+    "regression_values",
+}
+
+
+def test_config_defaults_stated_by_their_owners():
+    # a default in config.py's key tables ({key: (kind, default)}) is read
+    # from the type that owns it, so no number or boolean is written there
+    # but the defaults config owns
+    tree = ast.parse((PACKAGE / "config.py").read_text())
+    checked, literals = set(), []
+    for node in tree.body:
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)):
+            continue
+        for key, value in zip(node.value.keys, node.value.values):
+            if not (isinstance(key, ast.Constant) and isinstance(value, ast.Tuple)):
+                continue
+            checked.add(key.value)
+            if key.value in _CONFIG_OWNED_DEFAULTS or len(value.elts) != 2:
+                continue
+            literals += [
+                f"config.py:{n.lineno}: {key.value}"
+                for n in ast.walk(value.elts[1])
+                if isinstance(n, ast.Constant) and isinstance(n.value, (int, float))
+            ]
+    assert {"sparsity", "ridge_lambda", "train_fraction", "repeats"} <= checked, sorted(checked)
+    assert not literals, "defaults written in config.py's key tables:\n" + "\n".join(literals)

@@ -5,7 +5,7 @@ import os
 import stat
 import struct
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -497,3 +497,34 @@ class TestAtomicWrite:
             store._atomic_write(path, chunks())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.esn"]
+
+    # the first and last values of the N=25 model's w, and the last of w_out
+    @pytest.mark.parametrize("name, index", [("w", (0, 0)), ("w", (24, 24)), ("w_out", (1, 24))])
+    def test_non_finite_matrix_is_refused_before_any_file(self, tmp_path, name, index):
+        # a model that load_model would refuse is never written
+        artifact = trained_artifact(seed=83)
+        matrix = np.array(getattr(artifact, name))
+        matrix[index] = np.nan
+        path = tmp_path / "m.esn"
+        with pytest.raises(IntegrityError, match=rf"matrix {name} of {path} contains non-finite"):
+            save_model(replace(artifact, **{name: matrix}), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_train_with_a_non_finite_matrix_exits_3_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from echochan import cli
+
+        def nan_artifact(reservoir, model, provenance):
+            artifact = make_artifact(reservoir, model, provenance)
+            w = np.array(artifact.w)
+            w[0, 0] = np.nan
+            return replace(artifact, w=w)
+
+        data = tmp_path / "d.esd"
+        save_dataset(generate_dataset(wave(84), CHANNEL, 5), data)
+        monkeypatch.setattr(cli, "make_artifact", nan_artifact)
+        out = tmp_path / "m.esn"
+        assert cli.main(["train", str(data), "--size", "20", "-o", str(out)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"error: matrix w of {out} contains non-finite values\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.esd"]
