@@ -113,12 +113,18 @@ def _fold(n: int, l: int, pairs) -> Accumulators:
     or one sequence's rows of a time-major block, ``C * N`` apart) and y
     the (L, steps) targets, into new accumulators: x goes into b's upper
     triangle in place, ``y @ x`` into a, and b is mirrored once at the
-    end."""
+    end. A None in ``pairs`` starts the fold over: a, b and the sample
+    count are zeroed in place."""
     a, b, samples = np.zeros((l, n)), np.zeros((n, n)), 0
-    for x, y in pairs:
+    for pair in pairs:
+        if pair is None:
+            a[...], b[...], samples = 0.0, 0.0, 0
+            continue
+        x, y = pair
         add_gram_upper(b, x)
         a += y @ x
         samples += x.shape[0]
+        del x, y  # no view of a stepped block outlives it
     mirror_upper(b)
     return Accumulators(a=a, b=b, samples_seen=samples)
 
@@ -243,19 +249,28 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
-    Each sequence's rows of a block are one pair of ``_fold``.
+    Each sequence's rows of a block are one pair of ``_fold``. Fewer than
+    ``CHUNK // 2`` long sequences are stepped split in time segments
+    (``state_blocks`` with ``split``): each segment's kept rows of a block
+    are then one pair, and after a failed seam the fold starts over on
+    the unsplit blocks, which gives the unsplit bytes.
     The targets are always passed as the teacher; ``state_blocks`` uses
     them only when the reservoir has feedback.
     """
     config = r.config
     check_dataset(config, dataset)
-    blocks = state_blocks(r, dataset.inputs, teacher=dataset.targets)
-    pairs = (
-        (x, dataset.targets[first + i, :, t0 : t0 + len(x)])
-        for first, t0, states in blocks
-        for i, x in enumerate(states)
-    )
-    return _fold(config.reservoir_size, config.output_dim, pairs)
+
+    def pairs():
+        for block in state_blocks(r, dataset.inputs, teacher=dataset.targets, split=True):
+            if block is None:  # a failed seam: the unsplit blocks follow
+                yield None
+                continue
+            first, t0, states = block
+            for i, x in enumerate(states):
+                yield x, dataset.targets[first + i, :, t0 : t0 + len(x)]
+            del states, x  # no view of a stepped block outlives it
+
+    return _fold(config.reservoir_size, config.output_dim, pairs())
 
 
 def fit(r: Reservoir, dataset, method: RegressionMethod = Ridge()) -> ReadoutModel:

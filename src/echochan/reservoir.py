@@ -27,8 +27,14 @@ stepped in time segments: each starts ``WARMUP`` steps early from the
 zero state, so all are stepped as one wider chunk, and the states where
 segments meet are compared before anything is returned; a failed seam is
 stepped again unsplit by ``predictions``.
-Training stays serial: a rounding change in the states moves ``w_out``
-through cond(B + lambda I), and a fold cannot be undone after a seam fails.
+The training fold of fewer than ``CHUNK // 2`` long sequences is split
+the same way (``state_blocks`` with ``split``), teacher-forced too, with
+its blocks shortened to the unsplit fold's budget; a fold cannot wait for
+its seams, so after a failed one the fold starts over from zero and folds
+the call again unsplit. ``_Segments`` is the one segment layout and seam
+rule of both. A harvest, or a call from a given initial state, is never
+split. Split states differ from unsplit ones by rounding, which
+cond(B + lambda I) amplifies into ``w_out``.
 """
 
 from __future__ import annotations
@@ -53,14 +59,18 @@ CHUNK = 16
 # dsyrk of a sequence's 64 rows costs 7-10% more per row than of 128 at
 # N = 578 and 1,200, and of 32 rows 16-18% more again.
 BLOCK = 64
-# Steps a time segment of ``predictions`` is stepped from the
-# zero state before its first kept state; the echo state property makes it
-# forget that start.
+# Steps a time segment is stepped from the zero state before its first
+# kept state; the echo state property makes it forget that start.
 WARMUP = 64
 # Largest difference allowed at a seam between a segment's last warm-up
 # state and its predecessor's state at the same time, relative to
-# max(1, |state|); one larger makes ``predictions`` step the call unsplit.
+# max(1, |state|); one larger makes the call be stepped unsplit.
 SEAM_TOL = 1e-14
+# Fewest steps a block of a split training fold may hold: the fold adds
+# each segment's rows of a block with one dsyrk, which costs about 2.5x
+# as much per row on 8 rows as on 64 (N = 578 and 1,200), so the fold
+# takes fewer segments rather than shorter blocks.
+FOLD_STEPS = 8
 
 
 class InitMethod(Enum):
@@ -280,7 +290,7 @@ def harvest(
     return StateTrajectory(states=states, t_offset=config.washout)
 
 
-def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None):
+def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=None, split=False):
     """Step S sequences (``inputs`` S x K x T) and yield their states block by block.
 
     The state recurrence for training and ``harvest``. Sequences are
@@ -302,9 +312,31 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     C-contiguous, but what ``numerics.add_gram_upper`` takes). The next
     block overwrites it, so fold or copy it before asking for the next
     one; memory is O(CHUNK * BLOCK * N) whatever S and T are.
+
+    ``split`` lets a call of fewer than ``CHUNK // 2`` sequences, from the
+    zero state and not closing the loop, be stepped in time segments
+    (``_Segments``, as ``predictions`` steps them) with the most segments
+    whose block holds ``FOLD_STEPS`` steps within the unsplit S x
+    ``BLOCK`` rows. Each block yielded is then one segment's kept states,
+    in the same form. A failed seam shows only after the last block: then
+    it yields None and the unsplit call's blocks, and the caller starts
+    over.
     """
     inputs, teacher, x0, _, loop = _checked(r, inputs, teacher, initial_state, w_out)
-    return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, r.config.washout)
+    (count, k, total), n = inputs.shape, r.config.reservoir_size
+    washout = r.config.washout
+    segments = None
+    if split and initial_state is None and loop is None:
+        channels = k if teacher is None else k + teacher.shape[1]
+        plans = _Segments.plans(count, total, washout, n, channels, min(total, BLOCK), 0)
+        segments = next((plan for plan in plans if plan.steps >= FOLD_STEPS), None)
+    if segments is None:
+        return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, washout)
+    cut = None if teacher is None else segments.cut(teacher)
+    width, steps = segments.width, segments.steps
+    stepped = _step_blocks(r, segments.cut(inputs), cut, x0, None, width, steps, 0)
+    unsplit = _step_blocks(r, inputs, teacher, x0, None, count, BLOCK, washout)
+    return segments.blocks(stepped, unsplit)
 
 
 def _checked(r, inputs, teacher, initial_state, w_out):
@@ -399,74 +431,141 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
                 yield first, t0 + skip, block[skip:].transpose(1, 0, 2)
 
 
+class _Segments:
+    """The time segments of a call of S sequences of T steps, stepped as
+    one chunk of P * S rows in blocks of ``steps`` steps: the one segment
+    layout and seam rule of ``predictions`` and of a split
+    ``state_blocks``.
+
+    Each sequence is cut into P segments, laid out segment-major (row p *
+    S + s is segment p of sequence s), and stepped for W + L steps, W =
+    ``WARMUP``, L = ceil((T - W) / P): segment 0 keeps times [0, W + L),
+    and segment p >= 1 starts from the zero state at time p * L and keeps
+    [W + p * L, W + (p + 1) * L), its first W states dropped; inputs past T
+    are zero and their states dropped, and so are states before the
+    washout. So segment p - 1 steps through segment p's warm-up, and both
+    have a state at time W + p * L - 1: that seam holds when they agree
+    within ``SEAM_TOL``.
+    """
+
+    def __init__(self, count, total, parts, washout):
+        span = -(-(total - WARMUP) // parts)
+        self.count, self.steps = count, 0
+        self.width, self.window = parts * count, WARMUP + span
+        # W warm-up steps and at least W kept steps for each segment
+        self.fits = total >= (parts + 1) * WARMUP
+        # the first time of each segment, and the steps [lo, hi) it keeps
+        self.starts = [p * span for p in range(parts)]
+        self.keep = [
+            (max(WARMUP if p else 0, washout - start), min(self.window, total - start))
+            for p, start in enumerate(self.starts)
+        ]
+        # a seam: step W - 1 of segment p >= 1 is the last step of p - 1
+        self.seam = WARMUP - 1
+        self.warm = self.held = None
+
+    @classmethod
+    def plans(cls, count, total, washout, n, channels, unsplit, per_row):
+        """The splits of a call that fit, from the most segments (at most
+        ``CHUNK`` // S) down to 2, none for S >= ``CHUNK // 2``: each with
+        its blocks shortened so that a block (N + ``per_row`` values per
+        row), the step temporaries and seam copies (5 N per chunk row) and
+        the segment inputs (``channels`` per step) hold no more values than
+        an unsplit block of S * ``unsplit`` state rows. ``steps`` < 1 means
+        that no block does."""
+        for parts in range(CHUNK // count, 1, -1) if 0 < count < CHUNK // 2 else ():
+            plan = cls(count, total, parts, washout)
+            if plan.fits:
+                budget = count * unsplit * n - plan.width * (5 * n + channels * plan.window)
+                plan.steps = budget // (plan.width * (n + per_row))
+                yield plan
+
+    def cut(self, whole):
+        """The segments of ``whole`` (S x C x T): a P * S x C x (W + L)
+        array, zero past T."""
+        count, window = self.count, self.window
+        segments = np.zeros((self.width, whole.shape[1], window))
+        for p, start in enumerate(self.starts):
+            piece = whole[:, :, start : start + window]
+            segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
+        return segments
+
+    def kept(self, t0, states):
+        """``(rows, j0, j1, t)`` of each segment's kept states in a stepped
+        block (``states``, P * S x b x N, from step t0): its chunk rows,
+        its steps [j0, j1) of the block, and the time of step j0. Watches
+        the seams on the way: the block holding their first step copies
+        it, and the one holding the last compares them."""
+        count, b = self.count, states.shape[1]
+        if t0 <= self.seam < t0 + b:
+            self.warm = states[count:, self.seam - t0].copy()
+        if t0 <= self.window - 1 < t0 + b:
+            last, gap = states[:-count, self.window - 1 - t0], self.warm
+            gap -= last  # in place, like the scale: no temporary of the seam rows
+            gap = np.abs(gap, out=gap).max()
+            self.held = gap <= SEAM_TOL * max(1.0, last.max(), -last.min())
+            self.warm = None
+        for p, ((lo, hi), start) in enumerate(zip(self.keep, self.starts)):
+            j0, j1 = max(lo, t0), min(hi, t0 + b)
+            if j0 < j1:
+                yield slice(p * count, (p + 1) * count), j0 - t0, j1 - t0, start + j0
+
+    def blocks(self, stepped, unsplit):
+        """The kept states of the blocks of ``stepped`` as ``state_blocks``
+        yields them, one segment at a time; then, when a seam failed, None
+        and the blocks of ``unsplit``."""
+        for _, t0, states in stepped:
+            for rows, j0, j1, t in self.kept(t0, states):
+                yield 0, t, states[rows, j0:j1]
+        del states  # the last stepped block, before an unsplit one is stepped
+        if not self.held:
+            yield None
+            yield from unsplit
+
+
 def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
     """Readout predictions ``w_out @ x(t)`` of S sequences (``inputs`` S x K
     x T) stepped from the zero state: an S x L x (T - washout) array.
 
     Arguments are checked as ``state_blocks`` checks them, before any
     step; with feedback the loop is closed through ``w_out``. The call is
-    stepped in P time segments per sequence. P = 1 (no split) for a
-    feedback reservoir (its drive is its own prediction), for S >=
-    ``CHUNK // 2`` (the chunk is wide already) and for a T too short for
-    2 segments of at least ``WARMUP`` kept steps each: the sequences are
-    stepped as chunks of S rows (at most ``CHUNK * BLOCK``) in blocks of
-    ``CHUNK * BLOCK // S`` steps.
+    stepped in P time segments per sequence (``_Segments``). P = 1 (no
+    split) for a feedback reservoir (its drive is its own prediction), for
+    S >= ``CHUNK // 2`` (the chunk is wide already) and for a T too short
+    for 2 segments of at least ``WARMUP`` kept steps each: the sequences
+    are stepped as chunks of S rows (at most ``CHUNK * BLOCK``) in blocks
+    of ``CHUNK * BLOCK // S`` steps.
 
-    Otherwise each sequence is cut into P segments, S * P <= ``CHUNK``,
-    laid out segment-major (row p * S + s is segment p of sequence s) and
-    stepped as one chunk of W + L steps, W = ``WARMUP``: segment 0 keeps
-    times [0, W + L), and segment p >= 1 starts from the zero state at
-    time p * L and keeps [W + p * L, W + (p + 1) * L), its first W states
-    dropped; inputs past T are zero and their states dropped. So segment
-    p - 1 steps through segment p's warm-up, and both have a state at
-    time W + p * L - 1: that seam holds when they agree within
-    ``SEAM_TOL``. When a seam fails, the call is stepped again with P =
-    1, so a failed seam only costs time. A block, with what stepping it
-    in segments adds, holds fewer values than the unsplit block of S *
-    min(T, CHUNK * BLOCK // S) state rows.
+    Otherwise it takes the most segments, S * P <= ``CHUNK``, and steps
+    them as one chunk in blocks that, with what stepping in segments adds,
+    hold fewer values than the unsplit block of S * min(T, ``CHUNK *
+    BLOCK`` // S) state rows. When a seam fails, or no block fits, the
+    call is stepped with P = 1, so a failed seam only costs time.
     """
     inputs, _, x0, w_out, loop = _checked(r, inputs, None, None, w_out)
     (count, k, total), (l, n) = inputs.shape, w_out.shape
     washout, rows = r.config.washout, CHUNK * BLOCK
     out = np.empty((count, l, total - washout))
-    parts = 1
-    if not r.config.use_feedback and 0 < count < CHUNK // 2:
-        parts = min(CHUNK // count, (total - WARMUP) // WARMUP)
+    split = None
+    if not r.config.use_feedback:
+        unsplit = min(total, rows // max(count, 1))
+        split = next(_Segments.plans(count, total, washout, n, k, unsplit, l), None)
     while True:
-        if parts > 1:
-            span = -(-(total - WARMUP) // parts)
-            width, window = parts * count, WARMUP + span
-            # The block (N + L values per row with its predictions), the
-            # step temporaries and seam copies (5 N per chunk row) and the
-            # segment inputs hold no more than an unsplit block of states.
-            budget = count * min(total, rows // count) * n - width * (5 * n + k * window)
-            steps = budget // (width * (n + l))
-        if parts < 2 or steps < 1:
-            parts, span, width = 1, total, min(max(count, 1), rows)
-            steps, segments, skip = rows // width, inputs, washout
+        if split is None or split.steps < 1:
+            split, width = None, min(max(count, 1), rows)
+            blocks = _step_blocks(r, inputs, None, x0, loop, width, rows // width, washout)
         else:
-            segments, skip = np.zeros((width, k, window)), 0
-            for p in range(parts):
-                piece = inputs[:, :, p * span : p * span + window]
-                segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
-        for first, t0, states in _step_blocks(r, segments, None, x0, loop, width, steps, skip):
-            b = states.shape[1]
-            if parts > 1 and t0 <= WARMUP - 1 < t0 + b:
-                warm = states[count:, WARMUP - 1 - t0].copy()
-            if parts > 1 and t0 <= window - 1 < t0 + b:
-                last = states[:-count, window - 1 - t0].copy()
+            blocks = _step_blocks(r, split.cut(inputs), None, x0, loop, split.width, split.steps, 0)
+        for first, t0, states in blocks:
             y = w_out @ states.transpose(0, 2, 1)
-            for p in range(parts):
-                # kept steps of segment p in this block, at times >= washout
-                j0 = max(0 if p == 0 else WARMUP, t0, washout - p * span)
-                j1 = min(t0 + b, total - p * span)
-                if j0 < j1:
-                    t = p * span + j0 - washout
-                    kept = y[p * count : (p + 1) * count, :, j0 - t0 : j1 - t0]
-                    out[first : first + len(kept), :, t : t + j1 - j0] = kept
-        if parts == 1 or np.abs(warm - last).max() <= SEAM_TOL * max(1.0, np.abs(last).max()):
+            if split is None:
+                out[first : first + len(y), :, t0 - washout : t0 - washout + y.shape[2]] = y
+                continue
+            for part, j0, j1, t in split.kept(t0, states):
+                out[:, :, t - washout : t - washout + j1 - j0] = y[part, :, j0:j1]
+        if split is None or split.held:
             return out
-        parts = 1
+        split = None
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

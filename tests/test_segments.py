@@ -1,11 +1,14 @@
-"""How ``reservoir.predictions`` plans a call: split in time segments or not.
+"""How ``reservoir.predictions`` and the training fold plan a call: split
+in time segments or not.
 
 An open-loop call of a few long sequences is stepped as P warmed-up
 segments per sequence in one chunk, and each seam is checked; when a seam
-fails, the call is stepped again unsplit. The tests observe the plan
-through the ``_step_blocks`` calls it makes (the ``step_calls`` fixture).
-Seam rounding depends on the BLAS thread count, so CI runs this file on
-one thread as well.
+fails, the call is stepped again unsplit. ``readout.accumulate_dataset``
+of a few long sequences is split the same way, teacher-forced too, and
+after a failed seam starts over and folds the call unsplit. The tests
+observe the plan through the ``_step_blocks`` calls it makes (the
+``step_calls`` fixture). Seam rounding depends on the BLAS thread count,
+so CI runs this file on one thread as well.
 """
 
 import numpy as np
@@ -16,8 +19,19 @@ from echochan import reservoir as reservoir_mod
 from echochan.channelsim import SequenceDataset
 from echochan.errors import ShapeError
 from echochan.evaluation import evaluate, mape
-from echochan.readout import ReadoutModel, Ridge
-from echochan.reservoir import CHUNK, WARMUP, Activation, ReservoirConfig, build, predictions
+from echochan.readout import ReadoutModel, Ridge, accumulate_dataset
+from echochan.reservoir import (
+    BLOCK,
+    CHUNK,
+    FOLD_STEPS,
+    WARMUP,
+    Activation,
+    ReservoirConfig,
+    build,
+    harvest,
+    predictions,
+    state_blocks,
+)
 
 # 937 = T - WARMUP is prime, so no segment count divides it
 STEPS = 1001
@@ -46,6 +60,21 @@ def split_width(sequences, steps=STEPS):
     return sequences * min(CHUNK // sequences, (steps - warmup) // warmup)
 
 
+def fold_width(sequences, steps=STEPS, n=60, channels=2):
+    """S * P of a split fold: the most segments, at most as many as
+    ``split_width`` gives, whose block holds ``FOLD_STEPS`` steps once the
+    segment inputs (``channels`` per step, the teacher's too), the step
+    temporaries and the seam copies (5 N per chunk row) are taken from the
+    unsplit fold's S * min(T, ``BLOCK``) state rows; None when none does."""
+    warmup = reservoir_mod.WARMUP
+    for parts in range(split_width(sequences, steps) // sequences, 1, -1):
+        width, window = parts * sequences, warmup + -(-(steps - warmup) // parts)
+        budget = sequences * min(steps, BLOCK) * n - width * (5 * n + channels * window)
+        if budget // (width * n) >= FOLD_STEPS:
+            return width
+    return None
+
+
 def widths(step_calls):
     return [width for width, _, _ in step_calls]
 
@@ -67,6 +96,14 @@ def dataset(sequences, steps=STEPS, seed=14):
     rng = np.random.default_rng(seed)
     shape = (sequences, 2, steps)
     return SequenceDataset(inputs=rng.uniform(-1, 1, shape), targets=rng.uniform(-1, 1, shape))
+
+
+def unsplit_fold(r, data):
+    """``accumulate_dataset`` unsplit: a ``WARMUP`` as long as the
+    sequences leaves no room for 2 segments."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reservoir_mod, "WARMUP", data.seq_len)
+        return accumulate_dataset(r, data)
 
 
 class TestMatchesSerial:
@@ -163,3 +200,109 @@ class TestMemory:
         serial = traced_peak(lambda: evaluate(r, model, data))
         assert widths(step_calls) == [width] * 2 + [sequences] * 2
         assert segmented <= serial, f"segmented peak {segmented} bytes, serial {serial}"
+
+
+class TestFold:
+    """``accumulate_dataset`` of fewer than ``CHUNK // 2`` sequences of at
+    least 3 ``WARMUP`` steps is split in time segments; anything else, or a
+    failed seam, is folded unsplit."""
+
+    # largest difference allowed between the split and unsplit fold's a and
+    # B, relative to the largest entry of each: 2.1e-15 measured over this
+    # class's calls, at N = 60 and 300, with feedback off and on
+    ACCUMULATOR_RTOL = 1e-13
+
+    def check_close(self, split, unsplit, samples):
+        assert split.samples_seen == unsplit.samples_seen == samples
+        for name in ("a", "b"):
+            got, expected = getattr(split, name), getattr(unsplit, name)
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(got, expected, rtol=0, atol=self.ACCUMULATOR_RTOL * scale)
+
+    @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
+    @pytest.mark.parametrize("washout", [0, 150])
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_matches_unsplit(self, step_calls, activation, washout, sequences):
+        r = build(config(activation=activation, washout=washout))
+        data = dataset(sequences)
+        split = accumulate_dataset(r, data)
+        # one pass, split, with every seam holding
+        width = fold_width(sequences)
+        assert width is not None and width > sequences
+        assert widths(step_calls) == [width]
+        unsplit = unsplit_fold(r, data)
+        assert widths(step_calls) == [width, CHUNK]
+        self.check_close(split, unsplit, sequences * (STEPS - washout))
+
+    @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
+    @pytest.mark.parametrize("washout", [0, 150])
+    def test_teacher_forced_feedback(self, step_calls, washout, sequences):
+        # the teacher is cut into segments with the inputs, so each segment
+        # has 4 input channels; at N = 60 one sequence would not split
+        r = build(config(use_feedback=True, reservoir_size=300, washout=washout))
+        data = dataset(sequences)
+        split = accumulate_dataset(r, data)
+        width = fold_width(sequences, n=300, channels=4)
+        assert width is not None and width > sequences
+        assert widths(step_calls) == [width]
+        self.check_close(split, unsplit_fold(r, data), sequences * (STEPS - washout))
+
+    @pytest.mark.parametrize(
+        "patch", [("WARMUP", 2), ("SEAM_TOL", -1.0)], ids=["short-warmup", "no-tolerance"]
+    )
+    @pytest.mark.parametrize("washout", [0, 150])
+    @pytest.mark.parametrize("use_feedback", [False, True])
+    def test_failed_seam_gives_unsplit_bytes(
+        self, monkeypatch, step_calls, patch, washout, use_feedback
+    ):
+        monkeypatch.setattr(reservoir_mod, *patch)
+        r = build(config(use_feedback=use_feedback, reservoir_size=300, washout=washout))
+        data = dataset(2)
+        refolded = accumulate_dataset(r, data)
+        # the split pass, then the fold started over on the unsplit blocks
+        width = fold_width(2, n=300, channels=4 if use_feedback else 2)
+        assert width is not None
+        assert widths(step_calls) == [width, 2]
+        unsplit = unsplit_fold(r, data)
+        assert refolded.samples_seen == unsplit.samples_seen == 2 * (STEPS - washout)
+        assert refolded.a.tobytes() == unsplit.a.tobytes()
+        assert refolded.b.tobytes() == unsplit.b.tobytes()
+
+    def test_wide_sets_are_not_split(self, step_calls):
+        accumulate_dataset(build(config()), dataset(CHUNK // 2))
+        assert widths(step_calls) == [CHUNK]
+
+    def test_too_short_to_split(self, step_calls):
+        r = build(config())
+        accumulate_dataset(r, dataset(1, steps=3 * WARMUP - 1))
+        assert widths(step_calls) == [CHUNK]
+        accumulate_dataset(r, dataset(1, steps=3 * WARMUP))
+        assert widths(step_calls) == [CHUNK, fold_width(1, steps=3 * WARMUP)]
+
+    def test_harvest_and_initial_states_are_not_split(self, step_calls):
+        # acceptance test_02 measures fading memory from given start states
+        r = build(config())
+        u = inputs(2)
+        harvest(r, u[0])
+        list(state_blocks(r, u, initial_state=np.full(60, 0.5), split=True))
+        assert widths(step_calls) == [CHUNK, CHUNK]
+        list(state_blocks(r, u, split=True))
+        assert widths(step_calls) == [CHUNK, CHUNK, fold_width(2)]
+
+    @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
+    @pytest.mark.parametrize("steps", [578, 4000])
+    def test_peak_no_higher_than_unsplit(self, monkeypatch, step_calls, sequences, steps):
+        n = TestMemory.N
+        r = build(config(reservoir_size=n))
+        data = dataset(sequences, steps=steps)
+        width = fold_width(sequences, steps, n=n)
+        # each plan runs once untraced, so one-time allocations count for neither
+        accumulate_dataset(r, data)
+        split = traced_peak(lambda: accumulate_dataset(r, data))
+        # no room for 2 segments
+        monkeypatch.setattr(reservoir_mod, "WARMUP", steps)
+        accumulate_dataset(r, data)
+        unsplit = traced_peak(lambda: accumulate_dataset(r, data))
+        assert width is not None
+        assert widths(step_calls) == [width] * 2 + [CHUNK] * 2
+        assert split <= unsplit, f"split fold peak {split} bytes, unsplit {unsplit}"

@@ -101,6 +101,24 @@ def test_one_prediction_loop():
     assert callers == expected, f"_step_blocks is called from {sorted(callers)}"
 
 
+def test_one_segment_layout_and_seam_rule():
+    # `predictions` and a split training fold cut their time segments by one
+    # layout (`_Segments.__init__`, the one reader of WARMUP) and check their
+    # seams by one comparison (`_Segments.kept`, the one reader of SEAM_TOL),
+    # and both plan their splits through the same helper
+    def reads(name):
+        return lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(
+            node.ctx, ast.Load
+        )
+
+    layout, seams = _owners(reads("WARMUP")), _owners(reads("SEAM_TOL"))
+    assert layout == {"reservoir.py:__init__"}, f"WARMUP is read in {sorted(layout)}"
+    assert seams == {"reservoir.py:kept"}, f"SEAM_TOL is read in {sorted(seams)}"
+    planners = _callers("plans")
+    expected = {"reservoir.py:state_blocks", "reservoir.py:predictions"}
+    assert planners == expected, f"the segments are planned in {sorted(planners)}"
+
+
 def test_one_csv_writer():
     # every CSV report is written through one function
     def is_csv_writer(node):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from echochan import reservoir as reservoir_mod
 from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import ShapeError
 from echochan.readout import Ridge, accumulate_dataset, fit, merge, solve
-from echochan.reservoir import ReservoirConfig, build
+from echochan.reservoir import CHUNK, ReservoirConfig, build
 from echochan.transfer import direct_transfer_eval, fine_tune
 
 SOURCE_CHANNEL = Multipath(
@@ -118,6 +119,31 @@ class TestFineTune:
         with pytest.raises(ValueError, match="alpha must be in"):
             fine_tune(reservoir, source, target_train, 1.5, Ridge())
         assert folds == []
+
+
+class TestFewLongTargets:
+    """The paper's low-data regime: a source fit blended with one or two
+    long target recordings, whose fold is split in time segments."""
+
+    # largest difference between w_out from a split and an unsplit target
+    # fold, relative to the largest coefficient: at most 2.8e-11 measured
+    # over 1 and 2 target sequences of 400, 600 and 1,000 steps, on 1 and 2
+    # BLAS threads
+    W_OUT_RTOL = 1e-9
+
+    @pytest.mark.parametrize("sequences", [1, 2])
+    def test_split_target_fold(self, monkeypatch, step_calls, reservoir, source, sequences):
+        target = generate_dataset(wave(49, bits=600), TARGET_CHANNEL, sequences)
+        tuned = fine_tune(reservoir, source, target, 0.5, Ridge())
+        # the 24 short source sequences in chunks, the target split
+        [source_width, target_width] = [width for width, _, _ in step_calls]
+        assert source_width == CHUNK
+        assert sequences < target_width <= CHUNK
+        monkeypatch.setattr(reservoir_mod, "WARMUP", target.seq_len)  # no room to split
+        unsplit = fine_tune(reservoir, source, target, 0.5, Ridge())
+        assert [width for width, _, _ in step_calls[2:]] == [CHUNK, CHUNK]
+        scale = np.abs(unsplit.w_out).max()
+        np.testing.assert_allclose(tuned.w_out, unsplit.w_out, rtol=0, atol=self.W_OUT_RTOL * scale)
 
 
 class TestPlan:
