@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import seeding
-from .errors import NonFiniteError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .numerics import as_matrix, frozen
 
 GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -29,7 +29,7 @@ IQ = 2
 def _check_snr(snr_db: float) -> None:
     """The SNR rule of every channel: a real value, or +inf for no noise."""
     if np.isnan(snr_db) or np.isneginf(snr_db):
-        raise ValueError(f"snr_db must be a real value or +inf, got {snr_db}")
+        raise ConfigError(f"snr_db must be a real value or +inf, got {snr_db}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,9 @@ class Tap:
 
     def __post_init__(self):
         if self.delay < 0:
-            raise ValueError(f"tap delay must be >= 0, got {self.delay}")
+            raise ConfigError(f"tap delay must be >= 0, got {self.delay}")
         if not (np.isfinite(self.gain_i) and np.isfinite(self.gain_q)):
-            raise ValueError("tap gains must be finite")
+            raise ConfigError("tap gains must be finite")
 
     @property
     def gain(self) -> complex:
@@ -81,14 +81,14 @@ class Multipath:
 
     def __post_init__(self):
         if len(self.taps) == 0:
-            raise ValueError("multipath channel needs at least one tap")
+            raise ConfigError("multipath channel needs at least one tap")
         delays = [t.delay for t in self.taps]
         if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValueError(f"tap delays must be strictly increasing, got {delays}")
+            raise ConfigError(f"tap delays must be strictly increasing, got {delays}")
         if not 0.0 <= self.disturbance <= 1.0:
-            raise ValueError(f"disturbance must be in [0, 1], got {self.disturbance}")
+            raise ConfigError(f"disturbance must be in [0, 1], got {self.disturbance}")
         if self.disturbance > 0.0 and self.disturbance_period < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"disturbance_period must be >= 1, got {self.disturbance_period}"
             )
         _check_snr(self.snr_db)
@@ -100,13 +100,13 @@ ChannelSpec = Union[Awgn, Multipath]
 def _check_pulse(rolloff: float, filter_span: int, samples_per_symbol: int) -> None:
     """The pulse rule of ``WaveformSpec`` and ``raised_cosine_taps``."""
     if samples_per_symbol < 1:
-        raise ValueError(f"samples_per_symbol must be >= 1, got {samples_per_symbol}")
+        raise ConfigError(f"samples_per_symbol must be >= 1, got {samples_per_symbol}")
     if not 0.0 < rolloff <= 1.0:
-        raise ValueError(f"rolloff must be in (0, 1], got {rolloff}")
+        raise ConfigError(f"rolloff must be in (0, 1], got {rolloff}")
     if filter_span < 2:
-        raise ValueError(f"filter_span must be >= 2, got {filter_span}")
+        raise ConfigError(f"filter_span must be >= 2, got {filter_span}")
     if (filter_span * samples_per_symbol) % 2 != 0:
-        raise ValueError(
+        raise ConfigError(
             "filter_span * samples_per_symbol must be even so the filter has a center tap"
         )
 
@@ -129,13 +129,13 @@ class WaveformSpec:
 
     def __post_init__(self):
         if self.bits_per_sequence < 2 or self.bits_per_sequence % 2 != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"bits_per_sequence must be a positive even count, got {self.bits_per_sequence}"
             )
         _check_pulse(self.rolloff, self.filter_span, self.samples_per_symbol)
         expected = (self.bits_per_sequence // 2) * self.samples_per_symbol
         if self.sequence_length != expected:
-            raise ValueError(
+            raise ConfigError(
                 f"sequence_length {self.sequence_length} is inconsistent with "
                 f"{self.bits_per_sequence} bits at {self.samples_per_symbol} samples/symbol "
                 f"(expected {expected})"
@@ -330,7 +330,7 @@ def generate_dataset(
     draws from the substream (seed, sequence-stream, i) only.
     """
     if num_sequences < 0:
-        raise ValueError(f"num_sequences must be >= 0, got {num_sequences}")
+        raise ConfigError(f"num_sequences must be >= 0, got {num_sequences}")
     t = wave.sequence_length
     inputs = np.empty((num_sequences, IQ, t))
     targets = np.empty((num_sequences, IQ, t))

@@ -38,7 +38,7 @@ from .store import (
     save_dataset,
     save_model,
 )
-from .transfer import direct_transfer_eval, fine_tune
+from .transfer import check_alpha, direct_transfer_eval, fine_tune
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,17 +126,15 @@ def _load_run_config(args) -> RunConfig:
     return parse_config(raw)
 
 
-def _load_dataset_file(path):
+def _load(path, load=load_dataset, what="dataset"):
     try:
-        return load_dataset(path)
+        return load(path)
     except FileNotFoundError as exc:
-        raise FileNotFoundError(f"dataset file not found: {path}") from exc
+        raise FileNotFoundError(f"{what} file not found: {path}") from exc
 
 
 def cmd_generate(args, config: RunConfig) -> int:
     chan = config.channel(args.preset)
-    if args.num_sequences < 0:
-        raise ConfigError(f"--num-sequences must be >= 0, got {args.num_sequences}")
     wave = replace(config.waveform, seed=config.master_seed)
     dataset = generate_dataset(wave, chan, args.num_sequences)
     dataset.meta["preset"] = args.preset
@@ -150,7 +148,7 @@ def cmd_generate(args, config: RunConfig) -> int:
 
 
 def cmd_train(args, config: RunConfig) -> int:
-    dataset = _load_dataset_file(args.data)
+    dataset = _load(args.data)
     train_idx, test_idx = split_indices(
         dataset.num_sequences, config.train_fraction, config.master_seed
     )
@@ -181,11 +179,8 @@ def cmd_train(args, config: RunConfig) -> int:
 
 
 def cmd_evaluate(args, config: RunConfig) -> int:
-    try:
-        artifact = load_model(args.model)
-    except FileNotFoundError as exc:
-        raise FileNotFoundError(f"model file not found: {args.model}") from exc
-    dataset = _load_dataset_file(args.data)
+    artifact = _load(args.model, load_model, "model")
+    dataset = _load(args.data)
     started = time.perf_counter()
     report = evaluate(artifact, artifact.to_readout(), dataset)
     eval_seconds = time.perf_counter() - started
@@ -202,7 +197,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 def cmd_sweep(args, config: RunConfig) -> int:
     axis = one_of(SweepAxis)(args.axis, "--axis")
-    datasets = tuple((path, _load_dataset_file(path)) for path in args.data)
+    datasets = tuple((path, _load(path)) for path in args.data)
     spec = SweepSpec(
         axis=axis,
         values=getattr(config.sweep, f"{axis.value}_values"),
@@ -228,11 +223,10 @@ def cmd_sweep(args, config: RunConfig) -> int:
 
 
 def cmd_transfer(args, config: RunConfig) -> int:
-    if not 0.0 <= args.alpha <= 1.0:
-        raise ConfigError(f"--alpha must be in [0, 1], got {args.alpha}")
-    source = _load_dataset_file(args.source)
-    target_train = _load_dataset_file(args.target_train)
-    target_test = _load_dataset_file(args.target_test)
+    check_alpha(args.alpha)  # before any dataset is read
+    source = _load(args.source)
+    target_train = _load(args.target_train)
+    target_test = _load(args.target_test)
     seed = seeding.child_seed(config.master_seed, seeding.STREAM_TRANSFER)
     reservoir = build(with_seed(config.reservoir, seed))
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import readout as readout_mod
 from . import seeding
 from .channelsim import SequenceDataset
-from .errors import DegenerateMetricError, NonFiniteError, ShapeError
+from .errors import ConfigError, DegenerateMetricError, NonFiniteError, ShapeError
 from .readout import ReadoutModel, RegressionMethod
 from .reservoir import Reservoir, ReservoirConfig, build, predictions, with_seed
 
@@ -73,8 +73,9 @@ class SweepSpec:
     """One sweep: vary ``axis`` over ``values`` on every named dataset.
 
     ``base_config.seed`` is the master seed all cell seeds derive from.
-    Datasets are (name, dataset) pairs; each is split 80/20 into
-    train/test once per dataset so every axis value sees the same split.
+    Datasets are (name, dataset) pairs; each is split into train/test once
+    so every axis value sees the same split. Each value is applied to
+    ``base_config`` here, so its owner refuses a bad one before any cell.
     """
 
     axis: SweepAxis
@@ -87,13 +88,13 @@ class SweepSpec:
 
     def __post_init__(self):
         if len(self.values) == 0:
-            raise ValueError("sweep needs at least one axis value")
+            raise ConfigError("sweep needs at least one axis value")
         if len(self.datasets) == 0:
-            raise ValueError("sweep needs at least one dataset")
+            raise ConfigError("sweep needs at least one dataset")
         if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
+        for value in self.values:
+            _apply_axis(self.axis, value, self.base_config, self.method)
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,8 @@ def split_indices(
     num_sequences: int, train_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded train/test partition of sequence indices."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if num_sequences < 2:
         raise ShapeError(f"need at least 2 sequences to split, got {num_sequences}")
     rng = seeding.substream(seed, seeding.STREAM_SPLIT)
@@ -252,10 +255,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 cell_seed = seeding.child_seed(
                     master, seeding.STREAM_SWEEP, v_idx, d_idx, rep
                 )
+                config, method = _apply_axis(
+                    spec.axis, value, with_seed(spec.base_config, cell_seed), spec.method
+                )
                 try:
-                    config, method = _apply_axis(
-                        spec.axis, value, with_seed(spec.base_config, cell_seed), spec.method
-                    )
                     started = time.perf_counter()
                     r = build(config)
                     model = readout_mod.fit(r, train_ds, method)

@@ -33,8 +33,8 @@ from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeEr
 # silently symmetrizing (a symmetrized solve would hide accumulator bugs).
 SYMMETRY_RTOL = 1e-9
 # Rows of an N x N array handled at a time wherever a whole-array
-# expression would make an N x N temporary: the symmetry check, the
-# accumulator merge and the container codec.
+# expression would make an N x N temporary: the symmetry and finiteness
+# checks, the accumulator merge and the container codec.
 BAND = 64
 
 # CBLAS enum values: row-major, upper triangle, C = A^T A.
@@ -85,9 +85,14 @@ def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != ndim:
         raise ShapeError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every value of ``a`` is finite, checked ``BAND`` rows at a time."""
+    return all(np.isfinite(a[i : i + BAND]).all() for i in range(0, len(a), BAND))
 
 
 def frozen(a, *requirements: str) -> np.ndarray:

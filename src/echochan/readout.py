@@ -27,7 +27,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, RankError, ShapeError
+from .errors import ConfigError, ConvergenceError, DefinitenessError, RankError, ShapeError
 from .numerics import BAND, add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
@@ -41,7 +41,7 @@ class Ridge:
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise ValueError(f"ridge lambda must be finite and >= 0, got {self.lam}")
+            raise ConfigError(f"ridge lambda must be finite and >= 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,11 @@ class Lasso:
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam <= 0.0:
-            raise ValueError(f"lasso lambda must be finite and > 0, got {self.lam}")
+            raise ConfigError(f"lasso lambda must be finite and > 0, got {self.lam}")
         if self.max_iter < 1:
-            raise ValueError(f"lasso max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigError(f"lasso max_iter must be >= 1, got {self.max_iter}")
         if not self.tol > 0.0:
-            raise ValueError(f"lasso tol must be positive, got {self.tol}")
+            raise ConfigError(f"lasso tol must be positive, got {self.tol}")
 
 
 RegressionMethod = Union[Ridge, Linear, Lasso]

@@ -46,8 +46,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import seeding
-from .errors import RescaleError, ShapeError
-from .numerics import as_matrix, frozen, spectral_radius
+from .errors import ConfigError, NonFiniteError, RescaleError, ShapeError
+from .numerics import all_finite, as_matrix, frozen, spectral_radius
 
 # Chunk width of ``state_blocks``: sequences stepped together as one
 # CHUNK x N by N x N product per time step. The training fold uses it, so
@@ -97,6 +97,12 @@ class Activation(Enum):
         return 1.0 / (1.0 + np.exp(-x))
 
 
+def _check_sparsity(sparsity: float) -> None:
+    """The sparsity rule of ``ReservoirConfig`` and ``init_matrix``."""
+    if not 0.0 <= sparsity <= 1.0:
+        raise ConfigError(f"sparsity must be in [0, 1], got {sparsity}")
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     """Hyperparameters of a reservoir build.
@@ -121,23 +127,22 @@ class ReservoirConfig:
 
     def __post_init__(self):
         if self.input_dim < 1 or self.reservoir_size < 1 or self.output_dim < 1:
-            raise ValueError(
+            raise ConfigError(
                 "input_dim, reservoir_size and output_dim must all be >= 1, got "
                 f"({self.input_dim}, {self.reservoir_size}, {self.output_dim})"
             )
-        if not 0.0 <= self.sparsity <= 1.0:
-            raise ValueError(f"sparsity must be in [0, 1], got {self.sparsity}")
+        _check_sparsity(self.sparsity)
         if not np.isfinite(self.target_spectral_radius) or self.target_spectral_radius <= 0.0:
-            raise ValueError(
+            raise ConfigError(
                 f"target_spectral_radius must be positive, got {self.target_spectral_radius}"
             )
         if self.target_spectral_radius > 1.0 and not self.allow_unstable:
-            raise ValueError(
+            raise ConfigError(
                 f"target_spectral_radius {self.target_spectral_radius} > 1 breaks the echo "
                 "state condition; set allow_unstable for diagnostic runs"
             )
         if self.washout < 0:
-            raise ValueError(f"washout must be >= 0, got {self.washout}")
+            raise ConfigError(f"washout must be >= 0, got {self.washout}")
 
 
 @dataclass(frozen=True)
@@ -148,9 +153,9 @@ class Reservoir:
     (``ModelArtifact`` adds ``w_out``): every matrix is float64 in that
     order, owns its data and is read-only (``numerics.frozen``: a
     caller's array is copied once unless it already is all of that, so the
-    caller's arrays stay writeable); only the readout layer is ever
-    trained. ``w`` is column-major, so the ``w.T`` that ``state_blocks``
-    steps with is a row-major view, not a copy.
+    caller's arrays stay writeable) and finite; only the readout layer is
+    ever trained. ``w`` is column-major, so the ``w.T`` that
+    ``state_blocks`` steps with is a row-major view, not a copy.
     """
 
     ORDERS: ClassVar[dict[str, str]] = {"w_in": "C", "w": "F", "w_fb": "C"}
@@ -165,6 +170,8 @@ class Reservoir:
         for name, order in self.ORDERS.items():
             matrix = frozen(getattr(self, name), order)
             check_shape(self.config, name, matrix)
+            if not all_finite(matrix):
+                raise NonFiniteError(f"matrix {name} contains non-finite values")
             object.__setattr__(self, name, matrix)
 
 
@@ -209,8 +216,7 @@ def init_matrix(method: InitMethod, rows: int, cols: int, sparsity: float, seed:
     """
     if rows < 1 or cols < 1:
         raise ShapeError(f"rows and cols must be >= 1, got ({rows}, {cols})")
-    if not 0.0 <= sparsity <= 1.0:
-        raise ValueError(f"sparsity must be in [0, 1], got {sparsity}")
+    _check_sparsity(sparsity)
     rng = seeding.substream(seed)
     if method is InitMethod.RANDOM:
         values = rng.uniform(-1.0, 1.0, size=(rows, cols))

@@ -46,7 +46,7 @@ from .config import (
     regression_method,
 )
 from .errors import FormatError, IntegrityError, NonFiniteError, ShapeError, VersionError
-from .numerics import BAND
+from .numerics import BAND, all_finite
 from .readout import ReadoutModel, RegressionMethod
 from .reservoir import Reservoir, ReservoirConfig, matrix_shapes
 
@@ -168,7 +168,7 @@ def _expect_payload(path, payload: int, expected: int) -> None:
 
 def _finite(path, what: str, band):
     """``band`` of a payload, written or read, unless a value is not finite."""
-    if not np.isfinite(band).all():
+    if not all_finite(band):
         raise IntegrityError(f"{what} of {path} contains non-finite values")
     return band
 

@@ -9,6 +9,7 @@ direct transfer (a source fit) and ``alpha = 0`` a plain target fit.
 from __future__ import annotations
 
 from .channelsim import SequenceDataset
+from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
 from .readout import ReadoutModel, RegressionMethod, accumulate_dataset, fit, merge, solve
 from .reservoir import Reservoir
@@ -21,6 +22,12 @@ def direct_transfer_eval(
     return evaluate(r, model, target_test)
 
 
+def check_alpha(alpha: float) -> None:
+    """``fine_tune``'s rule for ``alpha``, for a caller to check it early."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def fine_tune(
     r: Reservoir,
     source: SequenceDataset,
@@ -30,8 +37,7 @@ def fine_tune(
 ) -> ReadoutModel:
     """Solve the readout on ``alpha * source + (1 - alpha) * target``
     statistics, folding only a dataset whose weight is not 0."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     if alpha in (0.0, 1.0):  # direct transfer or a plain target fit
         return fit(r, source if alpha else target_train, method)
     blended = merge(

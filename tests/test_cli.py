@@ -109,6 +109,13 @@ class TestGenerate:
         assert code == 2
         assert "master_seed" in capsys.readouterr().err
 
+    def test_negative_count_exits_2_and_writes_nothing(self, config_path, tmp_path, capsys):
+        out = tmp_path / "x.esd"
+        code = run("--config", config_path, "generate", "--preset", "echo", "-n", "-1", "-o", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: num_sequences must be >= 0, got -1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml"]
+
     def test_seed_flag_changes_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.esd", tmp_path / "b.esd"
         run("--config", config_path, "generate", "--preset", "echo", "-n", "5", "-o", str(a))
@@ -145,6 +152,18 @@ class TestTrain:
     def test_missing_dataset_exits_3(self, config_path, tmp_path, capsys):
         code = run("--config", config_path, "train", str(tmp_path / "absent.esd"), "-o", str(tmp_path / "m.esn"))
         assert code == 3
+
+    def test_bad_train_fraction_exits_2_when_read(self, dataset_path, tmp_path, capsys):
+        # split.train_fraction is checked by the split, so only the
+        # commands that split read it
+        path = tmp_path / "fraction.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, split={"train_fraction": 1.5})))
+        out = tmp_path / "m.esn"
+        assert run("--config", str(path), "train", dataset_path, "-o", str(out)) == 2
+        assert capsys.readouterr().err == "error: train_fraction must be in (0, 1), got 1.5\n"
+        assert not out.exists()
+        assert run("--config", str(path), "generate", "--preset", "echo", "-n", "2",
+                   "-o", str(tmp_path / "d.esd")) == 0
 
     @pytest.mark.parametrize("sequences", ["0", "1"])
     def test_too_few_sequences_exits_4(self, config_path, tmp_path, capsys, sequences):
@@ -326,6 +345,14 @@ class TestSweep:
         assert code == 4
         assert capsys.readouterr().err == f"error: need at least 2 sequences to split, got {sequences}\n"
 
+    def test_zero_repeats_exits_2(self, config_path, dataset_path, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = run("--config", config_path, "sweep", "--axis", "radius", "--data", dataset_path,
+                   "--repeats", "0", "-o", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == "error: repeats must be >= 1, got 0\n"
+        assert not out.exists()
+
     def test_empty_value_list_exits_2(self, dataset_path, tmp_path, capsys):
         path = tmp_path / "empty.yaml"
         path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], radius_values=[]))))
@@ -338,14 +365,37 @@ class TestSweep:
         assert code == 2
 
     def test_failed_group_prints_no_mape(self, dataset_path, tmp_path, capsys):
-        path = tmp_path / "bad_size.yaml"
-        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], size_values=[-5, 20]))))
-        code = run("--config", str(path), "sweep", "--axis", "size", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
+        # a lasso allowed one cycle does not converge: a numeric failure in
+        # every cell of its group
+        path = tmp_path / "one_cycle.yaml"
+        readout = dict(SMALL_CONFIG["readout"], lasso_max_iter=1)
+        sweep = dict(SMALL_CONFIG["sweep"], regression_values=["lasso", "ridge"])
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, readout=readout, sweep=sweep)))
+        code = run("--config", str(path), "sweep", "--axis", "regression", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
         assert code == 0
         out = capsys.readouterr().out
         assert "nans" not in out
-        assert f"size=-5 dataset={dataset_path}: MAPE n/a (errors 1)\n" in out
-        assert f"size=20 dataset={dataset_path}: MAPE " in out
+        assert f"regression=lasso dataset={dataset_path}: MAPE n/a (errors 1)\n" in out
+        assert f"regression=ridge dataset={dataset_path}: MAPE " in out
+
+    @pytest.mark.parametrize(
+        "key, values, bad", [("size_values", [-5, 20], "-5"), ("radius_values", [0.5, 1.5], "1.5")]
+    )
+    def test_value_its_owner_refuses_exits_2_before_any_cell(
+        self, dataset_path, tmp_path, capsys, key, values, bad
+    ):
+        path = tmp_path / "bad_value.yaml"
+        path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], **{key: values}))))
+        out = tmp_path / "s.csv"
+        axis = key.split("_")[0]
+        code = run("--config", str(path), "sweep", "--axis", axis, "--data", dataset_path, "-o", str(out))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert bad in lines[0]
+        assert not out.exists()
 
     def test_regression_axis(self, config_path, dataset_path, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -498,13 +548,15 @@ class TestTransfer:
         assert rows["direct"][0] == "1.0"
         assert rows["direct"] == rows["finetune"]
 
-    def test_invalid_alpha_exits_2(self, config_path, tmp_path):
+    def test_invalid_alpha_exits_2(self, config_path, tmp_path, capsys):
+        # the datasets do not exist: alpha is checked before any is read
         code = run(
             "--config", config_path, "transfer",
             "--source", "a.esd", "--target-train", "b.esd", "--target-test", "c.esd",
             "--mode", "finetune", "--alpha", "1.5", "-o", str(tmp_path / "t.csv"),
         )
         assert code == 2
+        assert capsys.readouterr().err == "error: alpha must be in [0, 1], got 1.5\n"
 
 
 def run_python(*argv):

@@ -2,11 +2,20 @@
 
 import pytest
 
-from echochan.channelsim import Awgn, Multipath
+from echochan.channelsim import (
+    Awgn,
+    Multipath,
+    Tap,
+    WaveformSpec,
+    generate_dataset,
+    raised_cosine_taps,
+)
 from echochan.config import load_config, parse_config
 from echochan.errors import ConfigError
+from echochan.evaluation import SweepAxis, SweepSpec, split_indices
 from echochan.readout import Lasso, Linear, Ridge
-from echochan.reservoir import Activation, InitMethod
+from echochan.reservoir import Activation, InitMethod, ReservoirConfig
+from echochan.transfer import fine_tune
 
 
 def minimal_raw(**overrides):
@@ -346,3 +355,57 @@ class TestParsedValues:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.yaml")
+
+
+
+def _sweep(**overrides):
+    wave = WaveformSpec(bits_per_sequence=40, sequence_length=40)
+    base = dict(
+        axis=SweepAxis.SIZE,
+        values=(20,),
+        base_config=ReservoirConfig(input_dim=2, reservoir_size=20, output_dim=2),
+        method=Ridge(),
+        datasets=(("d", generate_dataset(wave, Awgn(20.0), 4)),),
+    )
+    return SweepSpec(**dict(base, **overrides))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Awgn(snr_db=float("nan")), "snr_db must be a real", id="_check_snr"),
+        pytest.param(lambda: raised_cosine_taps(0.0, 8, 2), "rolloff must be in", id="_check_pulse"),
+        pytest.param(lambda: Tap(-1, 1.0, 0.0), "tap delay must be >= 0", id="Tap"),
+        pytest.param(lambda: Multipath(taps=()), "at least one tap", id="Multipath"),
+        pytest.param(lambda: WaveformSpec(bits_per_sequence=3), "bits_per_sequence", id="WaveformSpec"),
+        pytest.param(
+            lambda: generate_dataset(WaveformSpec(), Awgn(20.0), -1),
+            "num_sequences must be >= 0, got -1",
+            id="generate_dataset",
+        ),
+        pytest.param(
+            lambda: ReservoirConfig(2, 30, 2, sparsity=1.5),
+            r"sparsity must be in \[0, 1\], got 1.5",
+            id="ReservoirConfig",
+        ),
+        pytest.param(lambda: Ridge(lam=-1.0), "ridge lambda", id="Ridge"),
+        pytest.param(lambda: Lasso(max_iter=0), "lasso max_iter", id="Lasso"),
+        pytest.param(lambda: _sweep(repeats=0), "repeats must be >= 1, got 0", id="SweepSpec"),
+        pytest.param(lambda: _sweep(values=(20, -5)), r"got \(2, -5, 2\)", id="SweepSpec-values"),
+        pytest.param(
+            lambda: fine_tune(None, None, None, 1.5, Ridge()),
+            r"alpha must be in \[0, 1\], got 1.5",
+            id="fine_tune",
+        ),
+        pytest.param(
+            lambda: split_indices(10, 1.5, 0),
+            r"train_fraction must be in \(0, 1\), got 1.5",
+            id="split_indices",
+        ),
+    ],
+)
+def test_owner_refuses_a_bad_value_with_config_error(call, message):
+    # a value from a config key, a flag or a sweep list is checked by the
+    # type or function that owns it, as a ConfigError (exit 2 on the CLI)
+    with pytest.raises(ConfigError, match=message):
+        call()

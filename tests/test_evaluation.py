@@ -17,7 +17,7 @@ from echochan.evaluation import (
     split_indices,
     write_sweep_csv,
 )
-from echochan.readout import ReadoutModel, Ridge, accumulate_dataset, fit
+from echochan.readout import Lasso, ReadoutModel, Ridge, accumulate_dataset, fit
 from echochan.reservoir import BLOCK, CHUNK, Activation, ReservoirConfig, build, harvest
 
 
@@ -341,9 +341,8 @@ class TestRunSweep:
             )
 
     def test_error_rows_keep_sweep_alive(self):
-        # reservoir larger than available samples with Linear() would still
-        # work; force failures with an impossible reservoir size instead
-        spec = sweep_spec(axis=SweepAxis.SIZE, values=(-5, 20))
+        # a lasso allowed one cycle does not converge: a numeric failure
+        spec = sweep_spec(axis=SweepAxis.REGRESSION, values=(Lasso(max_iter=1), Ridge()))
         result = run_sweep(spec)
         assert len(result.rows) == 2
         assert result.rows[0].error is not None

@@ -1,10 +1,12 @@
 """Reservoir construction and dynamics tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from echochan import reservoir as reservoir_mod
-from echochan.errors import RescaleError, ShapeError
+from echochan.errors import NonFiniteError, RescaleError, ShapeError
 from echochan.numerics import spectral_radius
 from echochan.reservoir import (
     Activation,
@@ -154,6 +156,18 @@ class TestBuild:
         matrices = {"w_in": r.w_in, "w": r.w, "w_fb": r.w_fb, name: np.zeros((3, 4))}
         with pytest.raises(ShapeError, match=rf"{name} must be {expected}, got shape \(3, 4\)"):
             Reservoir(config=r.config, achieved_radius=r.achieved_radius, **matrices)
+
+    # N = 100 is one full 64-row band and a partial one: a value in each
+    @pytest.mark.parametrize(
+        "name, index, value",
+        [("w_in", (0, 1), np.nan), ("w", (99, 0), np.inf), ("w", (70, 99), np.nan), ("w_fb", (99, 1), -np.inf)],
+    )
+    def test_non_finite_matrix_is_refused(self, name, index, value):
+        r = build(small_config(reservoir_size=100))
+        matrix = np.array(getattr(r, name))
+        matrix[index] = value
+        with pytest.raises(NonFiniteError, match=f"matrix {name} contains non-finite values"):
+            replace(r, **{name: matrix})
 
     def test_no_feedback_gives_zero_w_fb(self):
         r = build(small_config(use_feedback=False))

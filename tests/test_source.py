@@ -335,3 +335,52 @@ def test_config_defaults_stated_by_their_owners():
             ]
     assert {"sparsity", "ridge_lambda", "train_fraction", "repeats"} <= checked, sorted(checked)
     assert not literals, "defaults written in config.py's key tables:\n" + "\n".join(literals)
+
+
+# Limits on values a config key, a flag or a sweep list sets, as the name
+# of the value and the bounds it is compared with. Each is stated by one
+# comparison, in the type or function that owns the value and raises
+# `ConfigError`; the config reads the keys by their plain kinds and the
+# CLI passes the flags on unchecked.
+_LIMITS = {
+    "sparsity": {0, 1},
+    "num_sequences": {0},
+    "alpha": {0, 1},
+    "repeats": {1},
+    "train_fraction": {0, 1},
+}
+
+
+def test_each_limit_stated_once():
+    from echochan import config
+
+    def limit_stated(node):
+        """The limit that an ordering of one name between constant bounds,
+        tested by an ``if`` that raises, states."""
+        orderings = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+        if not isinstance(node, ast.Compare) or not all(isinstance(op, orderings) for op in node.ops):
+            return None
+        operands = [node.left, *node.comparators]
+        names = [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in operands
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+        bounds = [n.value for n in operands if isinstance(n, ast.Constant)]
+        if len(names) != 1 or len(names) + len(bounds) != len(operands):
+            return None
+        return names[0] if _LIMITS.get(names[0]) == set(bounds) else None
+
+    sites = {limit: [] for limit in _LIMITS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        checks = [
+            n for n in ast.walk(tree) if isinstance(n, ast.If) and isinstance(n.body[0], ast.Raise)
+        ]
+        for node in (n for check in checks for n in ast.walk(check.test)):
+            limit = limit_stated(node)
+            if limit is not None:
+                sites[limit].append(f"{path.name}:{node.lineno}")
+    assert all(len(found) == 1 for found in sites.values()), sites
+    assert config._SPLIT["train_fraction"][0] is config.number
+    assert config._SWEEP["repeats"][0] is config.integer

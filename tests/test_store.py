@@ -12,7 +12,7 @@ import pytest
 
 from echochan import store
 from echochan.channelsim import Awgn, Multipath, SequenceDataset, Tap, WaveformSpec, generate_dataset
-from echochan.errors import FormatError, IntegrityError, ShapeError, VersionError
+from echochan.errors import FormatError, IntegrityError, NonFiniteError, ShapeError, VersionError
 from echochan.evaluation import evaluate, write_csv
 from echochan.readout import Lasso, Linear, ReadoutModel, Ridge, fit
 from echochan.reservoir import Activation, InitMethod, Reservoir, ReservoirConfig, build
@@ -190,6 +190,14 @@ class TestArtifactIsAReservoir:
         provenance = {"seed": 0, "dataset_fingerprint": "0"}
         with pytest.raises(ShapeError, match=r"w_out must be 2 x 10, got shape \(10, 2\)"):
             make_artifact(reservoir, model, provenance)
+
+    @pytest.mark.parametrize("name", ["w", "w_out"])
+    def test_non_finite_matrix_is_refused(self, name):
+        artifact = trained_artifact(seed=48)
+        matrix = np.array(getattr(artifact, name))
+        matrix[-1, -1] = np.nan
+        with pytest.raises(NonFiniteError, match=f"matrix {name} contains non-finite values"):
+            replace(artifact, **{name: matrix})
 
 
 class TestModelCorruption:
@@ -501,13 +509,15 @@ class TestAtomicWrite:
     # the first and last values of the N=25 model's w, and the last of w_out
     @pytest.mark.parametrize("name, index", [("w", (0, 0)), ("w", (24, 24)), ("w_out", (1, 24))])
     def test_non_finite_matrix_is_refused_before_any_file(self, tmp_path, name, index):
-        # a model that load_model would refuse is never written
+        # a model that load_model would refuse is never written, even when
+        # the NaN is written into the artifact's own array after it was built
         artifact = trained_artifact(seed=83)
-        matrix = np.array(getattr(artifact, name))
+        matrix = getattr(artifact, name)
+        matrix.flags.writeable = True
         matrix[index] = np.nan
         path = tmp_path / "m.esn"
         with pytest.raises(IntegrityError, match=rf"matrix {name} of {path} contains non-finite"):
-            save_model(replace(artifact, **{name: matrix}), path)
+            save_model(artifact, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_train_with_a_non_finite_matrix_exits_3_and_writes_nothing(
@@ -517,9 +527,9 @@ class TestAtomicWrite:
 
         def nan_artifact(reservoir, model, provenance):
             artifact = make_artifact(reservoir, model, provenance)
-            w = np.array(artifact.w)
-            w[0, 0] = np.nan
-            return replace(artifact, w=w)
+            artifact.w.flags.writeable = True
+            artifact.w[0, 0] = np.nan
+            return artifact
 
         data = tmp_path / "d.esd"
         save_dataset(generate_dataset(wave(84), CHANNEL, 5), data)
