@@ -4,8 +4,12 @@ The signal chain is QPSK modulation, zero-stuffed upsampling, raised
 cosine pulse shaping (same-length, group-delay compensated), then a
 configurable channel: plain AWGN, or a tapped delay line whose complex
 tap gains can be slowly modulated to mimic a disturbed medium, followed
-by AWGN. Sequences are generated from per-sequence seed substreams, so
-the dataset is identical whether sequences are produced serially or in
+by AWGN. Sequences are made a batch (``BATCH``) at a time: modulation,
+pulse shaping and the channel's tap loop run once over a batch's arrays,
+while each sequence still draws its bits, tap phases and noise only from
+its own seed substreams and has its noise power measured on its own. So
+no value depends on the batch a sequence is made in, and the dataset is
+identical whether sequences are produced serially, in batches or in
 parallel.
 """
 
@@ -24,6 +28,9 @@ GRAY_QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 # Rows of a sample, in-phase then quadrature: the width (K = L) of every
 # dataset generated or stored and of every reservoir a config builds.
 IQ = 2
+# Sequences generated together. Small, since each batch holds a few
+# S x T complex temporaries (about 150 kB each at T = 578) beside its output.
+BATCH = 16
 
 
 def _check_snr(snr_db: float) -> None:
@@ -203,19 +210,21 @@ class SequenceDataset:
 
 
 def qpsk_modulate(bits) -> np.ndarray:
-    """Map a bit array onto Gray-coded unit-energy QPSK symbols.
+    """Map bits onto Gray-coded unit-energy QPSK symbols, pairing them
+    along the last axis: a 1-D array is one sequence's bits, a 2-D array
+    holds a sequence per row.
 
     Bit pairs map as 00 -> (+1+1j)/sqrt2, 01 -> (-1+1j)/sqrt2,
     11 -> (-1-1j)/sqrt2, 10 -> (+1-1j)/sqrt2.
     """
     bits = np.asarray(bits)
-    if bits.ndim != 1:
-        raise ShapeError(f"bits must be 1-D, got shape {bits.shape}")
-    if bits.size % 2 != 0:
-        raise ShapeError(f"bit count must be even, got {bits.size}")
+    if bits.ndim not in (1, 2):
+        raise ShapeError(f"bits must be 1-D or 2-D, got shape {bits.shape}")
+    if bits.shape[-1] % 2 != 0:
+        raise ShapeError(f"bit count must be even, got {bits.shape[-1]}")
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("bits must contain only 0 and 1")
-    index = 2 * bits[0::2].astype(np.intp) + bits[1::2].astype(np.intp)
+    index = 2 * bits[..., 0::2].astype(np.intp) + bits[..., 1::2].astype(np.intp)
     return GRAY_QPSK[index]
 
 
@@ -238,87 +247,115 @@ def raised_cosine_taps(beta: float, span: int, sps: int) -> np.ndarray:
     return taps / taps[half]
 
 
-def _shape_symbols(symbols: np.ndarray, wave: WaveformSpec) -> np.ndarray:
-    """Upsample and pulse-shape symbols into a complex sample sequence."""
-    taps = raised_cosine_taps(wave.rolloff, wave.filter_span, wave.samples_per_symbol)
-    upsampled = np.zeros(symbols.size * wave.samples_per_symbol, dtype=np.complex128)
-    upsampled[:: wave.samples_per_symbol] = symbols
+def _shape_symbols(symbols: np.ndarray, taps: np.ndarray, wave: WaveformSpec) -> np.ndarray:
+    """Upsample and pulse-shape each row of ``symbols`` into a complex
+    sample sequence (S x T)."""
+    sps, total = wave.samples_per_symbol, wave.sequence_length
+    upsampled = np.zeros((len(symbols), symbols.shape[1] * sps), dtype=np.complex128)
+    upsampled[:, ::sps] = symbols
     # Full convolution trimmed by the group delay == "same" alignment.
     delay = (taps.size - 1) // 2
-    shaped = np.convolve(upsampled, taps, mode="full")
-    return shaped[delay : delay + wave.sequence_length]
+    shaped = np.empty((len(symbols), total), dtype=np.complex128)
+    for row, samples in zip(shaped, upsampled):
+        row[...] = np.convolve(samples, taps, mode="full")[delay : delay + total]
+    return shaped
 
 
 def _to_rows(signal: np.ndarray) -> np.ndarray:
-    return np.vstack([signal.real, signal.imag])
+    """Complex samples (... x T) as I/Q rows (... x IQ x T)."""
+    return np.stack([signal.real, signal.imag], axis=-2)
 
 
 def _to_complex(rows: np.ndarray) -> np.ndarray:
-    return rows[0] + 1j * rows[1]
+    return rows[..., 0, :] + 1j * rows[..., 1, :]
 
 
-def _propagate(spec: ChannelSpec, tx: np.ndarray, seed: int) -> np.ndarray:
-    """Channel response before noise, as a complex sample sequence."""
-    signal = _to_complex(tx)
+def _propagate(spec: ChannelSpec, signal: np.ndarray, seeds) -> np.ndarray:
+    """Channel response before noise of each row of ``signal`` (S x T
+    complex), row s modulating its taps with phases from channel seed
+    ``seeds[s]``."""
     if isinstance(spec, Awgn):
         return signal
-    total = signal.size
-    out = np.zeros(total, dtype=np.complex128)
-    phase_rng = seeding.substream(seed, seeding.STREAM_PHASES)
-    phases = phase_rng.uniform(0.0, 2.0 * np.pi, size=len(spec.taps))
-    t = np.arange(total)
-    for tap, phi in zip(spec.taps, phases):
-        delayed = np.zeros(total, dtype=np.complex128)
-        if tap.delay < total:
-            delayed[tap.delay :] = signal[: total - tap.delay]
-        if spec.disturbance > 0.0:
-            gain = tap.gain * (
-                1.0
-                + spec.disturbance
-                * np.sin(2.0 * np.pi * t / spec.disturbance_period + phi)
+    count, total = signal.shape
+    out = np.zeros((count, total), dtype=np.complex128)
+    if spec.disturbance > 0.0:  # unmodulated taps have no use for the phases
+        phases = np.array([
+            seeding.substream(seed, seeding.STREAM_PHASES).uniform(
+                0.0, 2.0 * np.pi, size=len(spec.taps)
             )
+            for seed in seeds
+        ])
+        angle = 2.0 * np.pi * np.arange(total) / spec.disturbance_period
+    for k, tap in enumerate(spec.taps):
+        delayed = np.zeros((count, total), dtype=np.complex128)
+        if tap.delay < total:
+            delayed[:, tap.delay :] = signal[:, : total - tap.delay]
+        if spec.disturbance > 0.0:
+            gain = tap.gain * (1.0 + spec.disturbance * np.sin(angle + phases[:, k, None]))
         else:
             gain = tap.gain
         out += gain * delayed
     return out
 
 
-def _add_noise(clean: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """Add complex AWGN sized against the power of ``clean``."""
+def _add_noise(clean: np.ndarray, snr_db: float, seeds) -> np.ndarray:
+    """Add complex AWGN to each row of ``clean`` (S x T), sized against
+    that row's power and drawn from channel seed ``seeds[s]``."""
     if np.isinf(snr_db) and snr_db > 0:
         return clean
-    power = float(np.mean(np.abs(clean) ** 2))
+    power = np.mean(np.abs(clean) ** 2, axis=1)  # of each row on its own
     sigma2 = power * 10.0 ** (-snr_db / 10.0) / 2.0  # per component
-    rng = seeding.substream(seed, seeding.STREAM_NOISE)
-    noise = rng.normal(0.0, np.sqrt(sigma2), size=(2, clean.size))
-    return clean + noise[0] + 1j * noise[1]
+    noise = np.empty((len(clean), IQ, clean.shape[1]))
+    for rows, sigma, seed in zip(noise, np.sqrt(sigma2), seeds):
+        rows[...] = seeding.substream(seed, seeding.STREAM_NOISE).normal(0.0, sigma, size=rows.shape)
+    return clean + noise[:, 0] + 1j * noise[:, 1]
+
+
+def _channel(spec: ChannelSpec, tx: np.ndarray, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Push sequences (S x IQ x T) through the channel, sequence s drawing
+    from channel seed ``seeds[s]``: the complex output before noise
+    (S x T) and the received rows (S x IQ x T)."""
+    clean = _propagate(spec, _to_complex(tx), seeds)
+    return clean, _to_rows(_add_noise(clean, spec.snr_db, seeds))
 
 
 def apply_channel(spec: ChannelSpec, tx, seed: int) -> np.ndarray:
-    """Push an IQ x T sequence through the channel; returns IQ x T."""
+    """Push an IQ x T sequence through the channel; returns IQ x T. This is
+    the channel of ``generate_dataset`` for one sequence (S = 1)."""
     tx = as_matrix(tx, "transmitted sequence")
     if tx.shape[0] != IQ:
         raise ShapeError(f"transmitted sequence must be {IQ} x T, got shape {tx.shape}")
-    clean = _propagate(spec, tx, seed)
-    return _to_rows(_add_noise(clean, spec.snr_db, seed))
+    return _channel(spec, tx[None], [seed])[1][0]
+
+
+def _generate(
+    wave: WaveformSpec, chan: ChannelSpec, taps: np.ndarray, seeds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (tx, clean, rx) triples of the sequence seeds ``seeds``,
+    stacked: S x IQ x T, S x T complex and S x IQ x T. Modulation, pulse
+    shaping and the channel's tap loop run once over the batch."""
+    bits = np.stack([
+        seeding.substream(seed, seeding.STREAM_BITS).integers(0, 2, size=wave.bits_per_sequence)
+        for seed in seeds
+    ])
+    tx = _to_rows(_shape_symbols(qpsk_modulate(bits), taps, wave))
+    channel_seeds = [seeding.child_seed(seed, seeding.STREAM_CHANNEL) for seed in seeds]
+    clean, rx = _channel(chan, tx, channel_seeds)
+    return tx, clean, rx
 
 
 def generate_sequence(
     wave: WaveformSpec, chan: ChannelSpec, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One (tx, clean, rx) triple from a dedicated seed substream.
+    """One (tx, clean, rx) triple from a dedicated seed substream: the
+    sequences of ``generate_dataset`` for one seed (S = 1).
 
     ``clean`` is the complex channel output before noise, which ``rx``
-    (2 x T) adds the AWGN to; it is returned so the SNR can be measured.
+    (IQ x T) adds the AWGN to; it is returned so the SNR can be measured.
     """
-    bit_rng = seeding.substream(seed, seeding.STREAM_BITS)
-    bits = bit_rng.integers(0, 2, size=wave.bits_per_sequence)
-    symbols = qpsk_modulate(bits)
-    tx = _to_rows(_shape_symbols(symbols, wave))
-    channel_seed = seeding.child_seed(seed, seeding.STREAM_CHANNEL)
-    clean = _propagate(chan, tx, channel_seed)
-    rx = _to_rows(_add_noise(clean, chan.snr_db, channel_seed))
-    return tx, clean, rx
+    taps = raised_cosine_taps(wave.rolloff, wave.filter_span, wave.samples_per_symbol)
+    tx, clean, rx = _generate(wave, chan, taps, [seed])
+    return tx[0], clean[0], rx[0]
 
 
 def generate_dataset(
@@ -327,22 +364,29 @@ def generate_dataset(
     """Generate a dataset of (transmitted, received) sequence pairs.
 
     Fully determined by the two specs and ``wave.seed``; sequence ``i``
-    draws from the substream (seed, sequence-stream, i) only.
+    draws from the substream (seed, sequence-stream, i) only, so the
+    batch it is made in changes none of its values.
     """
     if num_sequences < 0:
         raise ConfigError(f"num_sequences must be >= 0, got {num_sequences}")
     t = wave.sequence_length
+    taps = raised_cosine_taps(wave.rolloff, wave.filter_span, wave.samples_per_symbol)
     inputs = np.empty((num_sequences, IQ, t))
     targets = np.empty((num_sequences, IQ, t))
     clean_power = 0.0
     noise_power = 0.0
-    for i in range(num_sequences):
-        seq_seed = seeding.child_seed(wave.seed, seeding.STREAM_SEQUENCE, i)
-        tx, clean, rx = generate_sequence(wave, chan, seq_seed)
-        inputs[i] = tx
-        targets[i] = rx
-        clean_power += float(np.sum(np.abs(clean) ** 2))
-        noise_power += float(np.sum((rx - _to_rows(clean)) ** 2))
+    for start in range(0, num_sequences, BATCH):
+        stop = min(start + BATCH, num_sequences)
+        seeds = [
+            seeding.child_seed(wave.seed, seeding.STREAM_SEQUENCE, i) for i in range(start, stop)
+        ]
+        inputs[start:stop], clean, targets[start:stop] = _generate(wave, chan, taps, seeds)
+        # each sequence's own sums, added in sequence order
+        clean_sums = np.sum(np.abs(clean) ** 2, axis=1)
+        noise_sums = np.sum((targets[start:stop] - _to_rows(clean)) ** 2, axis=(1, 2))
+        for clean_sum, noise_sum in zip(clean_sums.tolist(), noise_sums.tolist()):
+            clean_power += clean_sum
+            noise_power += noise_sum
     if num_sequences > 0 and noise_power > 0.0:
         empirical_snr_db = 10.0 * np.log10(clean_power / noise_power)
     else:

@@ -21,7 +21,6 @@ from .errors import ConfigError, EchoChanError, StoreError
 from .evaluation import (
     SWEEP_CSV_HEADER,
     SweepAxis,
-    SweepSpec,
     evaluate,
     run_sweep,
     split_indices,
@@ -198,16 +197,7 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     axis = one_of(SweepAxis)(args.axis, "--axis")
     datasets = tuple((path, _load(path)) for path in args.data)
-    spec = SweepSpec(
-        axis=axis,
-        values=getattr(config.sweep, f"{axis.value}_values"),
-        base_config=config.reservoir,
-        method=config.readout,
-        datasets=datasets,
-        repeats=config.sweep.repeats,
-        train_fraction=config.train_fraction,
-    )
-    result = run_sweep(spec)
+    result = run_sweep(config.sweep_spec(axis, datasets))
     write_sweep_csv(result, args.out)
     for line in result.summarize():
         if math.isnan(line["mean_mape_percent"]):  # every cell of the group failed

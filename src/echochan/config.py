@@ -30,7 +30,7 @@ import yaml
 
 from .channelsim import IQ, Awgn, ChannelSpec, Multipath, Tap, WaveformSpec
 from .errors import ConfigError
-from .evaluation import SweepSpec
+from .evaluation import SweepAxis, SweepSpec
 from .readout import METHODS, Lasso, RegressionMethod, Ridge
 from .reservoir import Activation, InitMethod, ReservoirConfig
 
@@ -252,6 +252,26 @@ class RunConfig:
             available = ", ".join(sorted(self.channels))
             raise ConfigError(f"unknown channel preset {name!r}; available presets: {available}")
         return self.channels[name]
+
+    def sweep_spec(self, axis: SweepAxis, datasets) -> SweepSpec:
+        """The sweep of ``axis`` over its list ``sweep.<axis>_values`` on
+        ``datasets``. A value the axis's owner refuses is named by its key
+        and item, as a refused preset is."""
+        key = f"{axis.value}_values"
+        try:
+            return SweepSpec(
+                axis=axis,
+                values=getattr(self.sweep, key),
+                base_config=self.reservoir,
+                method=self.readout,
+                datasets=datasets,
+                repeats=self.sweep.repeats,
+                train_fraction=self.train_fraction,
+            )
+        except ConfigError as exc:
+            if exc.item is None:
+                raise
+            raise ConfigError(f"invalid sweep.{key}[{exc.item}]: {exc}") from exc
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

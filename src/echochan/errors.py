@@ -10,7 +10,15 @@ class EchoChanError(Exception):
 
 
 class ConfigError(EchoChanError, ValueError):
-    """Invalid configuration: unknown keys, bad values, missing presets."""
+    """Invalid configuration: unknown keys, bad values, missing presets.
+
+    ``item`` is the position of the refused value when its owner checked
+    a list of them (a sweep's axis values), else None.
+    """
+
+    def __init__(self, message: str, item: int | None = None):
+        super().__init__(message)
+        self.item = item
 
 
 class NumericError(EchoChanError):
@@ -22,7 +30,15 @@ class ShapeError(NumericError, ValueError):
 
 
 class NonFiniteError(NumericError, ValueError):
-    """A value that must be finite is NaN or infinite."""
+    """A value that must be finite is NaN or infinite.
+
+    ``name`` names the matrix that holds it, or is None when the raiser
+    (such as a check of predictions or a solve) has no matrix name to give.
+    """
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class DefinitenessError(NumericError, ValueError):

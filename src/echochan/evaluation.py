@@ -75,7 +75,8 @@ class SweepSpec:
     ``base_config.seed`` is the master seed all cell seeds derive from.
     Datasets are (name, dataset) pairs; each is split into train/test once
     so every axis value sees the same split. Each value is applied to
-    ``base_config`` here, so its owner refuses a bad one before any cell.
+    ``base_config`` here, so its owner refuses a bad one before any cell,
+    as a ``ConfigError`` whose ``item`` is the value's position.
     """
 
     axis: SweepAxis
@@ -93,8 +94,11 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one dataset")
         if self.repeats < 1:
             raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        for value in self.values:
-            _apply_axis(self.axis, value, self.base_config, self.method)
+        for item, value in enumerate(self.values):
+            try:
+                _apply_axis(self.axis, value, self.base_config, self.method)
+            except ConfigError as exc:
+                raise ConfigError(str(exc), item) from exc
 
 
 @dataclass(frozen=True)

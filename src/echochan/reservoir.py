@@ -171,7 +171,7 @@ class Reservoir:
             matrix = frozen(getattr(self, name), order)
             check_shape(self.config, name, matrix)
             if not all_finite(matrix):
-                raise NonFiniteError(f"matrix {name} contains non-finite values")
+                raise NonFiniteError(f"matrix {name} contains non-finite values", name)
             object.__setattr__(self, name, matrix)
 
 

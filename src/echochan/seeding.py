@@ -24,7 +24,7 @@ dataset seed (``WaveformSpec.seed``; ``generate`` uses the master seed)
     child(seed, SEQUENCE, i)         seed of sequence i (``generate_sequence``)
         sub(., BITS)                 its payload bits
         child(., CHANNEL)            its channel seed (``apply_channel``'s)
-            sub(., PHASES)           tap modulation phases
+            sub(., PHASES)           tap modulation phases (disturbed channels)
             sub(., NOISE)            additive noise
 """
 

@@ -133,14 +133,13 @@ def _open_container(path, magic: bytes):
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"unreadable header in {path}: {exc}") from exc
 
-        def fill(blocks, finite: bool = True) -> None:
+        def fill(blocks) -> None:
             """Read the payload into ``blocks``, ``(what, array)`` pairs in
             payload order (``what`` names the values in an error), each a
             writeable ``<f8`` array filled ``BAND`` rows at a time; a
             column-major array takes its rows through one band buffer. A
-            file that ends early is an ``IntegrityError``, and so is a
-            non-finite band unless ``finite`` is off (for an owner that
-            checks its own values)."""
+            file that ends early is an ``IntegrityError``. The values are
+            not checked here: their owner checks each once."""
             for what, array in blocks:
                 buffer = None
                 for i in range(0, len(array), BAND):
@@ -153,8 +152,6 @@ def _open_container(path, magic: bytes):
                         band = buffer[: len(rows)]
                     if handle.readinto(band) != band.nbytes:
                         raise IntegrityError(f"file {path} ended while reading its {what}")
-                    if finite:
-                        _finite(path, what, band)
                     if band is not rows:
                         rows[...] = band
 
@@ -167,7 +164,7 @@ def _expect_payload(path, payload: int, expected: int) -> None:
 
 
 def _finite(path, what: str, band):
-    """``band`` of a payload, written or read, unless a value is not finite."""
+    """``band`` of a payload being written, unless a value is not finite."""
     if not all_finite(band):
         raise IntegrityError(f"{what} of {path} contains non-finite values")
     return band
@@ -243,6 +240,8 @@ def load_model(path) -> ModelArtifact:
         return ModelArtifact(
             config=config, achieved_radius=achieved, method=method, provenance=provenance, **matrices
         )
+    except NonFiniteError as exc:  # the artifact checks each matrix value once
+        raise IntegrityError(f"matrix {exc.name} of {path} contains non-finite values") from exc
     except ValueError as exc:  # the provenance check: the shapes were checked above
         raise FormatError(f"model header of {path} is malformed: {exc}") from exc
 
@@ -283,7 +282,7 @@ def load_dataset(path) -> SequenceDataset:
         # each sequence's input and target blocks go straight into the kept
         # arrays; the dataset checks each value once
         inputs, targets = np.empty((num, k, t), "<f8"), np.empty((num, l, t), "<f8")
-        fill((("payload", block) for pair in zip(inputs, targets) for block in pair), finite=False)
+        fill(("payload", block) for pair in zip(inputs, targets) for block in pair)
     inputs.flags.writeable = targets.flags.writeable = False
     try:
         return SequenceDataset(inputs=inputs, targets=targets, meta=meta)

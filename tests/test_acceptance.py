@@ -9,7 +9,8 @@ learnability) take a few minutes combined.
 import numpy as np
 import pytest
 
-from echochan.channelsim import generate_dataset, raised_cosine_taps
+from echochan import seeding
+from echochan.channelsim import generate_dataset, generate_sequence, raised_cosine_taps
 from echochan.cli import main
 from echochan.config import load_config
 from echochan.evaluation import (
@@ -299,7 +300,10 @@ def test_08_mape_unit_values():
 
 
 def test_09_pipeline_determinism(tmp_path, capsys):
-    """generate -> train -> evaluate twice: identical bytes and MAPE."""
+    """generate -> train -> evaluate twice: identical bytes and MAPE; and
+    each generated sequence is its own seed's, whatever batch made it."""
+    from dataclasses import replace
+
     import yaml
 
     config = {
@@ -357,11 +361,23 @@ def test_09_pipeline_determinism(tmp_path, capsys):
     save_model(art, tmp_path / "roundtrip.esn")
     rt_model = (tmp_path / "roundtrip.esn").read_bytes() == artifacts[0][1]
 
+    # the 30 sequences span two batches; sequence i is still the one-sequence
+    # triple of child(seed, SEQUENCE, i)
+    run = load_config(str(config_path))
+    wave = replace(run.waveform, seed=909)
+    seeds = (seeding.child_seed(909, seeding.STREAM_SEQUENCE, i) for i in range(ds.num_sequences))
+    triples = (generate_sequence(wave, run.channel("echo"), seed) for seed in seeds)
+    own_seeds = all(
+        np.array_equal(x, tx) and np.array_equal(y, rx)
+        for x, y, (tx, _, rx) in zip(ds.inputs, ds.targets, triples)
+    )
+
     report(
         "pipeline-determinism",
-        same_data and same_model and same_mape and rt_data and rt_model,
+        same_data and same_model and same_mape and rt_data and rt_model and own_seeds,
         f"dataset bytes equal={same_data}, model bytes equal={same_model}, "
-        f"MAPE line equal={same_mape}, round-trips exact={rt_data and rt_model}; {artifacts[0][2]}",
+        f"MAPE line equal={same_mape}, round-trips exact={rt_data and rt_model}, "
+        f"sequences from their own seeds={own_seeds}; {artifacts[0][2]}",
     )
 
 

@@ -1,9 +1,13 @@
 """Signal chain and channel tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from echochan import seeding
 from echochan.channelsim import (
+    BATCH,
     Awgn,
     Multipath,
     SequenceDataset,
@@ -11,9 +15,11 @@ from echochan.channelsim import (
     WaveformSpec,
     apply_channel,
     generate_dataset,
+    generate_sequence,
     qpsk_modulate,
     raised_cosine_taps,
 )
+from echochan.config import load_config
 from echochan.errors import NonFiniteError, ShapeError
 
 
@@ -57,6 +63,14 @@ class TestQpsk:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             qpsk_modulate([0, 2])
+
+    def test_rows_are_sequences(self):
+        bits = np.random.default_rng(1).integers(0, 2, size=(3, 10))
+        symbols = qpsk_modulate(bits)
+        for row, sequence in zip(symbols, bits):
+            np.testing.assert_array_equal(row, qpsk_modulate(sequence))
+        with pytest.raises(ShapeError):
+            qpsk_modulate(bits[None])
 
 
 class TestRaisedCosine:
@@ -271,3 +285,92 @@ class TestSequenceDataset:
                 assert not array.flags.writeable and array.flags.owndata
                 with pytest.raises(ValueError, match="read-only"):
                     array[0, 0, 0] = np.nan
+
+
+def reference_sequence(wave, chan, seed):
+    """The signal chain for one sequence, stage by stage on 1-D arrays:
+    the reference the batched generator equals bit for bit."""
+    bits = seeding.substream(seed, seeding.STREAM_BITS).integers(0, 2, size=wave.bits_per_sequence)
+    taps = raised_cosine_taps(wave.rolloff, wave.filter_span, wave.samples_per_symbol)
+    upsampled = np.zeros(wave.sequence_length, dtype=complex)
+    upsampled[:: wave.samples_per_symbol] = qpsk_modulate(bits)
+    delay = (taps.size - 1) // 2
+    shaped = np.convolve(upsampled, taps)[delay : delay + wave.sequence_length]
+    tx = np.vstack([shaped.real, shaped.imag])
+    channel_seed = seeding.child_seed(seed, seeding.STREAM_CHANNEL)
+    clean = signal = tx[0] + 1j * tx[1]
+    if isinstance(chan, Multipath):
+        phases = seeding.substream(channel_seed, seeding.STREAM_PHASES).uniform(
+            0.0, 2.0 * np.pi, size=len(chan.taps)
+        )
+        t = np.arange(signal.size)
+        clean = np.zeros(signal.size, dtype=complex)
+        for tap, phi in zip(chan.taps, phases):
+            delayed = np.zeros(signal.size, dtype=complex)
+            if tap.delay < signal.size:
+                delayed[tap.delay :] = signal[: signal.size - tap.delay]
+            gain = tap.gain
+            if chan.disturbance > 0.0:
+                angle = 2.0 * np.pi * t / chan.disturbance_period + phi
+                gain = tap.gain * (1.0 + chan.disturbance * np.sin(angle))
+            clean = clean + gain * delayed
+    received = clean
+    if not np.isposinf(chan.snr_db):
+        power = float(np.mean(np.abs(clean) ** 2))
+        sigma = np.sqrt(power * 10.0 ** (-chan.snr_db / 10.0) / 2.0)
+        noise = seeding.substream(channel_seed, seeding.STREAM_NOISE).normal(
+            0.0, sigma, size=(2, clean.size)
+        )
+        received = clean + noise[0] + 1j * noise[1]
+    return tx, clean, np.vstack([received.real, received.imag])
+
+
+def channels():
+    """Every shipped preset, and two noiseless channels, one disturbed."""
+    noiseless = {
+        "awgn_inf": Awgn(snr_db=np.inf),
+        "disturbed_inf": Multipath(
+            taps=(Tap(0, 0.9, 0.2), Tap(3, -0.3, 0.1)), disturbance=0.4,
+            disturbance_period=50, snr_db=np.inf,
+        ),
+    }
+    return {**load_config().channels, **noiseless}
+
+
+class TestBatches:
+    """Sequences are made BATCH at a time; each is still its own seed's."""
+
+    # two full batches and one of a single sequence
+    COUNT = 2 * BATCH + 1
+
+    @staticmethod
+    def triples(wave, chan, count):
+        for i in range(count):
+            seed = seeding.child_seed(wave.seed, seeding.STREAM_SEQUENCE, i)
+            yield generate_sequence(wave, chan, seed)
+
+    @pytest.mark.parametrize("name", sorted(channels()))
+    def test_dataset_is_the_one_sequence_triples(self, name):
+        chan, wave = channels()[name], load_config().waveform
+        ds = generate_dataset(wave, chan, self.COUNT)
+        for i, triple in enumerate(self.triples(wave, chan, self.COUNT)):
+            seed = seeding.child_seed(wave.seed, seeding.STREAM_SEQUENCE, i)
+            for got, want in zip(triple, reference_sequence(wave, chan, seed)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(ds.inputs[i], triple[0])
+            np.testing.assert_array_equal(ds.targets[i], triple[2])
+
+    @pytest.mark.parametrize("name", sorted(channels()))
+    def test_empirical_snr_is_the_per_sequence_sums(self, name):
+        # each sequence's sums, added in sequence order; summing a batch at
+        # once changes the last bit for about one seed in five
+        chan = channels()[name]
+        for seed in range(8):
+            wave = replace(load_config().waveform, seed=seed)
+            clean_power = noise_power = 0.0
+            for _, clean, rx in self.triples(wave, chan, self.COUNT):
+                clean_power += float(np.sum(np.abs(clean) ** 2))
+                noise_power += float(np.sum((rx - np.vstack([clean.real, clean.imag])) ** 2))
+            expected = 10.0 * np.log10(clean_power / noise_power) if noise_power > 0.0 else np.inf
+            snr = generate_dataset(wave, chan, self.COUNT).meta["empirical_snr_db"]
+            assert snr == float(expected), seed

@@ -395,6 +395,9 @@ class TestSweep:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert bad in lines[0]
+        # the config key and the refused item come before the owner's text
+        item = [str(value) for value in values].index(bad)
+        assert lines[0].startswith(f"error: invalid sweep.{key}[{item}]: "), lines
         assert not out.exists()
 
     def test_regression_axis(self, config_path, dataset_path, tmp_path):

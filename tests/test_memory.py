@@ -17,7 +17,7 @@ from test_evaluation import traced_peak
 from test_numerics import ridge_like
 
 from echochan import numerics
-from echochan.channelsim import IQ, Multipath, Tap, WaveformSpec, generate_dataset
+from echochan.channelsim import BATCH, IQ, Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.numerics import BAND, solve_spd
 from echochan.readout import Accumulators, ReadoutModel, Ridge, accumulate_dataset, fit, merge
 from echochan.reservoir import BLOCK, CHUNK, ReservoirConfig, build
@@ -106,6 +106,28 @@ def test_load_model_holds_w_once(tmp_path):
     assert peak <= N * N * 8 + BAND_BYTES + MASK_BYTES + SLACK
 
 
+def test_load_model_checks_each_value_once(tmp_path, monkeypatch):
+    # the load reads the matrices unchecked and the artifact checks each
+    # value once, so every matrix value passes through one isfinite (the
+    # config's scalars are checked on their own)
+    r = reservoir(seed=79)
+    model = ReadoutModel(w_out=np.ones((2, N)), method=Ridge())
+    path = tmp_path / "model.esn"
+    save_model(make_artifact(r, model, {"seed": 79, "dataset_fingerprint": "0" * 64}), path)
+    checked = []
+    isfinite = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) > 0:
+            checked.append(np.size(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    artifact = load_model(path)
+    values = sum(getattr(artifact, name).size for name in ("w_in", "w", "w_fb", "w_out"))
+    assert sum(checked) == values
+
+
 def test_load_dataset_holds_the_payload_once(tmp_path):
     path = tmp_path / "data.esd"
     save_dataset(dataset(40, bits=300, seed=74), path)
@@ -122,3 +144,19 @@ def test_load_dataset_checks_each_value_once(tmp_path):
     payload, band = 40 * 4 * 300 * 8, IQ * 300 * 8
     peak = traced_peak(lambda: load_dataset(path))
     assert peak <= payload + band + OBJECTS
+
+
+def test_generate_holds_one_batch_beyond_its_output():
+    # sequences are made BATCH at a time, so beyond the dataset itself a run
+    # holds one batch's S x T temporaries, however many sequences it makes
+    wave = WaveformSpec(bits_per_sequence=578, samples_per_symbol=2, sequence_length=578, seed=80)
+    chan = Multipath(
+        taps=(Tap(0, 0.8, 0.3), Tap(4, -0.4, 0.3), Tap(9, 0.3, -0.2)), disturbance=0.6,
+        disturbance_period=157, snr_db=14.0,
+    )
+    generate_dataset(wave, chan, 1)  # numpy's first-call allocations
+    extra = [
+        traced_peak(lambda: generate_dataset(wave, chan, n)) - 2 * n * IQ * 578 * 8
+        for n in (64, 256)
+    ]
+    assert abs(extra[1] - extra[0]) <= BATCH * 578 * 16, extra
