@@ -188,10 +188,11 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
     The predictions come from ``reservoir.predictions``, which steps every
     sequence from the zero state, checks the readout's shape and, when the
     reservoir has feedback, feeds the model's own previous prediction back
-    (no teacher forcing at evaluation time). It splits a few long
-    open-loop sequences into time segments, and a failed seam is stepped
-    again unsplit by ``reservoir.predictions``. All predictions are scored
-    together by ``mape``.
+    (no teacher forcing at evaluation time). It steps a few long
+    open-loop sequences in time segments by the training fold's split
+    rule, and after a failed seam it reads out the same call's unsplit
+    blocks over every prediction. All predictions are scored together by
+    ``mape``.
     """
     readout_mod.check_dataset(r.config, dataset)
     targets = dataset.targets[:, :, r.config.washout :]

@@ -21,20 +21,21 @@ width x steps x N view of it: each sequence's states are rows ``width *
 N`` apart, which ``numerics.add_gram_upper`` folds without a copy.
 Training steps ``CHUNK`` sequences per chunk in ``BLOCK``-step blocks.
 ``predictions`` is the one prediction path: it steps all of its
-sequences in one chunk with blocks shortened to the same budget, except
-that an open-loop call of fewer than ``CHUNK // 2`` long sequences is
-stepped in time segments: each starts ``WARMUP`` steps early from the
-zero state, so all are stepped as one wider chunk, and the states where
-segments meet are compared before anything is returned; a failed seam is
-stepped again unsplit by ``predictions``.
-The training fold of fewer than ``CHUNK // 2`` long sequences is split
-the same way (``state_blocks`` with ``split``), teacher-forced too, with
-its blocks shortened to the unsplit fold's budget; a fold cannot wait for
-its seams, so after a failed one the fold starts over from zero and folds
-the call again unsplit. ``_Segments`` is the one segment layout and seam
-rule of both. A harvest, or a call from a given initial state, is never
-split. Split states differ from unsplit ones by rounding, which
-cond(B + lambda I) amplifies into ``w_out``.
+sequences in one chunk with blocks shortened to the same budget. A call
+of fewer than ``CHUNK // 2`` long sequences from the zero state, not
+closing the loop, is stepped in time segments instead, whether it is an
+evaluation (``predictions``) or a training fold (``state_blocks`` with
+``split``, teacher-forced): each starts ``WARMUP`` steps early from the
+zero state, so all are stepped as one wider chunk. ``_Segments`` is the
+one segment layout, split rule and seam fallback of both: it takes the
+most segments whose blocks hold ``FOLD_STEPS`` steps within the unsplit
+call's budget, and it compares the states where segments meet as they
+are stepped, so a failed seam shows only after the last block; then it
+yields None and the unsplit call's blocks. The fold starts over from
+zero on that None; ``predictions`` skips it, as the unsplit blocks
+overwrite every prediction. A harvest, or a call from a given initial
+state, is never split. Split states differ from unsplit ones by
+rounding, which cond(B + lambda I) amplifies into ``w_out``.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ WARMUP = 64
 # state and its predecessor's state at the same time, relative to
 # max(1, |state|); one larger makes the call be stepped unsplit.
 SEAM_TOL = 1e-14
-# Fewest steps a block of a split training fold may hold: the fold adds
-# each segment's rows of a block with one dsyrk, which costs about 2.5x
-# as much per row on 8 rows as on 64 (N = 578 and 1,200), so the fold
-# takes fewer segments rather than shorter blocks.
+# Fewest steps a block of a split call may hold: the fold adds each
+# segment's rows of a block with one dsyrk, which costs about 2.5x as much
+# per row on 8 rows as on 64 (N = 578 and 1,200), so a split fold or
+# prediction takes fewer segments rather than shorter blocks.
 FOLD_STEPS = 8
 
 
@@ -320,13 +321,12 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     one; memory is O(CHUNK * BLOCK * N) whatever S and T are.
 
     ``split`` lets a call of fewer than ``CHUNK // 2`` sequences, from the
-    zero state and not closing the loop, be stepped in time segments
-    (``_Segments``, as ``predictions`` steps them) with the most segments
-    whose block holds ``FOLD_STEPS`` steps within the unsplit S x
-    ``BLOCK`` rows. Each block yielded is then one segment's kept states,
-    in the same form. A failed seam shows only after the last block: then
-    it yields None and the unsplit call's blocks, and the caller starts
-    over.
+    zero state and not closing the loop, be stepped in time segments by
+    the split rule and seam fallback that ``predictions`` also takes
+    (``_Segments``), within the unsplit S x ``BLOCK`` rows. Each block
+    yielded is then one segment's kept states, in the same form. A failed
+    seam shows only after the last block: then it yields None and the
+    unsplit call's blocks, and the caller starts over.
     """
     inputs, teacher, x0, _, loop = _checked(r, inputs, teacher, initial_state, w_out)
     (count, k, total), n = inputs.shape, r.config.reservoir_size
@@ -334,8 +334,8 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     segments = None
     if split and initial_state is None and loop is None:
         channels = k if teacher is None else k + teacher.shape[1]
-        plans = _Segments.plans(count, total, washout, n, channels, min(total, BLOCK), 0)
-        segments = next((plan for plan in plans if plan.steps >= FOLD_STEPS), None)
+        plans = _Segments.plans(count, total, washout, n, channels, min(total, BLOCK))
+        segments = next(plans, None)
     if segments is None:
         return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, washout)
     cut = None if teacher is None else segments.cut(teacher)
@@ -440,7 +440,7 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
 class _Segments:
     """The time segments of a call of S sequences of T steps, stepped as
     one chunk of P * S rows in blocks of ``steps`` steps: the one segment
-    layout and seam rule of ``predictions`` and of a split
+    layout, split rule and seam fallback of ``predictions`` and of a split
     ``state_blocks``.
 
     Each sequence is cut into P segments, laid out segment-major (row p *
@@ -471,20 +471,21 @@ class _Segments:
         self.warm = self.held = None
 
     @classmethod
-    def plans(cls, count, total, washout, n, channels, unsplit, per_row):
+    def plans(cls, count, total, washout, n, channels, unsplit):
         """The splits of a call that fit, from the most segments (at most
         ``CHUNK`` // S) down to 2, none for S >= ``CHUNK // 2``: each with
-        its blocks shortened so that a block (N + ``per_row`` values per
-        row), the step temporaries and seam copies (5 N per chunk row) and
-        the segment inputs (``channels`` per step) hold no more values than
-        an unsplit block of S * ``unsplit`` state rows. ``steps`` < 1 means
-        that no block does."""
+        its blocks shortened so that a block, the step temporaries and seam
+        copies (5 N per chunk row) and the segment inputs (``channels`` per
+        step) hold no more values than an unsplit block of S * ``unsplit``
+        state rows, and only those whose block still holds ``FOLD_STEPS``
+        steps."""
         for parts in range(CHUNK // count, 1, -1) if 0 < count < CHUNK // 2 else ():
             plan = cls(count, total, parts, washout)
             if plan.fits:
                 budget = count * unsplit * n - plan.width * (5 * n + channels * plan.window)
-                plan.steps = budget // (plan.width * (n + per_row))
-                yield plan
+                plan.steps = budget // (plan.width * n)
+                if plan.steps >= FOLD_STEPS:
+                    yield plan
 
     def cut(self, whole):
         """The segments of ``whole`` (S x C x T): a P * S x C x (W + L)
@@ -534,44 +535,38 @@ def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
     x T) stepped from the zero state: an S x L x (T - washout) array.
 
     Arguments are checked as ``state_blocks`` checks them, before any
-    step; with feedback the loop is closed through ``w_out``. The call is
-    stepped in P time segments per sequence (``_Segments``). P = 1 (no
-    split) for a feedback reservoir (its drive is its own prediction), for
-    S >= ``CHUNK // 2`` (the chunk is wide already) and for a T too short
-    for 2 segments of at least ``WARMUP`` kept steps each: the sequences
-    are stepped as chunks of S rows (at most ``CHUNK * BLOCK``) in blocks
-    of ``CHUNK * BLOCK // S`` steps.
-
-    Otherwise it takes the most segments, S * P <= ``CHUNK``, and steps
-    them as one chunk in blocks that, with what stepping in segments adds,
-    hold fewer values than the unsplit block of S * min(T, ``CHUNK *
-    BLOCK`` // S) state rows. When a seam fails, or no block fits, the
-    call is stepped with P = 1, so a failed seam only costs time.
+    step; with feedback the loop is closed through ``w_out``. Unsplit, the
+    sequences are stepped as chunks of S rows (at most ``CHUNK * BLOCK``)
+    in blocks of ``CHUNK * BLOCK // S`` steps. An open-loop call is split
+    in time segments as a split fold is (``_Segments``), within the
+    unsplit S * min(T, ``CHUNK * BLOCK // S``) state rows, and each
+    segment's kept states are read out as they are stepped. It is not
+    split with feedback (its drive is its own prediction), for S >=
+    ``CHUNK // 2`` (the chunk is wide already), or when no split in 2 or
+    more segments of at least ``WARMUP`` kept steps each keeps blocks of
+    ``FOLD_STEPS`` steps. After a failed seam, the unsplit blocks
+    overwrite every prediction; the split block is dropped first, so a
+    failed seam costs time, not memory.
     """
     inputs, _, x0, w_out, loop = _checked(r, inputs, None, None, w_out)
     (count, k, total), (l, n) = inputs.shape, w_out.shape
-    washout, rows = r.config.washout, CHUNK * BLOCK
+    washout, width = r.config.washout, min(max(count, 1), CHUNK * BLOCK)
+    steps = CHUNK * BLOCK // width
+    blocks = _step_blocks(r, inputs, None, x0, loop, width, steps, washout)
+    if loop is None:
+        split = next(_Segments.plans(count, total, washout, n, k, min(total, steps)), None)
+        if split is not None:
+            stepped = _step_blocks(r, split.cut(inputs), None, x0, None, split.width, split.steps, 0)
+            blocks = split.blocks(stepped, blocks)
     out = np.empty((count, l, total - washout))
-    split = None
-    if not r.config.use_feedback:
-        unsplit = min(total, rows // max(count, 1))
-        split = next(_Segments.plans(count, total, washout, n, k, unsplit, l), None)
-    while True:
-        if split is None or split.steps < 1:
-            split, width = None, min(max(count, 1), rows)
-            blocks = _step_blocks(r, inputs, None, x0, loop, width, rows // width, washout)
-        else:
-            blocks = _step_blocks(r, split.cut(inputs), None, x0, loop, split.width, split.steps, 0)
-        for first, t0, states in blocks:
-            y = w_out @ states.transpose(0, 2, 1)
-            if split is None:
-                out[first : first + len(y), :, t0 - washout : t0 - washout + y.shape[2]] = y
-                continue
-            for part, j0, j1, t in split.kept(t0, states):
-                out[:, :, t - washout : t - washout + j1 - j0] = y[part, :, j0:j1]
-        if split is None or split.held:
-            return out
-        split = None
+    for block in blocks:
+        if block is None:  # a failed seam: the unsplit blocks that follow overwrite it all
+            continue
+        first, t, states = block
+        y = w_out @ states.transpose(0, 2, 1)
+        out[first : first + len(y), :, t - washout : t - washout + y.shape[2]] = y
+        del block, states, y  # nothing read from a stepped block outlives it
+    return out
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

@@ -22,6 +22,7 @@ from echochan.numerics import BAND, solve_spd
 from echochan.readout import Accumulators, ReadoutModel, Ridge, accumulate_dataset, fit, merge
 from echochan.reservoir import BLOCK, CHUNK, ReservoirConfig, build
 from echochan.store import load_dataset, load_model, make_artifact, save_dataset, save_model
+from echochan.transfer import fine_tune
 
 N = 300
 # one band of N x N rows, and the boolean mask a check makes of it
@@ -75,6 +76,20 @@ def test_fold_holds_b_and_one_time_major_block():
     assert slack + SLACK < block
     peak = traced_peak(lambda: accumulate_dataset(r, data))
     assert peak <= N * N * 8 + block + slack + SLACK
+
+
+@needs_dpotrf
+def test_fine_tune_holds_two_folds_b_their_blend_and_one_block():
+    # at 0 < alpha < 1 the source's B is held while the target is folded
+    # (one state block), then the merge makes the blended B a band at a
+    # time beside both; the slack is the fold test's
+    r = reservoir(seed=81)
+    source = dataset(CHUNK + 1, bits=2 * BLOCK + 10, seed=82)
+    target = dataset(CHUNK + 1, bits=2 * BLOCK + 10, seed=83)
+    block = CHUNK * BLOCK * N * 8
+    slack = 8 * N * (IQ + CHUNK) * 8
+    peak = traced_peak(lambda: fine_tune(r, source, target, 0.5, Ridge()))
+    assert peak <= max(2 * N * N * 8 + block, 3 * N * N * 8 + BAND_BYTES) + slack + SLACK
 
 
 def random_accumulators(rng):

@@ -60,16 +60,18 @@ def split_width(sequences, steps=STEPS):
     return sequences * min(CHUNK // sequences, (steps - warmup) // warmup)
 
 
-def fold_width(sequences, steps=STEPS, n=60, channels=2):
+def fold_width(sequences, steps=STEPS, n=60, channels=2, rows=BLOCK):
     """S * P of a split fold: the most segments, at most as many as
     ``split_width`` gives, whose block holds ``FOLD_STEPS`` steps once the
     segment inputs (``channels`` per step, the teacher's too), the step
     temporaries and the seam copies (5 N per chunk row) are taken from the
-    unsplit fold's S * min(T, ``BLOCK``) state rows; None when none does."""
+    unsplit fold's S * min(T, ``rows``) state rows; None when none does.
+    ``predictions`` plans the same way from its own unsplit rows,
+    ``CHUNK * BLOCK // S`` per sequence."""
     warmup = reservoir_mod.WARMUP
     for parts in range(split_width(sequences, steps) // sequences, 1, -1):
         width, window = parts * sequences, warmup + -(-(steps - warmup) // parts)
-        budget = sequences * min(steps, BLOCK) * n - width * (5 * n + channels * window)
+        budget = sequences * min(steps, rows) * n - width * (5 * n + channels * window)
         if budget // (width * n) >= FOLD_STEPS:
             return width
     return None
@@ -120,6 +122,22 @@ class TestMatchesSerial:
         expected = serial_predictions(r, u, w_out)
         assert widths(step_calls) == [split_width(sequences), sequences]
         assert segmented.shape == expected.shape == (sequences, 2, STEPS - washout)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(segmented, expected, rtol=0, atol=PREDICTION_RTOL * scale)
+
+    def test_blocks_keep_fold_steps(self, step_calls):
+        # at N = 20, 16 segments of one sequence of 8000 steps leave blocks
+        # of under FOLD_STEPS steps: the call takes the most segments that
+        # keep FOLD_STEPS, as the fold does
+        steps = 8000
+        r = build(config(reservoir_size=20))
+        u, w_out = inputs(1, steps=steps), readout(20)
+        segmented = predictions(r, u, w_out)
+        width = fold_width(1, steps, n=20, rows=CHUNK * BLOCK)
+        assert width is not None and 1 < width < split_width(1, steps)
+        assert widths(step_calls) == [width]
+        assert step_calls[0][1] >= FOLD_STEPS
+        expected = serial_predictions(r, u, w_out)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(segmented, expected, rtol=0, atol=PREDICTION_RTOL * scale)
 
@@ -183,6 +201,8 @@ class TestMemory:
     """Segments hold no more at once than one unsplit chunk of states."""
 
     N = 300
+    # the segment plan and its generators: 1.6 KB measured
+    OBJECTS = 4096
 
     @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
     @pytest.mark.parametrize("steps", [578, 4000])
@@ -200,6 +220,26 @@ class TestMemory:
         serial = traced_peak(lambda: evaluate(r, model, data))
         assert widths(step_calls) == [width] * 2 + [sequences] * 2
         assert segmented <= serial, f"segmented peak {segmented} bytes, serial {serial}"
+
+    @pytest.mark.parametrize(
+        "patch", [("WARMUP", 2), ("SEAM_TOL", -1.0)], ids=["short-warmup", "no-tolerance"]
+    )
+    def test_failed_seam_peak_no_higher_than_serial(self, monkeypatch, step_calls, patch):
+        # the split block is dropped before the unsplit call steps its own;
+        # only the plan and its generators, a few small Python objects, stay
+        monkeypatch.setattr(reservoir_mod, *patch)
+        r = build(config(reservoir_size=self.N))
+        u, w_out = inputs(2), readout(self.N) * 0.05
+        width = split_width(2)
+        # each plan runs once untraced, so one-time allocations count for neither
+        predictions(r, u, w_out)
+        fallen_back = traced_peak(lambda: predictions(r, u, w_out))
+        # no room for 2 segments
+        monkeypatch.setattr(reservoir_mod, "WARMUP", STEPS)
+        predictions(r, u, w_out)
+        serial = traced_peak(lambda: predictions(r, u, w_out))
+        assert widths(step_calls) == [width, 2] * 2 + [2] * 2
+        assert fallen_back <= serial + self.OBJECTS, f"peak {fallen_back} bytes, serial {serial}"
 
 
 class TestFold:

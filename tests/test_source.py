@@ -105,7 +105,9 @@ def test_one_segment_layout_and_seam_rule():
     # `predictions` and a split training fold cut their time segments by one
     # layout (`_Segments.__init__`, the one reader of WARMUP) and check their
     # seams by one comparison (`_Segments.kept`, the one reader of SEAM_TOL),
-    # and both plan their splits through the same helper
+    # both plan their splits through the same helper, and both fall back on
+    # a failed seam through one generator (`_Segments.blocks`, the one
+    # reader of the seam verdict `held`)
     def reads(name):
         return lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(
             node.ctx, ast.Load
@@ -117,6 +119,14 @@ def test_one_segment_layout_and_seam_rule():
     planners = _callers("plans")
     expected = {"reservoir.py:state_blocks", "reservoir.py:predictions"}
     assert planners == expected, f"the segments are planned in {sorted(planners)}"
+    fallbacks = _callers("blocks")
+    assert fallbacks == expected, f"failed seams fall back in {sorted(fallbacks)}"
+    verdicts = _owners(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "held"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert verdicts == {"reservoir.py:blocks"}, f"held is read in {sorted(verdicts)}"
 
 
 def test_one_csv_writer():
