@@ -249,11 +249,11 @@ def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
     and the fold's summation order does not depend on the dataset size.
-    Each sequence's rows of a block are one pair of ``_fold``. Fewer than
-    ``CHUNK // 2`` long sequences are stepped split in time segments
-    (``state_blocks`` with ``split``): each segment's kept rows of a block
-    are then one pair, and after a failed seam the fold starts over on
-    the unsplit blocks, which gives the unsplit bytes.
+    Each sequence's rows of a block are one pair of ``_fold``. The call
+    asks for ``split``, so a few long sequences are stepped in time
+    segments by the split rule of ``reservoir._Segments``: each segment's
+    kept rows of a block are then one pair, and after a failed seam the
+    fold starts over on the unsplit blocks, which gives the unsplit bytes.
     The targets are always passed as the teacher; ``state_blocks`` uses
     them only when the reservoir has feedback.
     """

@@ -10,7 +10,9 @@ unrescaled radii of the supported initializers can be inspected with
 State update, with f the configured activation, stepped by one
 generator, ``_step_blocks``, for a chunk of sequences at once, both
 teacher-forced (training, through ``state_blocks``) and closed-loop
-(evaluation, through ``predictions``):
+(evaluation, through ``predictions``); both reach it through one entry,
+``_blocks``, which checks the arguments, decides feedback, plans a split
+and falls back:
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 
@@ -19,23 +21,15 @@ width x time steps). A block is stepped time-major, steps x width x N, so
 the states of one step are one contiguous slab, and is handed out as a
 width x steps x N view of it: each sequence's states are rows ``width *
 N`` apart, which ``numerics.add_gram_upper`` folds without a copy.
-Training steps ``CHUNK`` sequences per chunk in ``BLOCK``-step blocks.
-``predictions`` is the one prediction path: it steps all of its
-sequences in one chunk with blocks shortened to the same budget. A call
-of fewer than ``CHUNK // 2`` long sequences from the zero state, not
-closing the loop, is stepped in time segments instead, whether it is an
-evaluation (``predictions``) or a training fold (``state_blocks`` with
-``split``, teacher-forced): each starts ``WARMUP`` steps early from the
-zero state, so all are stepped as one wider chunk. ``_Segments`` is the
-one segment layout, split rule and seam fallback of both: it takes the
-most segments whose blocks hold ``FOLD_STEPS`` steps within the unsplit
-call's budget, and it compares the states where segments meet as they
-are stepped, so a failed seam shows only after the last block; then it
-yields None and the unsplit call's blocks. The fold starts over from
-zero on that None; ``predictions`` skips it, as the unsplit blocks
-overwrite every prediction. A harvest, or a call from a given initial
-state, is never split. Split states differ from unsplit ones by
-rounding, which cond(B + lambda I) amplifies into ``w_out``.
+Training steps ``CHUNK`` sequences per chunk in ``BLOCK``-step blocks;
+``predictions``, the one prediction path, steps all of its sequences in
+one chunk with blocks shortened to the same budget.
+
+A few long sequences from the zero state, not closing the loop, are
+stepped in time segments instead, all in one wider chunk, by the one
+split rule, segment layout and seam fallback of ``_Segments``. Split
+states differ from unsplit ones by rounding, which cond(B + lambda I)
+amplifies into ``w_out``.
 """
 
 from __future__ import annotations
@@ -283,7 +277,8 @@ def harvest(
     columns dropped. ``teacher`` (L x T) forces the fed-back output
     y(t-1) during training and a readout ``w_out`` (L x N) closes the
     loop; ``state_blocks`` owns the feedback decision and checks both.
-    This is ``state_blocks`` for one sequence (S = 1), checked by it.
+    This is ``state_blocks`` for one sequence (S = 1), checked by it, and
+    never split (``_Segments``).
     """
     config = r.config
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -305,52 +300,40 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
     product, in blocks of ``BLOCK`` time steps. ``initial_state`` is
     shared by every sequence.
 
-    Its checks (``_checked``, shared with ``predictions``) own the feedback
-    decision and the ``w_out`` check: any ``w_out`` given must be L x N,
-    feedback or not. When the reservoir uses feedback, exactly one
-    source of the fed-back output y(t-1) must be given, with y(0) = 0
-    either way: ``teacher`` (S x L x T) forces it during training, and a
-    trained readout ``w_out`` closes the loop with y(t-1) = w_out @
-    x(t-1). Without feedback both are dropped. Yields
-    ``(first, t0, states)`` in sequence-then-time order: ``states`` is a
-    C x b x N array whose row [c, j] is x(t0 + j) of sequence first + c,
-    for t0 + j >= washout only. It is a view of a time-major b x C x N
-    buffer, so ``states[c]`` is b rows of N values ``C * N`` apart (not
-    C-contiguous, but what ``numerics.add_gram_upper`` takes). The next
-    block overwrites it, so fold or copy it before asking for the next
-    one; memory is O(CHUNK * BLOCK * N) whatever S and T are.
+    Its checks, which ``predictions`` shares, own the feedback decision
+    and the ``w_out`` check: any ``w_out`` given must be L x N, feedback
+    or not. When the reservoir uses feedback, exactly one source of the
+    fed-back output y(t-1) must be given, with y(0) = 0 either way:
+    ``teacher`` (S x L x T) forces it during training, and a trained
+    readout ``w_out`` closes the loop with y(t-1) = w_out @ x(t-1).
+    Without feedback both are dropped. Yields ``(first, t0, states)`` in
+    sequence-then-time order: ``states`` is a C x b x N array whose row
+    [c, j] is x(t0 + j) of sequence first + c, for t0 + j >= washout
+    only. It is a view of a time-major b x C x N buffer, so ``states[c]``
+    is b rows of N values ``C * N`` apart (not C-contiguous, but what
+    ``numerics.add_gram_upper`` takes). The next block overwrites it, so
+    fold or copy it before asking for the next one; memory is O(CHUNK *
+    BLOCK * N) whatever S and T are.
 
-    ``split`` lets a call of fewer than ``CHUNK // 2`` sequences, from the
-    zero state and not closing the loop, be stepped in time segments by
-    the split rule and seam fallback that ``predictions`` also takes
-    (``_Segments``), within the unsplit S x ``BLOCK`` rows. Each block
-    yielded is then one segment's kept states, in the same form. A failed
-    seam shows only after the last block: then it yields None and the
-    unsplit call's blocks, and the caller starts over.
+    ``split`` lets the call be stepped in time segments by the split
+    rule of ``_Segments``; each block yielded is then one segment's kept
+    states, in the same form. A failed seam shows only after the last
+    block: then it yields None and the unsplit call's blocks, and the
+    caller starts over.
     """
-    inputs, teacher, x0, _, loop = _checked(r, inputs, teacher, initial_state, w_out)
-    (count, k, total), n = inputs.shape, r.config.reservoir_size
-    washout = r.config.washout
-    segments = None
-    if split and initial_state is None and loop is None:
-        channels = k if teacher is None else k + teacher.shape[1]
-        plans = _Segments.plans(count, total, washout, n, channels, min(total, BLOCK))
-        segments = next(plans, None)
-    if segments is None:
-        return _step_blocks(r, inputs, teacher, x0, loop, CHUNK, BLOCK, washout)
-    cut = None if teacher is None else segments.cut(teacher)
-    width, steps = segments.width, segments.steps
-    stepped = _step_blocks(r, segments.cut(inputs), cut, x0, None, width, steps, 0)
-    unsplit = _step_blocks(r, inputs, teacher, x0, None, count, BLOCK, washout)
-    return segments.blocks(stepped, unsplit)
+    return _blocks(r, inputs, teacher, initial_state, w_out, split, CHUNK)
 
 
-def _checked(r, inputs, teacher, initial_state, w_out):
-    """The arguments of ``state_blocks`` or ``predictions``, checked before
-    any step as ``state_blocks`` documents them: ``(inputs, teacher, x0,
-    w_out, loop)`` as float64 arrays, where ``loop`` is the readout that
-    closes the loop (``w_out`` with feedback, else None) and ``teacher``
-    is None without feedback."""
+def _blocks(r, inputs, teacher, initial_state, w_out, split, width):
+    """The one stepping entry, of ``state_blocks`` and ``predictions``.
+
+    Checks the arguments before any step, as ``state_blocks`` documents
+    them, then steps ``width`` sequences per chunk (or all S of the call
+    in one, at most ``CHUNK * BLOCK``, when ``width`` is None) in blocks
+    of ``CHUNK * BLOCK // width`` steps. With ``split`` it asks
+    ``_Segments.plan`` for a split and, given one, returns its blocks
+    with these as the fallback.
+    """
     config = r.config
     n, washout = config.reservoir_size, config.washout
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -358,14 +341,15 @@ def _checked(r, inputs, teacher, initial_state, w_out):
         raise ShapeError(
             f"inputs must be S x {config.input_dim} x T, got shape {inputs.shape}"
         )
-    count, _, total = inputs.shape
+    count, k, total = inputs.shape
     if total <= washout:
         raise ShapeError(f"sequence length {total} leaves no states after washout {washout}")
     if w_out is not None:
         w_out = np.asarray(w_out, dtype=np.float64)
         check_shape(config, "w_out", w_out)
+    # from here on, w_out is the readout that closes the loop, if any
     if not config.use_feedback:
-        teacher = None
+        teacher = w_out = None
     elif (teacher is None) == (w_out is None):
         raise ShapeError(
             "reservoir uses feedback: give either a teacher sequence or a readout w_out"
@@ -383,13 +367,24 @@ def _checked(r, inputs, teacher, initial_state, w_out):
         x0 = as_matrix(initial_state, "initial state", 1)
         if x0.shape[0] != n:
             raise ShapeError(f"initial state has length {x0.shape[0]}, expected {n}")
-    return inputs, teacher, x0, w_out, w_out if config.use_feedback else None
+    if width is None:
+        width = min(max(count, 1), CHUNK * BLOCK)
+    steps = CHUNK * BLOCK // width
+    unsplit = _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout)
+    if split and initial_state is None and w_out is None:
+        channels = k if teacher is None else k + teacher.shape[1]
+        plan = _Segments.plan(count, total, washout, n, channels, min(total, steps))
+        if plan is not None:
+            cut = None if teacher is None else plan.cut(teacher)
+            stepped = _step_blocks(r, plan.cut(inputs), cut, x0, None, plan.width, plan.steps, 0)
+            return plan.blocks(stepped, unsplit)
+    return unsplit
 
 
 def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
-    """The generator behind ``state_blocks`` and ``predictions``, which check
-    its arguments first: ``width`` sequences per chunk in blocks of
-    ``steps`` time steps; it yields no state of a step before ``washout``.
+    """The generator behind ``_blocks``, which checks its arguments first:
+    ``width`` sequences per chunk in blocks of ``steps`` time steps; it
+    yields no state of a step before ``washout``.
 
     A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
     as input channels: a block's drive is one product of [u; y] with
@@ -440,8 +435,18 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
 class _Segments:
     """The time segments of a call of S sequences of T steps, stepped as
     one chunk of P * S rows in blocks of ``steps`` steps: the one segment
-    layout, split rule and seam fallback of ``predictions`` and of a split
-    ``state_blocks``.
+    layout, split rule and seam fallback of every stepping call
+    (``_blocks``).
+
+    The split rule: a call that asks for it (a training fold, or an
+    open-loop ``predictions``), of fewer than ``CHUNK // 2`` sequences,
+    from the zero state and not closing the loop, is split in the most
+    segments that ``plan`` fits, each of at least ``WARMUP`` kept steps
+    and with blocks of at least ``FOLD_STEPS`` steps within the unsplit
+    call's budget; a call that no split fits, a harvest and a call from a
+    given initial state are stepped unsplit. A closed loop is not split,
+    as its drive is its own prediction, nor are wider calls, whose chunk
+    is wide already.
 
     Each sequence is cut into P segments, laid out segment-major (row p *
     S + s is segment p of sequence s), and stepped for W + L steps, W =
@@ -451,12 +456,13 @@ class _Segments:
     are zero and their states dropped, and so are states before the
     washout. So segment p - 1 steps through segment p's warm-up, and both
     have a state at time W + p * L - 1: that seam holds when they agree
-    within ``SEAM_TOL``.
+    within ``SEAM_TOL``. A failed seam shows only after the last block;
+    then ``blocks`` yields None and the unsplit call's blocks.
     """
 
     def __init__(self, count, total, parts, washout):
         span = -(-(total - WARMUP) // parts)
-        self.count, self.steps = count, 0
+        self.count = count
         self.width, self.window = parts * count, WARMUP + span
         # W warm-up steps and at least W kept steps for each segment
         self.fits = total >= (parts + 1) * WARMUP
@@ -471,21 +477,20 @@ class _Segments:
         self.warm = self.held = None
 
     @classmethod
-    def plans(cls, count, total, washout, n, channels, unsplit):
-        """The splits of a call that fit, from the most segments (at most
-        ``CHUNK`` // S) down to 2, none for S >= ``CHUNK // 2``: each with
-        its blocks shortened so that a block, the step temporaries and seam
-        copies (5 N per chunk row) and the segment inputs (``channels`` per
-        step) hold no more values than an unsplit block of S * ``unsplit``
-        state rows, and only those whose block still holds ``FOLD_STEPS``
-        steps."""
+    def plan(cls, count, total, washout, n, channels, unsplit):
+        """The split of a call with the most segments that fits (at most
+        ``CHUNK`` // S, none for S >= ``CHUNK // 2``), or None: its blocks
+        are shortened so that a block, the step temporaries and seam copies
+        (5 N per chunk row) and the segment inputs (``channels`` per step)
+        hold no more values than an unsplit block of S * ``unsplit`` state
+        rows, and must still hold ``FOLD_STEPS`` steps."""
         for parts in range(CHUNK // count, 1, -1) if 0 < count < CHUNK // 2 else ():
             plan = cls(count, total, parts, washout)
-            if plan.fits:
-                budget = count * unsplit * n - plan.width * (5 * n + channels * plan.window)
-                plan.steps = budget // (plan.width * n)
-                if plan.steps >= FOLD_STEPS:
-                    yield plan
+            budget = count * unsplit * n - plan.width * (5 * n + channels * plan.window)
+            plan.steps = budget // (plan.width * n)
+            if plan.fits and plan.steps >= FOLD_STEPS:
+                return plan
+        return None
 
     def cut(self, whole):
         """The segments of ``whole`` (S x C x T): a P * S x C x (W + L)
@@ -535,30 +540,19 @@ def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
     x T) stepped from the zero state: an S x L x (T - washout) array.
 
     Arguments are checked as ``state_blocks`` checks them, before any
-    step; with feedback the loop is closed through ``w_out``. Unsplit, the
-    sequences are stepped as chunks of S rows (at most ``CHUNK * BLOCK``)
-    in blocks of ``CHUNK * BLOCK // S`` steps. An open-loop call is split
-    in time segments as a split fold is (``_Segments``), within the
-    unsplit S * min(T, ``CHUNK * BLOCK // S``) state rows, and each
-    segment's kept states are read out as they are stepped. It is not
-    split with feedback (its drive is its own prediction), for S >=
-    ``CHUNK // 2`` (the chunk is wide already), or when no split in 2 or
-    more segments of at least ``WARMUP`` kept steps each keeps blocks of
-    ``FOLD_STEPS`` steps. After a failed seam, the unsplit blocks
-    overwrite every prediction; the split block is dropped first, so a
-    failed seam costs time, not memory.
+    step; with feedback the loop is closed through ``w_out``. The
+    sequences are stepped as one chunk of S rows (at most ``CHUNK *
+    BLOCK``) in blocks of ``CHUNK * BLOCK // S`` steps, and an open-loop
+    call is split in time segments by the split rule of ``_Segments``;
+    the states of each block, or of each segment, are read out as they
+    are stepped. After a failed seam, the unsplit blocks overwrite every
+    prediction; the split block is dropped first, so a failed seam costs
+    time, not memory.
     """
-    inputs, _, x0, w_out, loop = _checked(r, inputs, None, None, w_out)
-    (count, k, total), (l, n) = inputs.shape, w_out.shape
-    washout, width = r.config.washout, min(max(count, 1), CHUNK * BLOCK)
-    steps = CHUNK * BLOCK // width
-    blocks = _step_blocks(r, inputs, None, x0, loop, width, steps, washout)
-    if loop is None:
-        split = next(_Segments.plans(count, total, washout, n, k, min(total, steps)), None)
-        if split is not None:
-            stepped = _step_blocks(r, split.cut(inputs), None, x0, None, split.width, split.steps, 0)
-            blocks = split.blocks(stepped, blocks)
-    out = np.empty((count, l, total - washout))
+    inputs, w_out = np.asarray(inputs, dtype=np.float64), np.asarray(w_out, dtype=np.float64)
+    blocks = _blocks(r, inputs, None, None, w_out, True, None)
+    (count, _, total), washout = inputs.shape, r.config.washout
+    out = np.empty((count, len(w_out), total - washout))
     for block in blocks:
         if block is None:  # a failed seam: the unsplit blocks that follow overwrite it all
             continue

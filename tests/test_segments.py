@@ -168,9 +168,23 @@ class TestStaysSerial:
         assert widths(step_calls) == [CHUNK // 2]
 
     def test_arguments_checked_before_stepping(self, step_calls):
-        r = build(config())
-        with pytest.raises(ShapeError, match="w_out must be 2 x 60"):
-            predictions(r, inputs(1), readout(61))
+        # predictions meets every check that state_blocks makes, with the
+        # same message, before any step: it reads no width from its inputs
+        r = build(config(washout=30))
+        cases = [
+            (np.zeros((2, 300)), readout(60), r"S x 2 x T, got shape \(2, 300\)"),
+            (np.zeros(300), readout(60), r"S x 2 x T, got shape \(300,\)"),
+            (np.float64(1.0), readout(60), r"S x 2 x T, got shape \(\)"),
+            (np.zeros((1, 3, 300)), readout(60), r"S x 2 x T, got shape \(1, 3, 300\)"),
+            (inputs(1, steps=30), readout(60), "length 30 leaves no states after washout 30"),
+            (inputs(1), readout(61), r"w_out must be 2 x 60, got shape \(2, 61\)"),
+        ]
+        for u, w_out, message in cases:
+            with pytest.raises(ShapeError, match=message) as trained:
+                state_blocks(r, u, w_out=w_out)
+            with pytest.raises(ShapeError, match=message) as predicted:
+                predictions(r, u, w_out)
+            assert str(predicted.value) == str(trained.value)
         assert step_calls == []
 
     @pytest.mark.parametrize("sequences", [1, 2])
@@ -299,10 +313,11 @@ class TestFold:
         r = build(config(use_feedback=use_feedback, reservoir_size=300, washout=washout))
         data = dataset(2)
         refolded = accumulate_dataset(r, data)
-        # the split pass, then the fold started over on the unsplit blocks
+        # the split pass, then the fold started over on the unsplit blocks,
+        # the training layout's: both sequences in one chunk of CHUNK
         width = fold_width(2, n=300, channels=4 if use_feedback else 2)
         assert width is not None
-        assert widths(step_calls) == [width, 2]
+        assert widths(step_calls) == [width, CHUNK]
         unsplit = unsplit_fold(r, data)
         assert refolded.samples_seen == unsplit.samples_seen == 2 * (STEPS - washout)
         assert refolded.a.tobytes() == unsplit.a.tobytes()

@@ -88,26 +88,22 @@ def test_one_state_stepping_function():
 
 
 def test_one_prediction_loop():
-    # states are stepped from two functions: `state_blocks` for training and
-    # harvests, and `predictions`, the one loop that turns them into outputs
-    def steps_blocks(node):
-        func = node.func if isinstance(node, ast.Call) else None
-        return (isinstance(func, ast.Name) and func.id == "_step_blocks") or (
-            isinstance(func, ast.Attribute) and func.attr == "_step_blocks"
-        )
-
-    callers = _owners(steps_blocks)
+    # states are stepped through one entry, `_blocks`, which `state_blocks`
+    # (training and harvests) and `predictions` (the one loop that turns
+    # them into outputs) both call: it alone calls the stepping generator
+    assert _callers("_step_blocks") == {"reservoir.py:_blocks"}
+    entries = _callers("_blocks")
     expected = {"reservoir.py:state_blocks", "reservoir.py:predictions"}
-    assert callers == expected, f"_step_blocks is called from {sorted(callers)}"
+    assert entries == expected, f"_blocks is called from {sorted(entries)}"
 
 
 def test_one_segment_layout_and_seam_rule():
-    # `predictions` and a split training fold cut their time segments by one
-    # layout (`_Segments.__init__`, the one reader of WARMUP) and check their
-    # seams by one comparison (`_Segments.kept`, the one reader of SEAM_TOL),
-    # both plan their splits through the same helper, and both fall back on
-    # a failed seam through one generator (`_Segments.blocks`, the one
-    # reader of the seam verdict `held`)
+    # every split call cuts its time segments by one layout
+    # (`_Segments.__init__`, the one reader of WARMUP) and checks its seams
+    # by one comparison (`_Segments.kept`, the one reader of SEAM_TOL); the
+    # one stepping entry alone plans the splits (`_Segments.plan`) and falls
+    # back on a failed seam through one generator (`_Segments.blocks`, the
+    # one reader of the seam verdict `held`)
     def reads(name):
         return lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(
             node.ctx, ast.Load
@@ -116,11 +112,10 @@ def test_one_segment_layout_and_seam_rule():
     layout, seams = _owners(reads("WARMUP")), _owners(reads("SEAM_TOL"))
     assert layout == {"reservoir.py:__init__"}, f"WARMUP is read in {sorted(layout)}"
     assert seams == {"reservoir.py:kept"}, f"SEAM_TOL is read in {sorted(seams)}"
-    planners = _callers("plans")
-    expected = {"reservoir.py:state_blocks", "reservoir.py:predictions"}
-    assert planners == expected, f"the segments are planned in {sorted(planners)}"
+    planners = _callers("plan")
+    assert planners == {"reservoir.py:_blocks"}, f"the segments are planned in {sorted(planners)}"
     fallbacks = _callers("blocks")
-    assert fallbacks == expected, f"failed seams fall back in {sorted(fallbacks)}"
+    assert fallbacks == {"reservoir.py:_blocks"}, f"failed seams fall back in {sorted(fallbacks)}"
     verdicts = _owners(
         lambda node: isinstance(node, ast.Attribute)
         and node.attr == "held"
@@ -197,7 +192,8 @@ def test_one_fold_and_one_merge():
 
 
 def test_feedback_decided_in_reservoir():
-    # whether a run feeds its output back is read only where states are stepped
+    # whether a run feeds its output back is read only where the reservoir
+    # is built and in the one stepping entry, which decides it for every call
     def reads_feedback(node):
         return (
             isinstance(node, ast.Attribute)
@@ -205,8 +201,9 @@ def test_feedback_decided_in_reservoir():
             and isinstance(node.ctx, ast.Load)
         )
 
-    modules = {owner.split(":")[0] for owner in _owners(reads_feedback)}
-    assert modules == {"reservoir.py"}, f".use_feedback is read in {sorted(modules)}"
+    readers = _owners(reads_feedback)
+    expected = {"reservoir.py:build", "reservoir.py:_blocks"}
+    assert readers == expected, f".use_feedback is read in {sorted(readers)}"
 
 
 # Public functions that stay with no caller in the package: the
