@@ -9,7 +9,7 @@ Everything here runs on numpy's BLAS/LAPACK and no other, so the state
 stepping, the fold, ``eigvals`` and the Cholesky share one thread pool.
 scipy is not a runtime dependency. Three routines are called through
 ``ctypes`` in the OpenBLAS that numpy itself loaded. The fold's
-``b += x.T @ x`` is one in-place ``dsyrk`` on b's upper triangle
+``b += weight * x.T @ x`` is one in-place ``dsyrk`` on b's upper triangle
 (``add_gram_upper``); numpy's own ``x.T @ x`` would mirror the triangle
 into a fresh N x N array on every call. ``solve_spd`` factors and solves
 with ``dpotrf`` and ``dpotrs``, which touch one triangle and the
@@ -17,8 +17,9 @@ diagonal only: an exactly symmetric, writeable, row-major input is
 solved in place and restored from its other triangle, anything else in
 one N x N working copy; ``np.linalg.cholesky`` would add a Fortran-order
 copy and a separate factor. With any other BLAS, the update is
-``b += x.T @ x`` and the solve ``np.linalg.cholesky`` on a working copy;
-the update's layout contract is the same on every BLAS.
+``x.T @ x`` scaled and added to b, and the solve ``np.linalg.cholesky``
+on a working copy; the update's layout contract is the same on every
+BLAS.
 """
 
 from __future__ import annotations
@@ -244,8 +245,8 @@ def spectral_radius(m) -> float:
     return float(np.abs(eigenvalues).max())
 
 
-def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
-    """Add ``x.T @ x`` (``x`` K x N) to the upper triangle of ``b`` (N x N) in place.
+def add_gram_upper(b: np.ndarray, x: np.ndarray, weight: float = 1.0) -> None:
+    """Add ``weight * x.T @ x`` (``x`` K x N) to the upper triangle of ``b`` (N x N) in place.
 
     ``b`` must be a C-contiguous, aligned, writeable float64 array, as the
     fold's own B is. ``x`` must be aligned float64 rows of unit column
@@ -253,12 +254,14 @@ def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
     of a larger row-major buffer, as the states of one sequence in a
     time-major block of ``state_blocks`` are. Anything else is a
     ``ValueError``, whatever BLAS numpy has. One ``dsyrk`` (row-major,
-    upper, transposed, beta = 1, the row stride as ``lda``) in numpy's own
-    OpenBLAS, or ``b += x.T @ x`` on a BLAS without it. Only the upper
-    triangle is defined afterwards: finish with ``mirror_upper``. The two
-    give identical bytes as long as K fits in one K-panel of the BLAS
-    kernel (384 rows for OpenBLAS on Haswell); a state block has at most
-    ``reservoir.BLOCK`` rows.
+    upper, transposed, ``weight`` as alpha, beta = 1, the row stride as
+    ``lda``) in numpy's own OpenBLAS, or ``x.T @ x`` scaled in place and
+    added to ``b`` on a BLAS without it (one N x N temporary). Only the
+    upper triangle is defined afterwards: finish with ``mirror_upper``. At
+    weight 1 the two give identical bytes as long as K fits in one K-panel
+    of the BLAS kernel (384 rows for OpenBLAS on Haswell); a state block
+    has at most ``reservoir.BLOCK`` rows; at any other weight they differ
+    by rounding.
     """
     k, n = x.shape
     if b.shape != (n, n):
@@ -278,9 +281,11 @@ def add_gram_upper(b: np.ndarray, x: np.ndarray) -> None:
     if not b.flags.writeable:
         raise ValueError("gram must be writeable")
     if _DSYRK is None:
-        b += x.T @ x
+        gram = x.T @ x
+        gram *= weight
+        b += gram
     else:
-        _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, 1.0, x.ctypes.data, lda, 1.0, b.ctypes.data, n)
+        _DSYRK(_ROW_MAJOR, _UPPER, _TRANS, n, k, weight, x.ctypes.data, lda, 1.0, b.ctypes.data, n)
 
 
 def mirror_upper(b: np.ndarray) -> None:

@@ -2,22 +2,24 @@
 
 Training folds harvested states and targets into two accumulators,
 
-    a = sum_i targets_i @ states_i.T        (L x N)
-    b = sum_i states_i @ states_i.T         (N x N)
+    a = sum_i w_i * targets_i @ states_i.T        (L x N)
+    b = sum_i w_i * states_i @ states_i.T         (N x N)
 
 and solves ``w_out @ (b + lam*I) = a`` once at the end. Every
-accumulator comes from one fold (``_fold``) or one combine (``merge``).
-The fold is associative and commutative, so sequences can be
+accumulator comes from one fold (``_fold``) or one sum (``merge``). The
+weight w_i is the weight of the dataset pair i comes from: 1 for a
+``fit``, and ``(1 - alpha, alpha)`` for the target and the source of a
+``fine_tune`` blend, which is one fold of both datasets into one a and
+one b. The fold is associative and commutative, so sequences can be
 accumulated in any partition and merged; the result changes only by
-rounding. ``merge`` also takes weights, which is how ``fine_tune``
-blends source and target statistics. ``_fold`` adds each state block to
-b's upper triangle in place (``numerics.add_gram_upper``, whose contract
-is float64 rows of unit column stride at a row stride of at least N, as
-one sequence's rows of a time-major block of ``state_blocks`` are, and a
-C-contiguous b) and mirrors b once at the end. So b is exactly
-symmetric, and on numpy's OpenBLAS the ridge and linear solves factor it
-in place and restore it (``numerics.solve_spd``): a fit holds b, the
-state block and O(N * L), and no second N x N array.
+rounding. ``_fold`` adds each state block to b's upper triangle in place
+(``numerics.add_gram_upper``, whose contract is float64 rows of unit
+column stride at a row stride of at least N, as one sequence's rows of a
+time-major block of ``state_blocks`` are, and a C-contiguous b) and
+mirrors b once at the end. So b is exactly symmetric, and on numpy's
+OpenBLAS the ridge and linear solves factor it in place and restore it
+(``numerics.solve_spd``): a fit or a blend holds b, the state block and
+O(N * L), and no second N x N array.
 """
 
 from __future__ import annotations
@@ -109,20 +111,22 @@ class ReadoutModel:
 
 
 def _fold(n: int, l: int, pairs) -> Accumulators:
-    """Fold ``(x, y)`` pairs, x a (steps, N) block of states (C-contiguous,
-    or one sequence's rows of a time-major block, ``C * N`` apart) and y
-    the (L, steps) targets, into new accumulators: x goes into b's upper
-    triangle in place, ``y @ x`` into a, and b is mirrored once at the
-    end. A None in ``pairs`` starts the fold over: a, b and the sample
-    count are zeroed in place."""
+    """Fold ``(x, y, weight)`` pairs, x a (steps, N) block of states
+    (C-contiguous, or one sequence's rows of a time-major block, ``C * N``
+    apart) and y the (L, steps) targets, into new accumulators: x goes
+    into b's upper triangle in place at ``weight``, ``weight * (y @ x)``
+    into a, and b is mirrored once at the end. ``samples_seen`` counts the
+    rows folded, unweighted. A None in ``pairs`` starts the fold over: a,
+    b and the sample count are zeroed in place."""
     a, b, samples = np.zeros((l, n)), np.zeros((n, n)), 0
     for pair in pairs:
         if pair is None:
             a[...], b[...], samples = 0.0, 0.0, 0
             continue
-        x, y = pair
-        add_gram_upper(b, x)
-        a += y @ x
+        x, y, weight = pair
+        del pair
+        add_gram_upper(b, x, weight)
+        a += weight * (y @ x)
         samples += x.shape[0]
         del x, y  # no view of a stepped block outlives it
     mirror_upper(b)
@@ -147,28 +151,23 @@ def accumulate(acc: Accumulators, states: StateTrajectory, targets) -> Accumulat
         raise ShapeError(
             f"targets have {y.shape[1]} columns but states have {x.shape[1]}"
         )
-    return merge(acc, _fold(n, l, [(np.ascontiguousarray(x.T), y)]))
+    return merge(acc, _fold(n, l, [(np.ascontiguousarray(x.T), y, 1.0)]))
 
 
-def merge(first: Accumulators, second: Accumulators, weights=(1.0, 1.0)) -> Accumulators:
-    """``weights[0] * first + weights[1] * second``: at the default weights
-    the plain sum of two independently computed accumulators, and at
-    ``(alpha, 1 - alpha)`` the transfer blend of ``fine_tune``."""
+def merge(first: Accumulators, second: Accumulators) -> Accumulators:
+    """The sum of two independently computed accumulators."""
     if first.a.shape != second.a.shape or first.b.shape != second.b.shape:
         raise ShapeError(
             f"cannot merge accumulators of shapes a {first.a.shape}/{second.a.shape}, "
             f"b {first.b.shape}/{second.b.shape}"
         )
-    w_first, w_second = weights
-    # the second b weighted, then the first added a band at a time: one new
+    # the second b copied, then the first added a band at a time: one new
     # N x N array, the same bytes as the sum written out
-    b = np.multiply(second.b, w_second)
+    b = second.b.copy()
     for i0 in range(0, len(b), BAND):
-        b[i0 : i0 + BAND] += w_first * first.b[i0 : i0 + BAND]
+        b[i0 : i0 + BAND] += first.b[i0 : i0 + BAND]
     return Accumulators(
-        a=w_first * first.a + w_second * second.a,
-        b=b,
-        samples_seen=int(round(w_first * first.samples_seen + w_second * second.samples_seen)),
+        a=first.a + second.a, b=b, samples_seen=first.samples_seen + second.samples_seen
     )
 
 
@@ -242,35 +241,58 @@ def check_dataset(config: ReservoirConfig, dataset) -> None:
         raise ShapeError("dataset contains no sequences")
 
 
-def accumulate_dataset(r: Reservoir, dataset) -> Accumulators:
-    """Harvest every sequence of ``dataset`` and fold it into accumulators.
+def accumulate_dataset(r: Reservoir, *datasets, weights=None) -> Accumulators:
+    """Harvest every sequence of ``datasets`` and fold them into one set
+    of accumulators, dataset k's pairs at ``weights[k]`` (1 for each when
+    None): one dataset for ``fit``, and a transfer blend's target, then
+    its source, for ``fine_tune``. ``samples_seen`` counts the rows of
+    every dataset, unweighted. Every dataset is checked before any is
+    stepped.
 
     States come from ``state_blocks`` at its default width (``CHUNK``
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
-    sequence order within each block, so memory stays O(CHUNK * BLOCK * N)
-    and the fold's summation order does not depend on the dataset size.
-    Each sequence's rows of a block are one pair of ``_fold``. The call
-    asks for ``split``, so a few long sequences are stepped in time
-    segments by the split rule of ``reservoir._Segments``: each segment's
-    kept rows of a block are then one pair, and after a failed seam the
-    fold starts over on the unsplit blocks, which gives the unsplit bytes.
-    The targets are always passed as the teacher; ``state_blocks`` uses
-    them only when the reservoir has feedback.
+    dataset order, then sequence order within each block, so memory stays
+    O(CHUNK * BLOCK * N) and the fold's summation order does not depend
+    on the dataset size. Each sequence's rows of a block are one pair of
+    ``_fold``. Each dataset asks for ``split``, so a few long sequences
+    are stepped in time segments by the split rule of
+    ``reservoir._Segments``: each segment's kept rows of a block are then
+    one pair. A failed seam of dataset k zeroes the shared sums; the fold
+    then replays datasets 0 to k - 1 unsplit and goes on with k's unsplit
+    blocks, which gives the bytes of a fold with nothing split. The
+    targets are always passed as the teacher; ``state_blocks`` uses them
+    only when the reservoir has feedback.
     """
     config = r.config
-    check_dataset(config, dataset)
+    if not datasets:
+        raise ShapeError("no dataset to fold")
+    for dataset in datasets:
+        check_dataset(config, dataset)
+    weights = (1.0,) * len(datasets) if weights is None else tuple(weights)
+    if len(weights) != len(datasets):
+        raise ShapeError(f"{len(weights)} weights for {len(datasets)} datasets")
 
-    def pairs():
-        for block in state_blocks(r, dataset.inputs, teacher=dataset.targets, split=True):
+    def pairs(k, split):
+        dataset, weight = datasets[k], weights[k]
+        for block in state_blocks(r, dataset.inputs, teacher=dataset.targets, split=split):
             if block is None:  # a failed seam: the unsplit blocks follow
                 yield None
                 continue
             first, t0, states = block
             for i, x in enumerate(states):
-                yield x, dataset.targets[first + i, :, t0 : t0 + len(x)]
+                yield x, dataset.targets[first + i, :, t0 : t0 + len(x)], weight
             del states, x  # no view of a stepped block outlives it
 
-    return _fold(config.reservoir_size, config.output_dim, pairs())
+    def blend():
+        for k in range(len(datasets)):
+            for pair in pairs(k, True):
+                yield pair
+                if pair is None:  # _fold zeroed the sums: the datasets before k again
+                    for earlier in range(k):
+                        yield from pairs(earlier, False)
+                del pair  # a dataset's last block is dropped before the next one steps
+
+    return _fold(config.reservoir_size, config.output_dim, blend())
 
 
 def fit(r: Reservoir, dataset, method: RegressionMethod = Ridge()) -> ReadoutModel:

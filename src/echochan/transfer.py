@@ -1,8 +1,9 @@
 """Transfer workflow: one reservoir across channels, only the readout retrained.
 
 ``fine_tune`` solves the readout on ``alpha * source + (1 - alpha) *
-target`` statistics, weighted by ``readout.merge``, so ``alpha = 1`` is
-direct transfer (a source fit) and ``alpha = 0`` a plain target fit.
+target`` statistics, both datasets folded into one set of accumulators
+with those weights by ``readout.accumulate_dataset``, so ``alpha = 1``
+is direct transfer (a source fit) and ``alpha = 0`` a plain target fit.
 ``direct_transfer_eval`` scores a trained readout on target data as-is.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from .channelsim import SequenceDataset
 from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
-from .readout import ReadoutModel, RegressionMethod, accumulate_dataset, fit, merge, solve
+from .readout import ReadoutModel, RegressionMethod, accumulate_dataset, fit, solve
 from .reservoir import Reservoir
 
 
@@ -36,11 +37,12 @@ def fine_tune(
     method: RegressionMethod,
 ) -> ReadoutModel:
     """Solve the readout on ``alpha * source + (1 - alpha) * target``
-    statistics, folding only a dataset whose weight is not 0."""
+    statistics, folding only a dataset whose weight is not 0. A blend is
+    one fold, the target first: its few long sequences are the ones
+    stepped in time segments, so a failed seam of the source, which would
+    fold the target again, is rare."""
     check_alpha(alpha)
     if alpha in (0.0, 1.0):  # direct transfer or a plain target fit
         return fit(r, source if alpha else target_train, method)
-    blended = merge(
-        accumulate_dataset(r, source), accumulate_dataset(r, target_train), (alpha, 1.0 - alpha)
-    )
+    blended = accumulate_dataset(r, target_train, source, weights=(1.0 - alpha, alpha))
     return solve(blended, method)

@@ -504,7 +504,7 @@ class TestTransfer:
     @pytest.mark.parametrize(
         "mode, alpha, folded",
         [("finetune", "0", ["tt"]), ("finetune", "1", ["src"]),
-         ("finetune", "0.5", ["src", "tt"]), ("direct", "0.5", ["src"])],
+         ("finetune", "0.5", ["tt", "src"]), ("direct", "0.5", ["src"])],
     )
     def test_folds_only_weighted_datasets(self, config_path, tmp_path, monkeypatch, mode, alpha,
                                           folded):
@@ -518,9 +518,9 @@ class TestTransfer:
         folds = []
         original = readout.accumulate_dataset
 
-        def counted(r, dataset):
-            folds.append(dataset.num_sequences)
-            return original(r, dataset)
+        def counted(r, *datasets, **kwargs):
+            folds.extend(dataset.num_sequences for dataset in datasets)
+            return original(r, *datasets, **kwargs)
 
         monkeypatch.setattr(readout, "accumulate_dataset", counted)
         monkeypatch.setattr(transfer, "accumulate_dataset", counted)

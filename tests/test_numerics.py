@@ -343,15 +343,15 @@ class TestSpectralRadius:
         assert "iterations" not in str(info.value)
 
 
-def gram_both_ways(monkeypatch, n, blocks):
-    """B folded from ``blocks`` by ``add_gram_upper`` as built, and with
-    the ``dsyrk`` path switched off, each mirrored once."""
+def gram_both_ways(monkeypatch, n, blocks, weight=1.0):
+    """B folded from ``blocks`` at ``weight`` by ``add_gram_upper`` as
+    built, and with the ``dsyrk`` path switched off, each mirrored once."""
     folded = []
     for dsyrk in (numerics._DSYRK, None):
         monkeypatch.setattr(numerics, "_DSYRK", dsyrk)
         b = np.zeros((n, n))
         for x in blocks:
-            add_gram_upper(b, x)
+            add_gram_upper(b, x, weight)
         mirror_upper(b)
         folded.append(b)
     return folded
@@ -373,6 +373,18 @@ class TestAddGramUpper:
         for x in blocks:
             expected += x.T @ x
         assert direct.tobytes() == fallback.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 7, 200])
+    def test_weighted_dsyrk_and_fallback_agree(self, monkeypatch, k):
+        # at a weight other than 1, dsyrk and the fallback round the scaled
+        # product differently: 1.8e-15 relative measured
+        rng = np.random.default_rng(k + 10)
+        blocks = [rng.standard_normal((k, 40)) for _ in range(5)]
+        direct, fallback = gram_both_ways(monkeypatch, 40, blocks, weight=0.3)
+        scale = np.abs(fallback).max()
+        np.testing.assert_allclose(direct, fallback, rtol=0, atol=1e-14 * scale)
+        unweighted, _ = gram_both_ways(monkeypatch, 40, blocks)
+        np.testing.assert_allclose(fallback, 0.3 * unweighted, rtol=0, atol=1e-14 * scale)
 
     def test_row_views_of_a_block_buffer(self, monkeypatch):
         # state blocks are views past a washout into a larger buffer

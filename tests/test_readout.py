@@ -266,6 +266,13 @@ class TestFit:
         w_hand = solve(by_hand, Ridge()).w_out
         assert np.abs(w_fit - w_hand).max() < 1e-10
 
+    def test_fold_needs_a_dataset_and_a_weight_for_each(self):
+        dataset = make_dataset(2, 40, seed=20)
+        with pytest.raises(ShapeError, match="no dataset"):
+            accumulate_dataset(self.reservoir)
+        with pytest.raises(ShapeError, match="1 weights for 2 datasets"):
+            accumulate_dataset(self.reservoir, dataset, dataset, weights=(0.5,))
+
     @pytest.mark.parametrize("use_feedback", [False, True])
     def test_dsyrk_fold_matches_fallback_bytes(self, monkeypatch, use_feedback):
         r = build(

@@ -185,7 +185,8 @@ def _callers(name: str) -> set[str]:
 
 def test_one_fold_and_one_merge():
     # b is built by one Gram rule, and every set of accumulators the package
-    # makes comes from the one fold or the one (weighted) merge
+    # makes comes from the one fold, which weights a transfer blend's
+    # datasets, or the one merge
     assert _callers("add_gram_upper") == {"readout.py:_fold"}
     assert _callers("mirror_upper") == {"readout.py:_fold", "numerics.py:solve_spd"}
     assert _callers("Accumulators") == {"readout.py:_fold", "readout.py:merge"}

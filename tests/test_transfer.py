@@ -6,7 +6,7 @@ import pytest
 from echochan import reservoir as reservoir_mod
 from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
 from echochan.errors import ShapeError
-from echochan.readout import Ridge, accumulate_dataset, fit, merge, solve
+from echochan.readout import Accumulators, Ridge, accumulate_dataset, fit, merge, solve
 from echochan.reservoir import CHUNK, ReservoirConfig, build
 from echochan.transfer import direct_transfer_eval, fine_tune
 
@@ -83,18 +83,26 @@ class TestFineTune:
         b = generate_dataset(wave(47), TARGET_CHANNEL, 16)
         blended_model = fine_tune(reservoir, a, b, 0.5, Ridge())
         pooled = generate_dataset(wave(46), TARGET_CHANNEL, 16)
-        acc_pooled = accumulate_dataset(reservoir, pooled)
-        acc_pooled = merge(acc_pooled, accumulate_dataset(reservoir, b), (0.5, 0.5))
-        pooled_model = solve(acc_pooled, Ridge())
+        summed = merge(accumulate_dataset(reservoir, pooled), accumulate_dataset(reservoir, b))
+        # the plain sum halved, which is exact at 0.5
+        halved = Accumulators(a=0.5 * summed.a, b=0.5 * summed.b, samples_seen=summed.samples_seen)
+        pooled_model = solve(halved, Ridge())
         assert np.abs(blended_model.w_out - pooled_model.w_out).max() < 1e-6
 
-    def test_blend_is_exact_convex_combination(self, reservoir, source, target_train):
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_blend_is_one_weighted_fold(self, reservoir, source, target_train, alpha):
+        # both datasets folded into one a and one b, each pair at its
+        # dataset's weight: the weighted sum of their own folds up to
+        # rounding (7e-16 relative measured), every row counted once
         acc_s = accumulate_dataset(reservoir, source)
         acc_t = accumulate_dataset(reservoir, target_train)
-        alpha = 0.3
-        blended = merge(acc_s, acc_t, (alpha, 1 - alpha))
-        np.testing.assert_array_equal(blended.a, alpha * acc_s.a + (1 - alpha) * acc_t.a)
-        np.testing.assert_array_equal(blended.b, alpha * acc_s.b + (1 - alpha) * acc_t.b)
+        blended = accumulate_dataset(reservoir, target_train, source, weights=(1 - alpha, alpha))
+        for name in ("a", "b"):
+            expected = alpha * getattr(acc_s, name) + (1 - alpha) * getattr(acc_t, name)
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(getattr(blended, name), expected, rtol=0, atol=1e-13 * scale)
+        assert blended.samples_seen == acc_s.samples_seen + acc_t.samples_seen
+        np.testing.assert_array_equal(blended.b, blended.b.T)
 
     def test_reservoir_unchanged_by_transfer(self, reservoir, source, target_train):
         w_before = reservoir.w.copy()
@@ -135,8 +143,8 @@ class TestFewLongTargets:
     def test_split_target_fold(self, monkeypatch, step_calls, reservoir, source, sequences):
         target = generate_dataset(wave(49, bits=600), TARGET_CHANNEL, sequences)
         tuned = fine_tune(reservoir, source, target, 0.5, Ridge())
-        # the 24 short source sequences in chunks, the target split
-        [source_width, target_width] = [width for width, _, _ in step_calls]
+        # the target split, then the 24 short source sequences in chunks
+        [target_width, source_width] = [width for width, _, _ in step_calls]
         assert source_width == CHUNK
         assert sequences < target_width <= CHUNK
         monkeypatch.setattr(reservoir_mod, "WARMUP", target.seq_len)  # no room to split
@@ -144,6 +152,29 @@ class TestFewLongTargets:
         assert [width for width, _, _ in step_calls[2:]] == [CHUNK, CHUNK]
         scale = np.abs(unsplit.w_out).max()
         np.testing.assert_allclose(tuned.w_out, unsplit.w_out, rtol=0, atol=self.W_OUT_RTOL * scale)
+
+    @pytest.mark.parametrize("use_feedback", [False, True])
+    def test_failed_seams_replay_the_target(self, monkeypatch, step_calls, use_feedback):
+        # a few long sequences on both sides, every seam failing: the
+        # target's split pass is folded over unsplit, and the source's failed
+        # seam zeroes the shared sums, so the target is stepped again before
+        # the source's unsplit blocks; the bytes are an unsplit blend's
+        r = build(ReservoirConfig(
+            input_dim=2, reservoir_size=60, output_dim=2, seed=50, use_feedback=use_feedback
+        ))
+        source = generate_dataset(wave(51, bits=200), SOURCE_CHANNEL, 4)
+        target = generate_dataset(wave(52, bits=200), TARGET_CHANNEL, 2)
+        assert target.seq_len >= 3 * reservoir_mod.WARMUP
+        monkeypatch.setattr(reservoir_mod, "SEAM_TOL", -1.0)
+        replayed = fine_tune(r, source, target, 0.3, Ridge())
+        [target_split, target_unsplit, source_split, target_again, source_unsplit] = step_calls
+        assert target_split[0] > 2 and source_split[0] > 4  # each split in segments
+        assert target_again == target_unsplit  # the target replayed, unsplit
+        assert target_unsplit[0] == source_unsplit[0] == CHUNK
+        monkeypatch.setattr(reservoir_mod, "WARMUP", target.seq_len)  # nothing split
+        unsplit = fine_tune(r, source, target, 0.3, Ridge())
+        assert [width for width, _, _ in step_calls[5:]] == [CHUNK, CHUNK]
+        assert replayed.w_out.tobytes() == unsplit.w_out.tobytes()
 
 
 class TestPlan:
@@ -157,6 +188,17 @@ class TestPlan:
         tuned = fine_tune(reservoir, source, target_train, 0.0, Ridge())
         tuned_report = direct_transfer_eval(reservoir, tuned, target_test)
         assert tuned_report.mape_percent <= direct_report.mape_percent
+
+    @pytest.mark.parametrize("bad_side", ["target", "source"])
+    def test_bad_dataset_rejected_before_any_step(
+        self, step_calls, reservoir, source, target_train, bad_side
+    ):
+        # a blend checks both datasets before it steps either
+        bad = type(source)(inputs=source.inputs[:, :1, :], targets=source.targets)
+        datasets = {"source": source, "target": target_train, bad_side: bad}
+        with pytest.raises(ShapeError):
+            fine_tune(reservoir, datasets["source"], datasets["target"], 0.5, Ridge())
+        assert step_calls == []
 
     def test_mismatched_dims_rejected(self, reservoir, source, target_train):
         bad = generate_dataset(wave(48), TARGET_CHANNEL, 4)
