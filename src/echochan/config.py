@@ -72,8 +72,8 @@ def _optional(kind):
 
 def _list_of(kind):
     def read(value, name):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
         return tuple(kind(item, f"{name}[{i}]") for i, item in enumerate(value))
 
     return read
@@ -256,12 +256,13 @@ class RunConfig:
     def sweep_spec(self, axis: SweepAxis, datasets) -> SweepSpec:
         """The sweep of ``axis`` over its list ``sweep.<axis>_values`` on
         ``datasets``. A value the axis's owner refuses is named by its key
-        and item, as a refused preset is."""
+        (and item), as a refused preset is."""
         key = f"{axis.value}_values"
+        values = getattr(self.sweep, key)
         try:
             return SweepSpec(
                 axis=axis,
-                values=getattr(self.sweep, key),
+                values=values,
                 base_config=self.reservoir,
                 method=self.readout,
                 datasets=datasets,
@@ -269,9 +270,10 @@ class RunConfig:
                 train_fraction=self.train_fraction,
             )
         except ConfigError as exc:
-            if exc.item is None:
+            if exc.item is None and values:  # not the list's fault: repeats, datasets
                 raise
-            raise ConfigError(f"invalid sweep.{key}[{exc.item}]: {exc}") from exc
+            where = "" if exc.item is None else f"[{exc.item}]"
+            raise ConfigError(f"invalid sweep.{key}{where}: {exc}") from exc
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

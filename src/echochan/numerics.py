@@ -35,7 +35,7 @@ from .errors import ConvergenceError, DefinitenessError, NonFiniteError, ShapeEr
 SYMMETRY_RTOL = 1e-9
 # Rows of an N x N array handled at a time wherever a whole-array
 # expression would make an N x N temporary: the symmetry and finiteness
-# checks, the accumulator merge and the container codec.
+# checks and the container codec.
 BAND = 64
 
 # CBLAS enum values: row-major, upper triangle, C = A^T A.

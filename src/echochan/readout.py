@@ -30,7 +30,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DefinitenessError, RankError, ShapeError
-from .numerics import BAND, add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
+from .numerics import add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
 from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
 
 
@@ -161,14 +161,8 @@ def merge(first: Accumulators, second: Accumulators) -> Accumulators:
             f"cannot merge accumulators of shapes a {first.a.shape}/{second.a.shape}, "
             f"b {first.b.shape}/{second.b.shape}"
         )
-    # the second b copied, then the first added a band at a time: one new
-    # N x N array, the same bytes as the sum written out
-    b = second.b.copy()
-    for i0 in range(0, len(b), BAND):
-        b[i0 : i0 + BAND] += first.b[i0 : i0 + BAND]
-    return Accumulators(
-        a=first.a + second.a, b=b, samples_seen=first.samples_seen + second.samples_seen
-    )
+    a, b = first.a + second.a, first.b + second.b
+    return Accumulators(a=a, b=b, samples_seen=first.samples_seen + second.samples_seen)
 
 
 def solve(acc: Accumulators, method: RegressionMethod) -> ReadoutModel:

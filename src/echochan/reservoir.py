@@ -27,7 +27,8 @@ one chunk with blocks shortened to the same budget.
 
 A few long sequences from the zero state, not closing the loop, are
 stepped in time segments instead, all in one wider chunk, by the one
-split rule, segment layout and seam fallback of ``_Segments``. Split
+split rule, segment layout and seam fallback of ``_Segments``; each
+segment reads its drive in place, so they split at any length. Split
 states differ from unsplit ones by rounding, which cond(B + lambda I)
 amplifies into ``w_out``.
 """
@@ -341,7 +342,7 @@ def _blocks(r, inputs, teacher, initial_state, w_out, split, width):
         raise ShapeError(
             f"inputs must be S x {config.input_dim} x T, got shape {inputs.shape}"
         )
-    count, k, total = inputs.shape
+    count, _, total = inputs.shape
     if total <= washout:
         raise ShapeError(f"sequence length {total} leaves no states after washout {washout}")
     if w_out is not None:
@@ -370,29 +371,31 @@ def _blocks(r, inputs, teacher, initial_state, w_out, split, width):
     if width is None:
         width = min(max(count, 1), CHUNK * BLOCK)
     steps = CHUNK * BLOCK // width
-    unsplit = _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout)
+    unsplit = _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, [0], total)
     if split and initial_state is None and w_out is None:
-        channels = k if teacher is None else k + teacher.shape[1]
-        plan = _Segments.plan(count, total, washout, n, channels, min(total, steps))
+        plan = _Segments.plan(count, total, washout, min(total, steps))
         if plan is not None:
-            cut = None if teacher is None else plan.cut(teacher)
-            stepped = _step_blocks(r, plan.cut(inputs), cut, x0, None, plan.width, plan.steps, 0)
+            stepped = _step_blocks(
+                r, inputs, teacher, x0, None, plan.width, plan.steps, 0, plan.starts, plan.window
+            )
             return plan.blocks(stepped, unsplit)
     return unsplit
 
 
-def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
+def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, starts, length):
     """The generator behind ``_blocks``, which checks its arguments first:
-    ``width`` sequences per chunk in blocks of ``steps`` time steps; it
-    yields no state of a step before ``washout``.
+    ``width`` chunk rows in blocks of ``steps`` time steps, ``length`` in
+    all; it yields no state of a step before ``washout``. Row p * C + c of
+    a chunk of C sequences steps sequence c from time ``starts[p]`` (``[0]``
+    unsplit), reading its drive in place at that time; past T it is zero.
 
     A teacher is known before stepping, so y(t-1) (y(-1) = 0) joins u(t)
     as input channels: a block's drive is one product of [u; y] with
-    [w_in | w_fb] per sequence, written into the time-major block. Step j
-    then adds ``x @ w.T`` (and, closing the loop, the fed-back readout)
-    to its contiguous C x N slab ``block[j]``, applies the activation and
-    writes the states back. It yields ``block.transpose(1, 0, 2)`` past
-    the washout.
+    [w_in | w_fb] per sequence and segment, written into the time-major
+    block. Step j then adds ``x @ w.T`` (and, closing the loop, the
+    fed-back readout) to its contiguous slab ``block[j]``, applies the
+    activation and writes the states back. It yields
+    ``block.transpose(1, 0, 2)`` past the washout.
     """
     activation = r.config.activation.apply
     count, _, total = inputs.shape
@@ -402,24 +405,31 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout):
     # chunks.
     w_t, w_fb_t = r.w.T, r.w_fb.T
     w_drive_t = (r.w_in if teacher is None else np.hstack([r.w_in, r.w_fb])).T
-    buffer = np.empty((min(steps, total), min(width, count), r.config.reservoir_size))
-    for first in range(0, count, width):
-        u = inputs[first : first + width]
-        y = None if teacher is None else teacher[first : first + width]
-        x = np.tile(x0, (u.shape[0], 1))
-        for t0 in range(0, total, steps):
-            block = buffer[: min(steps, total - t0), : u.shape[0]]
+    parts = len(starts)
+    buffer = np.empty((min(steps, length), min(width, parts * count), r.config.reservoir_size))
+    for first in range(0, count, width // parts):
+        chunk = slice(first, first + width // parts)
+        u, y = inputs[chunk], None if teacher is None else teacher[chunk]
+        c = u.shape[0]
+        x = np.tile(x0, (parts * c, 1))
+        for t0 in range(0, length, steps):
+            block = buffer[: min(steps, length - t0), : parts * c]
             b = block.shape[0]
-            drive = u[:, :, t0 : t0 + b]
-            if y is not None:
-                # y(t - 1) for every t of the block, with y(-1) = 0
-                y_prev = np.zeros((u.shape[0], y.shape[1], b))
-                start = max(t0 - 1, 0)
-                y_prev[:, :, start + 1 - t0 :] = y[:, :, start : t0 + b - 1]
-                drive = np.concatenate([drive, y_prev], axis=1)
-            # The drive of the whole block, one product per sequence; each
-            # step then overwrites its slab with the states.
-            np.matmul(drive.transpose(0, 2, 1), w_drive_t, out=block.transpose(1, 0, 2))
+            for p, begin in enumerate(starts):
+                # segment p's rows from time t, of which a steps are before T
+                t = begin + t0
+                rows, a = block[:, p * c : (p + 1) * c], min(b, max(total - t, 0))
+                drive = u[:, :, t : t + a]
+                if y is not None:
+                    # y(t - 1) for every t of the block, with y(-1) = 0
+                    y_prev = np.zeros((c, y.shape[1], a))
+                    start = max(t - 1, 0)
+                    y_prev[:, :, start + 1 - t :] = y[:, :, start : t + a - 1]
+                    drive = np.concatenate([drive, y_prev], axis=1)
+                # The drive of the whole block, one product per sequence and
+                # segment; each step then overwrites its slab with the states.
+                np.matmul(drive.transpose(0, 2, 1), w_drive_t, out=rows[:a].transpose(1, 0, 2))
+                rows[a:] = 0.0
             for j in range(b):
                 pre = block[j]
                 pre += x @ w_t
@@ -448,16 +458,17 @@ class _Segments:
     as its drive is its own prediction, nor are wider calls, whose chunk
     is wide already.
 
-    Each sequence is cut into P segments, laid out segment-major (row p *
-    S + s is segment p of sequence s), and stepped for W + L steps, W =
-    ``WARMUP``, L = ceil((T - W) / P): segment 0 keeps times [0, W + L),
-    and segment p >= 1 starts from the zero state at time p * L and keeps
-    [W + p * L, W + (p + 1) * L), its first W states dropped; inputs past T
-    are zero and their states dropped, and so are states before the
-    washout. So segment p - 1 steps through segment p's warm-up, and both
-    have a state at time W + p * L - 1: that seam holds when they agree
-    within ``SEAM_TOL``. A failed seam shows only after the last block;
-    then ``blocks`` yields None and the unsplit call's blocks.
+    Each sequence is stepped as P segments, laid out segment-major (row p
+    * S + s is segment p of sequence s), each reading its drive in place,
+    for W + L steps, W = ``WARMUP``, L = ceil((T - W) / P): segment 0
+    keeps times [0, W + L), and segment p >= 1 starts from the zero state
+    at time p * L and keeps [W + p * L, W + (p + 1) * L), its first W
+    states dropped; drives past T are zero and their states dropped, and
+    so are states before the washout. So segment p - 1 steps through
+    segment p's warm-up, and both have a state at time W + p * L - 1: that
+    seam holds when they agree within ``SEAM_TOL``. A failed seam shows
+    only after the last block; then ``blocks`` yields None and the unsplit
+    call's blocks.
     """
 
     def __init__(self, count, total, parts, washout):
@@ -477,30 +488,19 @@ class _Segments:
         self.warm = self.held = None
 
     @classmethod
-    def plan(cls, count, total, washout, n, channels, unsplit):
+    def plan(cls, count, total, washout, unsplit):
         """The split of a call with the most segments that fits (at most
         ``CHUNK`` // S, none for S >= ``CHUNK // 2``), or None: its blocks
         are shortened so that a block, the step temporaries and seam copies
-        (5 N per chunk row) and the segment inputs (``channels`` per step)
-        hold no more values than an unsplit block of S * ``unsplit`` state
-        rows, and must still hold ``FOLD_STEPS`` steps."""
+        (5 N per chunk row) hold no more values than an unsplit block of S
+        * ``unsplit`` state rows (segments read their drive in place), and
+        must still hold ``FOLD_STEPS`` steps."""
         for parts in range(CHUNK // count, 1, -1) if 0 < count < CHUNK // 2 else ():
             plan = cls(count, total, parts, washout)
-            budget = count * unsplit * n - plan.width * (5 * n + channels * plan.window)
-            plan.steps = budget // (plan.width * n)
+            plan.steps = count * unsplit // plan.width - 5
             if plan.fits and plan.steps >= FOLD_STEPS:
                 return plan
         return None
-
-    def cut(self, whole):
-        """The segments of ``whole`` (S x C x T): a P * S x C x (W + L)
-        array, zero past T."""
-        count, window = self.count, self.window
-        segments = np.zeros((self.width, whole.shape[1], window))
-        for p, start in enumerate(self.starts):
-            piece = whole[:, :, start : start + window]
-            segments[p * count : (p + 1) * count, :, : piece.shape[2]] = piece
-        return segments
 
     def kept(self, t0, states):
         """``(rows, j0, j1, t)`` of each segment's kept states in a stepped

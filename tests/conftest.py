@@ -45,10 +45,11 @@ def step_calls(monkeypatch) -> list:
     calls = []
     step = reservoir._step_blocks
 
-    def recorded(r, inputs, teacher, x0, w_out, width, steps, washout):
+    def recorded(r, inputs, teacher, x0, w_out, width, steps, washout, starts, length):
         blocks = []
         calls.append((width, steps, blocks))
-        for first, t0, states in step(r, inputs, teacher, x0, w_out, width, steps, washout):
+        stepped = step(r, inputs, teacher, x0, w_out, width, steps, washout, starts, length)
+        for first, t0, states in stepped:
             blocks.append((t0, states.shape))
             yield first, t0, states
 

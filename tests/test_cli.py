@@ -358,7 +358,8 @@ class TestSweep:
         path.write_text(yaml.safe_dump(dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], radius_values=[]))))
         code = run("--config", str(path), "sweep", "--axis", "radius", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))
         assert code == 2
-        assert capsys.readouterr().err == "error: sweep.radius_values must be a non-empty list, got []\n"
+        err = "error: invalid sweep.radius_values: sweep needs at least one axis value\n"
+        assert capsys.readouterr().err == err
 
     def test_unknown_axis_exits_2(self, config_path, dataset_path, tmp_path):
         code = run("--config", config_path, "sweep", "--axis", "bogus", "--data", dataset_path, "-o", str(tmp_path / "s.csv"))

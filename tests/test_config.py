@@ -337,8 +337,19 @@ class TestParsedValues:
         "key", ["radius_values", "size_values", "init_values", "activation_values", "regression_values"]
     )
     def test_empty_sweep_list_rejected(self, key):
-        with pytest.raises(ConfigError, match=rf"sweep\.{key} must be a non-empty list, got \[\]"):
-            parse_config(minimal_raw(sweep={key: []}))
+        # parsing takes the list; the sweep of its axis refuses it by key
+        config = parse_config(minimal_raw(sweep={key: []}))
+        axis = SweepAxis(key.removesuffix("_values"))
+        message = rf"^invalid sweep\.{key}: sweep needs at least one axis value$"
+        with pytest.raises(ConfigError, match=message):
+            config.sweep_spec(axis, (("d", None),))
+
+    def test_empty_taps_refused_by_multipath(self):
+        raw = minimal_raw()
+        raw["channels"]["mp"]["taps"] = []
+        message = r"^invalid channels\.mp: multipath channel needs at least one tap$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(raw)
 
     def test_reservoir_seed_follows_master_seed(self):
         config = parse_config(minimal_raw(master_seed=99))

@@ -60,19 +60,17 @@ def split_width(sequences, steps=STEPS):
     return sequences * min(CHUNK // sequences, (steps - warmup) // warmup)
 
 
-def fold_width(sequences, steps=STEPS, n=60, channels=2, rows=BLOCK):
+def fold_width(sequences, steps=STEPS, rows=BLOCK):
     """S * P of a split fold: the most segments, at most as many as
     ``split_width`` gives, whose block holds ``FOLD_STEPS`` steps once the
-    segment inputs (``channels`` per step, the teacher's too), the step
-    temporaries and the seam copies (5 N per chunk row) are taken from the
-    unsplit fold's S * min(T, ``rows``) state rows; None when none does.
+    step temporaries and the seam copies (5 N per chunk row) are taken
+    from the unsplit fold's S * min(T, ``rows``) state rows; None when none
+    does. The segments read their drive in place, so it takes no rows.
     ``predictions`` plans the same way from its own unsplit rows,
     ``CHUNK * BLOCK // S`` per sequence."""
-    warmup = reservoir_mod.WARMUP
     for parts in range(split_width(sequences, steps) // sequences, 1, -1):
-        width, window = parts * sequences, warmup + -(-(steps - warmup) // parts)
-        budget = sequences * min(steps, rows) * n - width * (5 * n + channels * window)
-        if budget // (width * n) >= FOLD_STEPS:
+        width = parts * sequences
+        if sequences * min(steps, rows) // width - 5 >= FOLD_STEPS:
             return width
     return None
 
@@ -126,17 +124,27 @@ class TestMatchesSerial:
         np.testing.assert_allclose(segmented, expected, rtol=0, atol=PREDICTION_RTOL * scale)
 
     def test_blocks_keep_fold_steps(self, step_calls):
-        # at N = 20, 16 segments of one sequence of 8000 steps leave blocks
-        # of under FOLD_STEPS steps: the call takes the most segments that
-        # keep FOLD_STEPS, as the fold does
+        # 16 segments of a fold of one sequence of 8000 steps leave blocks of
+        # under FOLD_STEPS steps (64 // P - 5 >= 8 caps P at 4): the call
+        # takes the most segments that keep FOLD_STEPS
         steps = 8000
-        r = build(config(reservoir_size=20))
-        u, w_out = inputs(1, steps=steps), readout(20)
-        segmented = predictions(r, u, w_out)
-        width = fold_width(1, steps, n=20, rows=CHUNK * BLOCK)
+        r = build(config())
+        data = dataset(1, steps=steps)
+        split = accumulate_dataset(r, data)
+        width = fold_width(1, steps)
         assert width is not None and 1 < width < split_width(1, steps)
         assert widths(step_calls) == [width]
         assert step_calls[0][1] >= FOLD_STEPS
+        TestFold().check_close(split, unsplit_fold(r, data), steps)
+
+    def test_long_sequence_is_split_in_16_rows(self, step_calls):
+        # a recording of 40,000 steps: the segments read their drive in
+        # place, so no copy of it takes rows from the blocks
+        steps = 40_000
+        r = build(config(reservoir_size=20))
+        u, w_out = inputs(1, steps=steps), readout(20)
+        segmented = predictions(r, u, w_out)
+        assert widths(step_calls) == [CHUNK] == [fold_width(1, steps, rows=CHUNK * BLOCK)]
         expected = serial_predictions(r, u, w_out)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(segmented, expected, rtol=0, atol=PREDICTION_RTOL * scale)
@@ -291,12 +299,12 @@ class TestFold:
     @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
     @pytest.mark.parametrize("washout", [0, 150])
     def test_teacher_forced_feedback(self, step_calls, washout, sequences):
-        # the teacher is cut into segments with the inputs, so each segment
-        # has 4 input channels; at N = 60 one sequence would not split
+        # each segment reads the teacher in place with the inputs, from
+        # y = teacher(start - 1) at its first step
         r = build(config(use_feedback=True, reservoir_size=300, washout=washout))
         data = dataset(sequences)
         split = accumulate_dataset(r, data)
-        width = fold_width(sequences, n=300, channels=4)
+        width = fold_width(sequences)
         assert width is not None and width > sequences
         assert widths(step_calls) == [width]
         self.check_close(split, unsplit_fold(r, data), sequences * (STEPS - washout))
@@ -315,7 +323,7 @@ class TestFold:
         refolded = accumulate_dataset(r, data)
         # the split pass, then the fold started over on the unsplit blocks,
         # the training layout's: both sequences in one chunk of CHUNK
-        width = fold_width(2, n=300, channels=4 if use_feedback else 2)
+        width = fold_width(2)
         assert width is not None
         assert widths(step_calls) == [width, CHUNK]
         unsplit = unsplit_fold(r, data)
@@ -344,13 +352,25 @@ class TestFold:
         list(state_blocks(r, u, split=True))
         assert widths(step_calls) == [CHUNK, CHUNK, fold_width(2)]
 
+    @pytest.mark.parametrize("use_feedback", [False, True])
+    def test_long_recordings_are_split(self, step_calls, use_feedback):
+        # two recordings of 20,000 steps: the segments read their drive in
+        # place, so the fold splits them at any length
+        steps = 20_000
+        r = build(config(use_feedback=use_feedback))
+        data = dataset(2, steps=steps)
+        split = accumulate_dataset(r, data)
+        width = fold_width(2, steps)
+        assert width is not None and width > 2
+        assert widths(step_calls) == [width]
+        self.check_close(split, unsplit_fold(r, data), 2 * steps)
+
     @pytest.mark.parametrize("sequences", [1, 2, CHUNK // 2 - 1])
-    @pytest.mark.parametrize("steps", [578, 4000])
+    @pytest.mark.parametrize("steps", [578, 4000, 20_000])
     def test_peak_no_higher_than_unsplit(self, monkeypatch, step_calls, sequences, steps):
-        n = TestMemory.N
-        r = build(config(reservoir_size=n))
+        r = build(config(reservoir_size=TestMemory.N))
         data = dataset(sequences, steps=steps)
-        width = fold_width(sequences, steps, n=n)
+        width = fold_width(sequences, steps)
         # each plan runs once untraced, so one-time allocations count for neither
         accumulate_dataset(r, data)
         split = traced_peak(lambda: accumulate_dataset(r, data))
