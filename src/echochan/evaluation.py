@@ -190,9 +190,9 @@ def evaluate(r: Reservoir, model: ReadoutModel, dataset: SequenceDataset) -> Met
     reservoir has feedback, feeds the model's own previous prediction back
     (no teacher forcing at evaluation time). It steps a few long
     open-loop sequences in time segments by the split rule of
-    ``reservoir._Segments``, the training fold's, and after a failed seam
-    it reads out the same call's unsplit blocks over every prediction.
-    All predictions are scored together by ``mape``.
+    ``reservoir._Segments``, the training fold's, and a failed seam steps
+    the whole call again unsplit. All predictions are scored together by
+    ``mape``.
     """
     readout_mod.check_dataset(r.config, dataset)
     targets = dataset.targets[:, :, r.config.washout :]

@@ -10,16 +10,18 @@ accumulator comes from one fold (``_fold``) or one sum (``merge``). The
 weight w_i is the weight of the dataset pair i comes from: 1 for a
 ``fit``, and ``(1 - alpha, alpha)`` for the target and the source of a
 ``fine_tune`` blend, which is one fold of both datasets into one a and
-one b. The fold is associative and commutative, so sequences can be
-accumulated in any partition and merged; the result changes only by
-rounding. ``_fold`` adds each state block to b's upper triangle in place
-(``numerics.add_gram_upper``, whose contract is float64 rows of unit
-column stride at a row stride of at least N, as one sequence's rows of a
-time-major block of ``state_blocks`` are, and a C-contiguous b) and
-mirrors b once at the end. So b is exactly symmetric, and on numpy's
-OpenBLAS the ridge and linear solves factor it in place and restore it
+one b; a dataset of weight 0 is not folded. The fold is associative and
+commutative, so sequences can be accumulated in any partition and
+merged; the result changes only by rounding. ``_fold`` adds each state
+block to b's upper triangle in place (``numerics.add_gram_upper``, whose
+contract is float64 rows of unit column stride at a row stride of at
+least N, as one sequence's rows of a time-major block of
+``state_blocks`` are, and a C-contiguous b) and mirrors b once at the
+end. So b is exactly symmetric, and on numpy's OpenBLAS the ridge and
+linear solves factor it in place and restore it
 (``numerics.solve_spd``): a fit or a blend holds b, the state block and
-O(N * L), and no second N x N array.
+O(N * L), and no second N x N array. A fold is one split call of
+``reservoir.run_split``: after a failed seam it runs once more, unsplit.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DefinitenessError, RankError, ShapeError
 from .numerics import add_gram_upper, as_matrix, frozen, mirror_upper, solve_spd
-from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, state_blocks
+from .reservoir import Reservoir, ReservoirConfig, StateTrajectory, run_split, state_blocks
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,9 @@ def _fold(n: int, l: int, pairs) -> Accumulators:
     apart) and y the (L, steps) targets, into new accumulators: x goes
     into b's upper triangle in place at ``weight``, ``weight * (y @ x)``
     into a, and b is mirrored once at the end. ``samples_seen`` counts the
-    rows folded, unweighted. A None in ``pairs`` starts the fold over: a,
-    b and the sample count are zeroed in place."""
+    rows folded, unweighted."""
     a, b, samples = np.zeros((l, n)), np.zeros((n, n)), 0
     for pair in pairs:
-        if pair is None:
-            a[...], b[...], samples = 0.0, 0.0, 0
-            continue
         x, y, weight = pair
         del pair
         add_gram_upper(b, x, weight)
@@ -239,23 +237,21 @@ def accumulate_dataset(r: Reservoir, *datasets, weights=None) -> Accumulators:
     """Harvest every sequence of ``datasets`` and fold them into one set
     of accumulators, dataset k's pairs at ``weights[k]`` (1 for each when
     None): one dataset for ``fit``, and a transfer blend's target, then
-    its source, for ``fine_tune``. ``samples_seen`` counts the rows of
-    every dataset, unweighted. Every dataset is checked before any is
-    stepped.
+    its source, for ``fine_tune``. A dataset of weight 0 is not stepped.
+    ``samples_seen`` counts the rows of every dataset folded, unweighted.
+    Every dataset is checked before any is stepped.
 
     States come from ``state_blocks`` at its default width (``CHUNK``
     sequences, ``BLOCK`` steps per block) and are folded per sequence, in
     dataset order, then sequence order within each block, so memory stays
     O(CHUNK * BLOCK * N) and the fold's summation order does not depend
     on the dataset size. Each sequence's rows of a block are one pair of
-    ``_fold``. Each dataset asks for ``split``, so a few long sequences
-    are stepped in time segments by the split rule of
-    ``reservoir._Segments``: each segment's kept rows of a block are then
-    one pair. A failed seam of dataset k zeroes the shared sums; the fold
-    then replays datasets 0 to k - 1 unsplit and goes on with k's unsplit
-    blocks, which gives the bytes of a fold with nothing split. The
-    targets are always passed as the teacher; ``state_blocks`` uses them
-    only when the reservoir has feedback.
+    ``_fold``. The whole fold is one split call of ``reservoir.run_split``,
+    so a few long sequences are stepped in time segments by the split rule
+    of ``reservoir._Segments``, each segment's kept rows of a block one
+    pair, and a failed seam of any dataset gives the bytes of the fold
+    with nothing split. The targets are always passed as the teacher;
+    ``state_blocks`` uses them only when the reservoir has feedback.
     """
     config = r.config
     if not datasets:
@@ -266,27 +262,17 @@ def accumulate_dataset(r: Reservoir, *datasets, weights=None) -> Accumulators:
     if len(weights) != len(datasets):
         raise ShapeError(f"{len(weights)} weights for {len(datasets)} datasets")
 
-    def pairs(k, split):
-        dataset, weight = datasets[k], weights[k]
-        for block in state_blocks(r, dataset.inputs, teacher=dataset.targets, split=split):
-            if block is None:  # a failed seam: the unsplit blocks follow
-                yield None
+    def pairs(split):
+        for dataset, weight in zip(datasets, weights):
+            if weight == 0.0:
                 continue
-            first, t0, states = block
-            for i, x in enumerate(states):
-                yield x, dataset.targets[first + i, :, t0 : t0 + len(x)], weight
-            del states, x  # no view of a stepped block outlives it
+            blocks = state_blocks(r, dataset.inputs, teacher=dataset.targets, split=split)
+            for first, t0, states in blocks:
+                for i, x in enumerate(states):
+                    yield x, dataset.targets[first + i, :, t0 : t0 + len(x)], weight
+                del states, x  # no view of a stepped block outlives it
 
-    def blend():
-        for k in range(len(datasets)):
-            for pair in pairs(k, True):
-                yield pair
-                if pair is None:  # _fold zeroed the sums: the datasets before k again
-                    for earlier in range(k):
-                        yield from pairs(earlier, False)
-                del pair  # a dataset's last block is dropped before the next one steps
-
-    return _fold(config.reservoir_size, config.output_dim, blend())
+    return run_split(lambda split: _fold(config.reservoir_size, config.output_dim, pairs(split)))
 
 
 def fit(r: Reservoir, dataset, method: RegressionMethod = Ridge()) -> ReadoutModel:

@@ -11,8 +11,8 @@ State update, with f the configured activation, stepped by one
 generator, ``_step_blocks``, for a chunk of sequences at once, both
 teacher-forced (training, through ``state_blocks``) and closed-loop
 (evaluation, through ``predictions``); both reach it through one entry,
-``_blocks``, which checks the arguments, decides feedback, plans a split
-and falls back:
+``_blocks``, which checks the arguments, decides feedback and plans a
+split:
 
     x(t) = f(w_in @ u(t) + w @ x(t-1) + w_fb @ y(t-1))
 
@@ -27,10 +27,12 @@ one chunk with blocks shortened to the same budget.
 
 A few long sequences from the zero state, not closing the loop, are
 stepped in time segments instead, all in one wider chunk, by the one
-split rule, segment layout and seam fallback of ``_Segments``; each
-segment reads its drive in place, so they split at any length. Split
-states differ from unsplit ones by rounding, which cond(B + lambda I)
-amplifies into ``w_out``.
+split rule and segment layout of ``_Segments``; each segment reads its
+drive in place, so they split at any length. Split states differ from
+unsplit ones by rounding, which cond(B + lambda I) amplifies into
+``w_out``. A split call, a fold of one or more datasets or an open-loop
+``predictions``, runs through ``run_split``: a failed seam anywhere in it
+runs the whole call again with nothing split, for exactly its bytes.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ BLOCK = 64
 WARMUP = 64
 # Largest difference allowed at a seam between a segment's last warm-up
 # state and its predecessor's state at the same time, relative to
-# max(1, |state|); one larger makes the call be stepped unsplit.
+# max(1, |state|); one larger makes ``run_split`` run the call unsplit.
 SEAM_TOL = 1e-14
 # Fewest steps a block of a split call may hold: the fold adds each
 # segment's rows of a block with one dsyrk, which costs about 2.5x as much
@@ -318,9 +320,9 @@ def state_blocks(r: Reservoir, inputs, teacher=None, initial_state=None, w_out=N
 
     ``split`` lets the call be stepped in time segments by the split
     rule of ``_Segments``; each block yielded is then one segment's kept
-    states, in the same form. A failed seam shows only after the last
-    block: then it yields None and the unsplit call's blocks, and the
-    caller starts over.
+    states, in the same form. A split call runs inside ``run_split``: a
+    failed seam, which shows only at the last block, raises out of the
+    blocks to it.
     """
     return _blocks(r, inputs, teacher, initial_state, w_out, split, CHUNK)
 
@@ -332,8 +334,7 @@ def _blocks(r, inputs, teacher, initial_state, w_out, split, width):
     them, then steps ``width`` sequences per chunk (or all S of the call
     in one, at most ``CHUNK * BLOCK``, when ``width`` is None) in blocks
     of ``CHUNK * BLOCK // width`` steps. With ``split`` it asks
-    ``_Segments.plan`` for a split and, given one, returns its blocks
-    with these as the fallback.
+    ``_Segments.plan`` for a split and, given one, returns its blocks.
     """
     config = r.config
     n, washout = config.reservoir_size, config.washout
@@ -371,15 +372,13 @@ def _blocks(r, inputs, teacher, initial_state, w_out, split, width):
     if width is None:
         width = min(max(count, 1), CHUNK * BLOCK)
     steps = CHUNK * BLOCK // width
-    unsplit = _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, [0], total)
     if split and initial_state is None and w_out is None:
         plan = _Segments.plan(count, total, washout, min(total, steps))
         if plan is not None:
-            stepped = _step_blocks(
+            return plan.blocks(_step_blocks(
                 r, inputs, teacher, x0, None, plan.width, plan.steps, 0, plan.starts, plan.window
-            )
-            return plan.blocks(stepped, unsplit)
-    return unsplit
+            ))
+    return _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, [0], total)
 
 
 def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, starts, length):
@@ -442,11 +441,29 @@ def _step_blocks(r, inputs, teacher, x0, w_out, width, steps, washout, starts, l
                 yield first, t0 + skip, block[skip:].transpose(1, 0, 2)
 
 
+class _SeamFailed(Exception):
+    """A seam of a split call failed: raised by ``_Segments.kept``, caught
+    by ``run_split``."""
+
+
+def run_split(compute):
+    """``compute(split)``, the whole of a split call, run with ``split``
+    True and, when a seam of that attempt fails, once more with nothing
+    split: a failed seam anywhere gives exactly the bytes of the same call
+    unsplit, and no later dataset of the call tries to split. The restart
+    steps only after the failed attempt's stepping buffer, accumulators
+    and predictions are freed, so a failed seam costs time, not memory."""
+    try:
+        return compute(True)
+    except _SeamFailed:
+        pass  # restart outside the handler, whose traceback holds the failed attempt
+    return compute(False)
+
+
 class _Segments:
     """The time segments of a call of S sequences of T steps, stepped as
     one chunk of P * S rows in blocks of ``steps`` steps: the one segment
-    layout, split rule and seam fallback of every stepping call
-    (``_blocks``).
+    layout and split rule of every stepping call (``_blocks``).
 
     The split rule: a call that asks for it (a training fold, or an
     open-loop ``predictions``), of fewer than ``CHUNK // 2`` sequences,
@@ -467,8 +484,7 @@ class _Segments:
     so are states before the washout. So segment p - 1 steps through
     segment p's warm-up, and both have a state at time W + p * L - 1: that
     seam holds when they agree within ``SEAM_TOL``. A failed seam shows
-    only after the last block; then ``blocks`` yields None and the unsplit
-    call's blocks.
+    only at the last block, which raises ``_SeamFailed`` for ``run_split``.
     """
 
     def __init__(self, count, total, parts, washout):
@@ -485,7 +501,7 @@ class _Segments:
         ]
         # a seam: step W - 1 of segment p >= 1 is the last step of p - 1
         self.seam = WARMUP - 1
-        self.warm = self.held = None
+        self.warm = None
 
     @classmethod
     def plan(cls, count, total, washout, unsplit):
@@ -507,7 +523,8 @@ class _Segments:
         block (``states``, P * S x b x N, from step t0): its chunk rows,
         its steps [j0, j1) of the block, and the time of step j0. Watches
         the seams on the way: the block holding their first step copies
-        it, and the one holding the last compares them."""
+        it, and the one holding the last compares them and raises
+        ``_SeamFailed`` when one differs by more than ``SEAM_TOL``."""
         count, b = self.count, states.shape[1]
         if t0 <= self.seam < t0 + b:
             self.warm = states[count:, self.seam - t0].copy()
@@ -515,24 +532,20 @@ class _Segments:
             last, gap = states[:-count, self.window - 1 - t0], self.warm
             gap -= last  # in place, like the scale: no temporary of the seam rows
             gap = np.abs(gap, out=gap).max()
-            self.held = gap <= SEAM_TOL * max(1.0, last.max(), -last.min())
+            if not gap <= SEAM_TOL * max(1.0, last.max(), -last.min()):
+                raise _SeamFailed
             self.warm = None
         for p, ((lo, hi), start) in enumerate(zip(self.keep, self.starts)):
             j0, j1 = max(lo, t0), min(hi, t0 + b)
             if j0 < j1:
                 yield slice(p * count, (p + 1) * count), j0 - t0, j1 - t0, start + j0
 
-    def blocks(self, stepped, unsplit):
+    def blocks(self, stepped):
         """The kept states of the blocks of ``stepped`` as ``state_blocks``
-        yields them, one segment at a time; then, when a seam failed, None
-        and the blocks of ``unsplit``."""
+        yields them, one segment at a time."""
         for _, t0, states in stepped:
             for rows, j0, j1, t in self.kept(t0, states):
                 yield 0, t, states[rows, j0:j1]
-        del states  # the last stepped block, before an unsplit one is stepped
-        if not self.held:
-            yield None
-            yield from unsplit
 
 
 def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
@@ -543,24 +556,23 @@ def predictions(r: Reservoir, inputs, w_out) -> np.ndarray:
     step; with feedback the loop is closed through ``w_out``. The
     sequences are stepped as one chunk of S rows (at most ``CHUNK *
     BLOCK``) in blocks of ``CHUNK * BLOCK // S`` steps, and an open-loop
-    call is split in time segments by the split rule of ``_Segments``;
-    the states of each block, or of each segment, are read out as they
-    are stepped. After a failed seam, the unsplit blocks overwrite every
-    prediction; the split block is dropped first, so a failed seam costs
-    time, not memory.
+    call is split in time segments by the split rule of ``_Segments``,
+    through ``run_split``; the states of each block, or of each segment,
+    are read out as they are stepped.
     """
     inputs, w_out = np.asarray(inputs, dtype=np.float64), np.asarray(w_out, dtype=np.float64)
-    blocks = _blocks(r, inputs, None, None, w_out, True, None)
-    (count, _, total), washout = inputs.shape, r.config.washout
-    out = np.empty((count, len(w_out), total - washout))
-    for block in blocks:
-        if block is None:  # a failed seam: the unsplit blocks that follow overwrite it all
-            continue
-        first, t, states = block
-        y = w_out @ states.transpose(0, 2, 1)
-        out[first : first + len(y), :, t - washout : t - washout + y.shape[2]] = y
-        del block, states, y  # nothing read from a stepped block outlives it
-    return out
+
+    def predict(split):
+        blocks = _blocks(r, inputs, None, None, w_out, split, None)
+        (count, _, total), washout = inputs.shape, r.config.washout
+        out = np.empty((count, len(w_out), total - washout))
+        for first, t, states in blocks:
+            y = w_out @ states.transpose(0, 2, 1)
+            out[first : first + len(y), :, t - washout : t - washout + y.shape[2]] = y
+            del states, y  # nothing read from a stepped block outlives it
+        return out
+
+    return run_split(predict)
 
 
 def with_seed(config: ReservoirConfig, seed: int) -> ReservoirConfig:

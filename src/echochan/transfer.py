@@ -12,7 +12,7 @@ from __future__ import annotations
 from .channelsim import SequenceDataset
 from .errors import ConfigError
 from .evaluation import MetricReport, evaluate
-from .readout import ReadoutModel, RegressionMethod, accumulate_dataset, fit, solve
+from .readout import ReadoutModel, RegressionMethod, accumulate_dataset, solve
 from .reservoir import Reservoir
 
 
@@ -37,12 +37,9 @@ def fine_tune(
     method: RegressionMethod,
 ) -> ReadoutModel:
     """Solve the readout on ``alpha * source + (1 - alpha) * target``
-    statistics, folding only a dataset whose weight is not 0. A blend is
-    one fold, the target first: its few long sequences are the ones
-    stepped in time segments, so a failed seam of the source, which would
-    fold the target again, is rare."""
+    statistics: one fold of the target, then the source, at weights ``(1
+    - alpha, alpha)`` for every alpha, which steps only a dataset whose
+    weight is not 0 (at alpha 0 or 1, the bytes of a ``fit`` of the
+    other). A failed seam of either runs the whole fold again unsplit."""
     check_alpha(alpha)
-    if alpha in (0.0, 1.0):  # direct transfer or a plain target fit
-        return fit(r, source if alpha else target_train, method)
-    blended = accumulate_dataset(r, target_train, source, weights=(1.0 - alpha, alpha))
-    return solve(blended, method)
+    return solve(accumulate_dataset(r, target_train, source, weights=(1.0 - alpha, alpha)), method)

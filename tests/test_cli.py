@@ -509,7 +509,7 @@ class TestTransfer:
     )
     def test_folds_only_weighted_datasets(self, config_path, tmp_path, monkeypatch, mode, alpha,
                                           folded):
-        from echochan import readout, transfer
+        from echochan import readout
 
         paths = {name: str(tmp_path / f"{name}.esd") for name in ("src", "tt", "te")}
         sizes = {"src": 6, "tt": 5, "te": 4}  # a fold is known by its dataset's size
@@ -517,14 +517,13 @@ class TestTransfer:
             run("--config", config_path, "--seed", str(seed), "generate", "--preset", "echo",
                 "-n", str(sizes[name]), "-o", path)
         folds = []
-        original = readout.accumulate_dataset
+        original = readout.state_blocks
 
-        def counted(r, *datasets, **kwargs):
-            folds.extend(dataset.num_sequences for dataset in datasets)
-            return original(r, *datasets, **kwargs)
+        def counted(r, inputs, *args, **kwargs):  # the fold steps each dataset it folds
+            folds.append(len(inputs))
+            return original(r, inputs, *args, **kwargs)
 
-        monkeypatch.setattr(readout, "accumulate_dataset", counted)
-        monkeypatch.setattr(transfer, "accumulate_dataset", counted)
+        monkeypatch.setattr(readout, "state_blocks", counted)
         code = run(
             "--config", config_path, "transfer",
             "--source", paths["src"], "--target-train", paths["tt"], "--target-test", paths["te"],

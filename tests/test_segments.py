@@ -3,12 +3,12 @@ in time segments or not.
 
 An open-loop call of a few long sequences is stepped as P warmed-up
 segments per sequence in one chunk, and each seam is checked; when a seam
-fails, the call is stepped again unsplit. ``readout.accumulate_dataset``
-of a few long sequences is split the same way, teacher-forced too, and
-after a failed seam starts over and folds the call unsplit. The tests
-observe the plan through the ``_step_blocks`` calls it makes (the
-``step_calls`` fixture). Seam rounding depends on the BLAS thread count,
-so CI runs this file on one thread as well.
+fails, ``reservoir.run_split`` runs the call again unsplit.
+``readout.accumulate_dataset`` of a few long sequences is split the same
+way, teacher-forced too, and after a failed seam the whole fold runs
+again unsplit. The tests observe the plan through the ``_step_blocks``
+calls it makes (the ``step_calls`` fixture). Seam rounding depends on
+the BLAS thread count, so CI runs this file on one thread as well.
 """
 
 import numpy as np
@@ -263,6 +263,37 @@ class TestMemory:
         assert widths(step_calls) == [width, 2] * 2 + [2] * 2
         assert fallen_back <= serial + self.OBJECTS, f"peak {fallen_back} bytes, serial {serial}"
 
+    @pytest.mark.parametrize("datasets", [1, 2], ids=["fold", "blend"])
+    def test_failed_seam_fold_peak_no_higher_than_unsplit(self, monkeypatch, datasets):
+        # every seam fails, so the fold is stepped split, then once more
+        # unsplit (`TestFold.test_failed_seam_gives_unsplit_bytes` records
+        # the calls; `step_calls` is left out here, as its records of the
+        # split blocks would count in the peak): the failed attempt's block
+        # and accumulators are freed before the restart steps, and only a
+        # few small objects stay. Each peak is the least of 3 runs, as small
+        # objects move it by up to 4 KB from run to run.
+        monkeypatch.setattr(reservoir_mod, "SEAM_TOL", -1.0)
+        r = build(config(reservoir_size=self.N))
+        data = [dataset(2, seed=14 + k) for k in range(datasets)]
+        weights = (0.7, 0.3)[:datasets]
+        assert fold_width(2) is not None
+
+        def fold():
+            return accumulate_dataset(r, *data, weights=weights)
+
+        # each plan runs once untraced, so one-time allocations count for neither
+        restarted = fold()
+        fallen_back = min(traced_peak(fold) for _ in range(3))
+        # no room for 2 segments
+        monkeypatch.setattr(reservoir_mod, "WARMUP", STEPS)
+        unsplit = fold()
+        assert restarted.a.tobytes() == unsplit.a.tobytes()
+        assert restarted.b.tobytes() == unsplit.b.tobytes()
+        unsplit_peak = min(traced_peak(fold) for _ in range(3))
+        assert fallen_back <= unsplit_peak + self.OBJECTS, (
+            f"peak {fallen_back} bytes, unsplit {unsplit_peak}"
+        )
+
 
 class TestFold:
     """``accumulate_dataset`` of fewer than ``CHUNK // 2`` sequences of at
@@ -321,8 +352,8 @@ class TestFold:
         r = build(config(use_feedback=use_feedback, reservoir_size=300, washout=washout))
         data = dataset(2)
         refolded = accumulate_dataset(r, data)
-        # the split pass, then the fold started over on the unsplit blocks,
-        # the training layout's: both sequences in one chunk of CHUNK
+        # the split pass, then the fold run again unsplit, in the training
+        # layout: both sequences in one chunk of CHUNK
         width = fold_width(2)
         assert width is not None
         assert widths(step_calls) == [width, CHUNK]

@@ -64,11 +64,12 @@ def test_ctypes_only_in_numerics():
 
 
 def _owners(matches) -> set[str]:
-    """``module:function`` of every node under the package that ``matches``."""
+    """``module:function`` of every node under the package that ``matches``;
+    a nested function's nodes belong to the function that defines it."""
     owners = set()
 
     def visit(node, path, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner == "<module>":
             owner = node.name
         if matches(node):
             owners.add(f"{path.name}:{owner}")
@@ -100,28 +101,49 @@ def test_one_prediction_loop():
 def test_one_segment_layout_and_seam_rule():
     # every split call cuts its time segments by one layout
     # (`_Segments.__init__`, the one reader of WARMUP) and checks its seams
-    # by one comparison (`_Segments.kept`, the one reader of SEAM_TOL); the
-    # one stepping entry alone plans the splits (`_Segments.plan`) and falls
-    # back on a failed seam through one generator (`_Segments.blocks`, the
-    # one reader of the seam verdict `held`)
+    # by one comparison (`_Segments.kept`, the one reader of SEAM_TOL, which
+    # alone raises `_SeamFailed`); the one stepping entry alone plans the
+    # splits (`_Segments.plan`), and one restart (`run_split`, the one
+    # handler of `_SeamFailed`) runs both split calls, the fold and the
+    # predictions, again unsplit after a failed seam
     def reads(name):
         return lambda node: isinstance(node, ast.Name) and node.id == name and isinstance(
             node.ctx, ast.Load
         )
+
+    def names(node, name):
+        return any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
 
     layout, seams = _owners(reads("WARMUP")), _owners(reads("SEAM_TOL"))
     assert layout == {"reservoir.py:__init__"}, f"WARMUP is read in {sorted(layout)}"
     assert seams == {"reservoir.py:kept"}, f"SEAM_TOL is read in {sorted(seams)}"
     planners = _callers("plan")
     assert planners == {"reservoir.py:_blocks"}, f"the segments are planned in {sorted(planners)}"
-    fallbacks = _callers("blocks")
-    assert fallbacks == {"reservoir.py:_blocks"}, f"failed seams fall back in {sorted(fallbacks)}"
-    verdicts = _owners(
-        lambda node: isinstance(node, ast.Attribute)
-        and node.attr == "held"
-        and isinstance(node.ctx, ast.Load)
+    raisers = _owners(lambda node: isinstance(node, ast.Raise) and names(node, "_SeamFailed"))
+    assert raisers == {"reservoir.py:kept"}, f"_SeamFailed is raised in {sorted(raisers)}"
+    handlers = _owners(
+        lambda node: isinstance(node, ast.ExceptHandler) and names(node.type, "_SeamFailed")
     )
-    assert verdicts == {"reservoir.py:blocks"}, f"held is read in {sorted(verdicts)}"
+    assert handlers == {"reservoir.py:run_split"}, f"_SeamFailed is caught in {sorted(handlers)}"
+    namers = {owner.split(":")[0] for owner in _owners(lambda node: names(node, "_SeamFailed"))}
+    assert namers == {"reservoir.py"}, f"_SeamFailed is named in {sorted(namers)}"
+    restarts = _callers("run_split")
+    expected = {"readout.py:accumulate_dataset", "reservoir.py:predictions"}
+    assert restarts == expected, f"run_split is called from {sorted(restarts)}"
+    # the stepping generators hand out (first, t0, states) blocks only: no
+    # None in the block stream, so no fold resets and no prediction skips
+    tree = ast.parse((PACKAGE / "reservoir.py").read_text())
+    generators = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_step_blocks", "blocks")
+    ]
+    assert len(generators) == 2
+    for generator in generators:
+        for node in ast.walk(generator):
+            if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                assert isinstance(node, ast.Yield) and isinstance(node.value, ast.Tuple), (
+                    f"{generator.name}:{node.lineno} yields something other than a block"
+                )
 
 
 def test_one_csv_writer():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from echochan import reservoir as reservoir_mod
-from echochan.channelsim import Multipath, Tap, WaveformSpec, generate_dataset
+from echochan.channelsim import Multipath, SequenceDataset, Tap, WaveformSpec, generate_dataset
 from echochan.errors import ShapeError
 from echochan.readout import Accumulators, Ridge, accumulate_dataset, fit, merge, solve
 from echochan.reservoir import CHUNK, ReservoirConfig, build
@@ -70,12 +70,25 @@ class TestFineTune:
     def test_alpha_zero_equals_target_fit(self, reservoir, source, target_train):
         tuned = fine_tune(reservoir, source, target_train, 0.0, Ridge())
         plain = fit(reservoir, target_train, Ridge())
-        assert np.abs(tuned.w_out - plain.w_out).max() < 1e-12
+        assert tuned.w_out.tobytes() == plain.w_out.tobytes()
 
     def test_alpha_one_equals_source_solve(self, reservoir, source, target_train):
         tuned = fine_tune(reservoir, source, target_train, 1.0, Ridge())
-        source_only = solve(accumulate_dataset(reservoir, source), Ridge())
-        np.testing.assert_array_equal(tuned.w_out, source_only.w_out)
+        source_only = solve(accumulate_dataset(reservoir, source), Ridge())  # a source fit
+        assert tuned.w_out.tobytes() == source_only.w_out.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_zero_weight_dataset_is_not_stepped(
+        self, step_calls, reservoir, source, target_train, alpha
+    ):
+        # a 5-sequence target is stepped in one chunk of 5, and the 24
+        # source sequences in chunks of 16 and 8: the blocks tell them apart
+        target = target_train.subset(np.arange(5))
+        acc = accumulate_dataset(reservoir, target, source, weights=(1 - alpha, alpha))
+        folded = source if alpha else target
+        [(_, _, blocks)] = step_calls
+        assert {shape[0] for _, shape in blocks} == ({CHUNK, 8} if alpha else {5})
+        assert acc.samples_seen == folded.num_sequences * folded.seq_len
 
     def test_half_blend_on_matched_domains_approximates_pooling(self, reservoir):
         # same distribution, equal sizes: blending halves both accumulators
@@ -154,11 +167,11 @@ class TestFewLongTargets:
         np.testing.assert_allclose(tuned.w_out, unsplit.w_out, rtol=0, atol=self.W_OUT_RTOL * scale)
 
     @pytest.mark.parametrize("use_feedback", [False, True])
-    def test_failed_seams_replay_the_target(self, monkeypatch, step_calls, use_feedback):
+    def test_failed_seams_restart_the_blend_unsplit(self, monkeypatch, step_calls, use_feedback):
         # a few long sequences on both sides, every seam failing: the
-        # target's split pass is folded over unsplit, and the source's failed
-        # seam zeroes the shared sums, so the target is stepped again before
-        # the source's unsplit blocks; the bytes are an unsplit blend's
+        # target's failed seam ends the split attempt, and the whole blend
+        # runs once more with nothing split, the target then the source, as
+        # an unsplit blend steps them and with its bytes
         r = build(ReservoirConfig(
             input_dim=2, reservoir_size=60, output_dim=2, seed=50, use_feedback=use_feedback
         ))
@@ -166,15 +179,43 @@ class TestFewLongTargets:
         target = generate_dataset(wave(52, bits=200), TARGET_CHANNEL, 2)
         assert target.seq_len >= 3 * reservoir_mod.WARMUP
         monkeypatch.setattr(reservoir_mod, "SEAM_TOL", -1.0)
-        replayed = fine_tune(r, source, target, 0.3, Ridge())
-        [target_split, target_unsplit, source_split, target_again, source_unsplit] = step_calls
-        assert target_split[0] > 2 and source_split[0] > 4  # each split in segments
-        assert target_again == target_unsplit  # the target replayed, unsplit
+        restarted = fine_tune(r, source, target, 0.3, Ridge())
+        [target_split, target_unsplit, source_unsplit] = step_calls
+        assert target_split[0] > 2  # split in segments
         assert target_unsplit[0] == source_unsplit[0] == CHUNK
         monkeypatch.setattr(reservoir_mod, "WARMUP", target.seq_len)  # nothing split
         unsplit = fine_tune(r, source, target, 0.3, Ridge())
-        assert [width for width, _, _ in step_calls[5:]] == [CHUNK, CHUNK]
-        assert replayed.w_out.tobytes() == unsplit.w_out.tobytes()
+        assert step_calls[3:] == [target_unsplit, source_unsplit]
+        assert restarted.w_out.tobytes() == unsplit.w_out.tobytes()
+
+    def test_failed_target_seam_steps_the_source_unsplit(self, monkeypatch, step_calls):
+        # at radius 0.9 the target's seams fail, while the source's, driven
+        # 100 times harder into tanh's saturation, hold when it is folded
+        # alone; in a blend the target's failed seam restarts the whole
+        # fold, so the source is stepped unsplit too
+        r = build(ReservoirConfig(
+            input_dim=2, reservoir_size=60, output_dim=2, seed=11, target_spectral_radius=0.9
+        ))
+        rng = np.random.default_rng(53)
+        target, source = (
+            SequenceDataset(
+                inputs=scale * rng.uniform(-1, 1, (2, 2, 1001)),
+                targets=rng.uniform(-1, 1, (2, 2, 1001)),
+            )
+            for scale in (1.0, 100.0)
+        )
+        accumulate_dataset(r, source)
+        accumulate_dataset(r, target)
+        [source_alone, target_split, target_unsplit] = step_calls
+        assert source_alone[0] == target_split[0] > 2  # the source's one pass held
+        assert target_unsplit[0] == CHUNK
+        blended = fine_tune(r, source, target, 0.5, Ridge())
+        assert step_calls[3:5] == [target_split, target_unsplit]
+        assert step_calls[5][0] == CHUNK  # the source, unsplit
+        monkeypatch.setattr(reservoir_mod, "WARMUP", target.seq_len)  # nothing split
+        unsplit = fine_tune(r, source, target, 0.5, Ridge())
+        assert step_calls[6:] == step_calls[4:6]
+        assert blended.w_out.tobytes() == unsplit.w_out.tobytes()
 
 
 class TestPlan:
